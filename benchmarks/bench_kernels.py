@@ -16,7 +16,14 @@ import time
 import numpy as np
 
 from redkit import Box, compute_bounds, generate_network, reduce_network
-from redkit.kernels import active_backend, interval_affine, relu_backward, set_backend, warmup
+from redkit.kernels import (
+    _BACKENDS,
+    active_backend,
+    interval_affine,
+    relu_backward,
+    set_backend,
+    warmup,
+)
 
 SIZES = [(64, 64), (256, 256), (1024, 512), (2048, 1024)]
 NET_CONFIGS = [(4, 128), (5, 256), (4, 512)]  # (hidden layers, width)
@@ -76,7 +83,7 @@ def main():
 
     backends = []
     for name in ("numpy", "numba"):
-        if set_backend(name) == name:
+        if name in _BACKENDS:
             backends.append(name)
         else:
             print(f"backend {name!r} unavailable, skipping")

@@ -12,6 +12,7 @@ from .bounds import (
     ALPHA_RULES,
     BoundsTable,
     Box,
+    Chain,
     compute_bounds,
     crown_backward,
     interval_forward,
@@ -78,11 +79,13 @@ from .specio import (
     save_vnnlib,
 )
 from .verify import (
+    Leaf,
     Verdict,
     bab_verify,
     bench_pair,
     find_grid_counterexample,
-    force_split,
+    root_leaf,
+    split_leaf,
     verify_incomplete,
 )
 
@@ -92,6 +95,7 @@ __all__ = [
     "ALPHA_RULES",
     "BoundsTable",
     "Box",
+    "Chain",
     "ContractError",
     "EquivReport",
     "GenerationError",
@@ -99,6 +103,7 @@ __all__ = [
     "InternalInvariantError",
     "Layer",
     "LayerPartition",
+    "Leaf",
     "Network",
     "NetworkBuilder",
     "ParseError",
@@ -123,7 +128,6 @@ __all__ = [
     "export_onnx",
     "find_blocks",
     "find_grid_counterexample",
-    "force_split",
     "forward",
     "forward_batch",
     "from_sequential",
@@ -147,10 +151,12 @@ __all__ = [
     "reduce_network",
     "reference_forward",
     "robustness_spec",
+    "root_leaf",
     "sample_equivalence",
     "save_model",
     "save_vnnlib",
     "simplify",
+    "split_leaf",
     "topo_order",
     "validate",
     "verify_incomplete",

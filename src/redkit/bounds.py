@@ -82,7 +82,7 @@ class _ReluRelaxation:
     icpt_up: np.ndarray
 
 
-def _relax(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRelaxation:
+def relu_relaxation(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRelaxation:
     deact = hi <= 0.0  # includes the degenerate l == u == 0 case
     act = (~deact) & (lo >= 0.0)
     unstable = ~(deact | act)
@@ -139,37 +139,148 @@ class BoundsTable:
         return out
 
 
-def _check_box(seq: SequentialView, box: Box):
-    if box.dim != seq.input.width:
-        raise ContractError(
-            f"box dimension {box.dim} does not match input width {seq.input.width}"
-        )
+@dataclass(frozen=True)
+class Chain:
+    """A sequential network as the (W, b) pairs of its linear layers.
+
+    A ReLU follows each of the first n_relu layers (the hidden layers). The
+    arrays are the network's own read-only ones, so building a chain copies
+    nothing.
+    """
+
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n_relu: int
+
+    @classmethod
+    def of(cls, net: Network) -> Chain:
+        return cls.of_view(as_sequential(net))
+
+    @classmethod
+    def of_view(cls, seq: SequentialView) -> Chain:
+        return cls(tuple((l.weight, l.bias) for l in seq.linears), len(seq.relus))
+
+    @property
+    def input_width(self) -> int:
+        return self.layers[0][0].shape[1]
+
+    def affine_ended(self) -> Chain:
+        """This chain, with an identity readout appended when it ends in a ReLU."""
+        if self.n_relu < len(self.layers):
+            return self
+        width = self.layers[-1][0].shape[0]
+        return Chain(self.layers + ((np.eye(width), np.zeros(width)),), self.n_relu)
+
+    def check_box(self, box: Box):
+        if box.dim != self.input_width:
+            raise ContractError(
+                f"box dimension {box.dim} does not match input width {self.input_width}"
+            )
+
+
+def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
+    """Clamp pre-activation ranges to pinned signs: lo >= 0 where +1, hi <= 0 where -1.
+
+    Returns None when a pin contradicts its range (an active pin with
+    hi < 0, an inactive one with lo > 0): no box point has that sign. Only a
+    pin is trusted to prove this; an unpinned range can cross itself by a
+    rounding error when it is a single point.
+    """
+    if ((signs > 0) & (hi < 0.0)).any() or ((signs < 0) & (lo > 0.0)).any():
+        return None
+    return np.where(signs > 0, np.maximum(lo, 0.0), lo), np.where(signs < 0, np.minimum(hi, 0.0), hi)
+
+
+def bound_layers(
+    chain: Chain,
+    box: Box,
+    method: str,
+    alpha_rule: str,
+    lower: list,
+    upper: list,
+    relaxations: list,
+    start: int = 0,
+    stop: int | None = None,
+    signs=None,
+    parent: tuple[list, list] | None = None,
+) -> bool:
+    """Bound layers start..stop-1 of the chain on top of a bounded prefix.
+
+    lower/upper hold the pre-activation ranges of layers 0..start-1 and
+    relaxations the ReLU lines of those layers (crown only); each new layer
+    is appended in place. A layer's input range is the box for layer 0 and
+    the ReLU of the previous range otherwise. interval stops at that forward
+    step; crown also runs the backward pass and intersects the two, since
+    the backward pass alone can lose to plain intervals in correlated
+    corners.
+
+    signs, one int8 array per hidden layer, restricts the bounds to a sign
+    region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent is
+    the (lower, upper) of a sign region containing this one; hidden rows it
+    already has inactive (hi <= 0) keep the parent's range without being
+    recomputed, because they stay inactive and feed nothing downstream.
+    Returns False, and stops, when a pinned neuron's bounds come out
+    strictly on the other side of zero: then no box point has the pinned
+    signs.
+    """
+    if method not in ("interval", "crown"):
+        raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
+    stop = len(chain.layers) if stop is None else stop
+    for k in range(start, stop):
+        W, b = chain.layers[k]
+        hidden = k < chain.n_relu
+        if k == 0:
+            v_lo, v_hi = box.lower, box.upper
+        else:
+            v_lo, v_hi = np.maximum(lower[k - 1], 0.0), np.maximum(upper[k - 1], 0.0)
+        rows = None
+        if parent is not None and hidden and (parent[1][k] <= 0.0).any():
+            rows = np.flatnonzero(parent[1][k] > 0.0)
+            W, b = W[rows], b[rows]
+        lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
+        if method == "crown":
+            lo = np.maximum(_backward_from(chain, k, W, b, relaxations, box, upper_pass=False), lo)
+            hi = np.minimum(_backward_from(chain, k, W, b, relaxations, box, upper_pass=True), hi)
+        if rows is not None:
+            lo_all, hi_all = parent[0][k].copy(), parent[1][k].copy()
+            lo_all[rows], hi_all[rows] = lo, hi
+            lo, hi = lo_all, hi_all
+        if signs is not None and hidden:
+            clamped = clamp_to_signs(lo, hi, signs[k])
+            if clamped is None:
+                return False
+            lo, hi = clamped
+        lower.append(lo)
+        upper.append(hi)
+        if hidden and method == "crown":
+            relaxations.append(relu_relaxation(lo, hi, alpha_rule))
+    return True
+
+
+def _table(net: Network, box: Box, method: str, alpha_rule: str) -> BoundsTable:
+    seq = as_sequential(net)
+    chain = Chain.of_view(seq)
+    chain.check_box(box)
+    lower: list = []
+    upper: list = []
+    relaxations: list = []
+    bound_layers(chain, box, method, alpha_rule, lower, upper, relaxations)
+    ids = [l.id for l in seq.linears]
+    return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)), relaxations)
 
 
 def interval_forward(net: Network, box: Box) -> BoundsTable:
     """Forward interval propagation; exact for the first linear layer."""
-    seq = as_sequential(net)
-    _check_box(seq, box)
-    lo, hi = box.lower, box.upper
-    lower: dict[int, np.ndarray] = {}
-    upper: dict[int, np.ndarray] = {}
-    for k, lin in enumerate(seq.linears):
-        lo, hi = kernels.interval_affine(lin.weight, lin.bias, lo, hi)
-        lower[lin.id] = lo
-        upper[lin.id] = hi
-        if k < len(seq.relus):
-            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-    return BoundsTable("interval", [l.id for l in seq.linears], lower, upper)
+    return _table(net, box, "interval", "adaptive")
 
 
-def _backward_from(seq: SequentialView, k: int, A, const, relaxations, box: Box, upper_pass: bool):
+def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_pass: bool):
     """Push a coefficient row set from just after linear k down to the input box."""
     for j in range(k - 1, -1, -1):
         r = relaxations[j]
         A, const = kernels.relu_backward(A, const, r.slope_lo, r.slope_up, r.icpt_up, upper_pass)
-        prev = seq.linears[j]
-        const = const + A @ prev.bias
-        A = A @ prev.weight
+        W, b = chain.layers[j]
+        const = const + A @ b
+        A = A @ W
     lo, hi = kernels.interval_affine(A, const, box.lower, box.upper)
     return hi if upper_pass else lo
 
@@ -183,31 +294,27 @@ def crown_backward(net: Network, box: Box, alpha_rule: str = "adaptive") -> Boun
     backward pass alone can lose to plain intervals in correlated corners.
     First-layer bounds coincide bit-for-bit with interval_forward.
     """
-    seq = as_sequential(net)
-    _check_box(seq, box)
-    lower: dict[int, np.ndarray] = {}
-    upper: dict[int, np.ndarray] = {}
-    relaxations: list[_ReluRelaxation] = []
-    ivl_lo, ivl_hi = box.lower, box.upper
-    for k, lin in enumerate(seq.linears):
-        lo = _backward_from(seq, k, lin.weight, lin.bias, relaxations, box, upper_pass=False)
-        hi = _backward_from(seq, k, lin.weight, lin.bias, relaxations, box, upper_pass=True)
-        ilo, ihi = kernels.interval_affine(lin.weight, lin.bias, ivl_lo, ivl_hi)
-        lo, hi = np.maximum(lo, ilo), np.minimum(hi, ihi)
-        lower[lin.id] = lo
-        upper[lin.id] = hi
-        if k < len(seq.relus):
-            relaxations.append(_relax(lo, hi, alpha_rule))
-            ivl_lo, ivl_hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-    return BoundsTable("crown", [l.id for l in seq.linears], lower, upper, relaxations)
+    return _table(net, box, "crown", alpha_rule)
 
 
 def compute_bounds(net: Network, box: Box, method: str, alpha_rule: str = "adaptive") -> BoundsTable:
-    if method == "interval":
-        return interval_forward(net, box)
-    if method == "crown":
-        return crown_backward(net, box, alpha_rule)
-    raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
+    return _table(net, box, method, alpha_rule)
+
+
+def chain_margin_lower_bounds(
+    chain: Chain, box: Box, A, const, method: str, lower: list, upper: list, relaxations: list
+) -> np.ndarray:
+    """Lower bounds of A h + const, h the last hidden layer's post-ReLU values.
+
+    lower/upper/relaxations are the hidden layers' bounds of the same method,
+    as bound_layers fills them; A and const already fold in the readout layer.
+    """
+    n = chain.n_relu
+    if method == "crown" or n == 0:
+        return _backward_from(chain, n, A, const, relaxations, box, upper_pass=False)
+    v_lo, v_hi = np.maximum(lower[n - 1], 0.0), np.maximum(upper[n - 1], 0.0)
+    lo, _ = kernels.interval_affine(A, const, v_lo, v_hi)
+    return lo
 
 
 def margin_lower_bounds(
@@ -225,36 +332,29 @@ def margin_lower_bounds(
     bounding outputs separately and then combining would discard correlations
     and is strictly looser.
     """
-    seq = as_sequential(net)
-    if seq.ends_with_relu:
+    chain = Chain.of(net)
+    if chain.n_relu == len(chain.layers):
         raise ContractError("margins need an affine-ended network")
-    _check_box(seq, box)
+    chain.check_box(box)
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-    out_w = seq.linears[-1].width
-    if C.shape[1] != out_w:
-        raise ContractError(f"margin rows have {C.shape[1]} entries, output width is {out_w}")
+    W, b = chain.layers[-1]
+    if C.shape[1] != W.shape[0]:
+        raise ContractError(f"margin rows have {C.shape[1]} entries, output width is {W.shape[0]}")
+    if method not in ("interval", "crown"):
+        raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
     d = np.zeros(C.shape[0]) if d is None else np.asarray(d, dtype=np.float64).reshape(-1)
-    last = seq.linears[-1]
-    A = C @ last.weight
-    const = C @ last.bias + d
-    k = len(seq.linears) - 1
-    if method == "interval":
-        if k == 0:
-            lo, _ = kernels.interval_affine(A, const, box.lower, box.upper)
-            return lo
-        if table is None or table.method != "interval":
-            table = interval_forward(net, box)
-        zlo, zhi = table.post_activation(k - 1)
-        lo, _ = kernels.interval_affine(A, const, zlo, zhi)
-        return lo
-    if method == "crown":
-        if k == 0:
-            lo, _ = kernels.interval_affine(A, const, box.lower, box.upper)
-            return lo
-        if table is None or table.method != "crown" or len(table.relaxations) < k:
-            table = crown_backward(net, box, alpha_rule)
-        return _backward_from(seq, k, A, const, table.relaxations, box, upper_pass=False)
-    raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
+    lower, upper, relaxations = [], [], []
+    n = chain.n_relu
+    if n:
+        need = n if method == "crown" else 0
+        if table is None or table.method != method or len(table.relaxations) < need:
+            table = _table(net, box, method, alpha_rule)
+        lower = [table.pre_activation(k)[0] for k in range(n)]
+        upper = [table.pre_activation(k)[1] for k in range(n)]
+        relaxations = table.relaxations
+    return chain_margin_lower_bounds(
+        chain, box, C @ W, C @ b + d, method, lower, upper, relaxations
+    )
 
 
 def margin_lower_bound(

@@ -5,12 +5,17 @@ certificate threshold is nonnegative rather than strictly positive, so a
 margin that attains exactly zero still counts as proved; counterexamples are
 points with a strictly negative margin.
 
-Branching never splits the input box. A split pins one unstable ReLU to a
-sign and rewrites the network with the same layer surgery the reducer uses:
-the deactivated branch drops the neuron, the activated branch shifts it into
-the provably-active regime and compensates downstream. Each branch network
-equals the original on its sign region, so bounds on the branch are sound
-there.
+Branching never splits the input box and never rewrites the network. The
+network is read once into a fixed affine-ended chain of (W, b) pairs, and a
+branch is a sign region of the box: each leaf carries, per hidden layer, an
+int8 sign array (-1 pinned inactive, 0 free, +1 pinned active) next to that
+layer's pre-activation bounds and ReLU relaxation. Pinning neuron j of layer
+k clamps its range to [0, u] or [l, 0], which makes its relaxation exact,
+and re-bounds only layers k+1 onward; the child shares the parent's arrays
+for the layers before k. Every leaf's bounds are sound on its sign region.
+A re-bound that puts a pinned neuron strictly on the wrong side of zero
+shows that no box point has the pinned signs, and that leaf closes without
+a margin.
 """
 from __future__ import annotations
 
@@ -19,16 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Box, BoundsTable, compute_bounds, margin_lower_bounds
+from .bounds import (
+    Box,
+    Chain,
+    bound_layers,
+    chain_margin_lower_bounds,
+    clamp_to_signs,
+    relu_relaxation,
+)
 from .equivalence import sample_equivalence
 from .errors import ContractError
-from .netir import Network, as_sequential, forward_batch, from_sequential
-from .reducer import LayerPartition, reduce_layer
+from .netir import Network, forward_batch
 from .specio import MODE_ANY, PropertySpec
 
 VERIFIED = "verified"
 UNKNOWN = "unknown"
 TIMED_OUT = "timeout"
+
+ACTIVE = 1
+INACTIVE = -1
 
 
 @dataclass(frozen=True)
@@ -51,14 +65,83 @@ class Verdict:
         return self.status == VERIFIED
 
 
-def _affine_ended(net: Network) -> Network:
-    seq = as_sequential(net)
-    if not seq.ends_with_relu:
-        return net
-    # relu-ended chains get an identity readout so margins compose linearly
-    wb = [(l.weight, l.bias) for l in seq.linears]
-    wb.append((np.eye(seq.relus[-1].width), np.zeros(seq.relus[-1].width)))
-    return from_sequential(wb, seq.input.width)
+@dataclass(frozen=True)
+class Leaf:
+    """One sign region of the box and the bounds of every hidden layer on it.
+
+    signs[k] holds hidden layer k's pins (-1 inactive, 0 free, +1 active);
+    lower[k], upper[k] and, for crown, relaxations[k] are that layer's
+    pre-activation range and ReLU lines, sound for every box point whose
+    pre-activations have the pinned signs.
+    """
+
+    lower: tuple[np.ndarray, ...]
+    upper: tuple[np.ndarray, ...]
+    relaxations: tuple
+    signs: tuple[np.ndarray, ...]
+
+
+def root_leaf(chain: Chain, box: Box, method: str = "crown", alpha_rule: str = "adaptive") -> Leaf:
+    """The whole box, nothing pinned."""
+    chain.check_box(box)
+    lower: list = []
+    upper: list = []
+    relaxations: list = []
+    bound_layers(chain, box, method, alpha_rule, lower, upper, relaxations, stop=chain.n_relu)
+    signs = tuple(np.zeros(lo.shape[0], np.int8) for lo in lower)
+    return Leaf(tuple(lower), tuple(upper), tuple(relaxations), signs)
+
+
+def split_leaf(
+    chain: Chain,
+    box: Box,
+    leaf: Leaf,
+    k: int,
+    j: int,
+    sign: int,
+    method: str = "crown",
+    alpha_rule: str = "adaptive",
+) -> Leaf | None:
+    """Pin neuron j of hidden layer k to ACTIVE or INACTIVE and re-bound.
+
+    Layers before k are shared with the parent, layer k is the parent's with
+    neuron j clamped, and layers after k are bounded again with every pin
+    re-applied. Returns None when the pinned sign region is empty.
+    """
+    if not 0 <= k < chain.n_relu:
+        raise ContractError(f"no hidden layer {k} to split")
+    if not 0 <= j < leaf.lower[k].shape[0]:
+        raise ContractError(f"hidden layer {k} has no neuron {j}")
+    if sign not in (ACTIVE, INACTIVE):
+        raise ContractError(f"sign must be {ACTIVE} (active) or {INACTIVE} (inactive), got {sign!r}")
+    pins = leaf.signs[k].copy()
+    pins[j] = sign
+    clamped = clamp_to_signs(leaf.lower[k], leaf.upper[k], pins)
+    if clamped is None:
+        return None
+    lo, hi = clamped
+    signs = leaf.signs[:k] + (pins,) + leaf.signs[k + 1 :]
+    lower = list(leaf.lower[:k]) + [lo]
+    upper = list(leaf.upper[:k]) + [hi]
+    relaxations = list(leaf.relaxations[:k])
+    if method == "crown":
+        relaxations.append(relu_relaxation(lo, hi, alpha_rule))
+    if not bound_layers(
+        chain, box, method, alpha_rule, lower, upper, relaxations,
+        start=k + 1, stop=chain.n_relu, signs=signs, parent=(leaf.lower, leaf.upper),
+    ):
+        return None
+    return Leaf(tuple(lower), tuple(upper), tuple(relaxations), signs)
+
+
+def _margin_rows(chain: Chain, spec: PropertySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The margin rows folded into the readout layer: margins = A h + const."""
+    W, b = chain.layers[-1]
+    if spec.rows.shape[1] != W.shape[0]:
+        raise ContractError(
+            f"margin rows have {spec.rows.shape[1]} entries, output width is {W.shape[0]}"
+        )
+    return spec.rows @ W, spec.rows @ b + spec.offsets
 
 
 def verify_incomplete(
@@ -71,49 +154,47 @@ def verify_incomplete(
     t0 = time.monotonic()
     if spec.rows.shape[0] == 0:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
-    net = _affine_ended(net)
-    lo = margin_lower_bounds(net, spec.box, spec.rows, spec.offsets, method, alpha_rule)
+    chain = Chain.of(net).affine_ended()
+    A, const = _margin_rows(chain, spec)
+    leaf = root_leaf(chain, spec.box, method, alpha_rule)
+    lo = chain_margin_lower_bounds(
+        chain, spec.box, A, const, method, leaf.lower, leaf.upper, leaf.relaxations
+    )
     bound = float(lo.min())
     status = VERIFIED if bound >= 0.0 else UNKNOWN
     return Verdict(status, bound, 0, time.monotonic() - t0)
 
 
-def _exact_affine_margin(net: Network, table: BoundsTable, spec: PropertySpec) -> float | None:
-    """Exact margin minimum when every neuron is stable; None otherwise.
+def _exact_affine_margin(chain: Chain, leaf: Leaf, A, const, box: Box) -> float:
+    """Exact margin minimum over the box for a leaf with every neuron stable.
 
-    With all signs fixed the network is affine on the box, so composing the
-    margin rows through sign masks and taking the interval minimum of the
-    resulting affine map is exact, regardless of which (possibly loose)
-    method produced the table.
+    With all signs fixed the network is affine, so composing the margin rows
+    through sign masks and taking the interval minimum of the resulting
+    affine map is exact, regardless of which (possibly loose) method
+    produced the leaf's bounds.
     """
-    seq = as_sequential(net)
-    last = seq.linears[-1]
-    A = spec.rows @ last.weight
-    const = spec.rows @ last.bias + spec.offsets
-    for k in range(len(seq.relus) - 1, -1, -1):
-        lo, hi = table.pre_activation(k)
-        if ((lo < 0.0) & (hi > 0.0)).any():
-            return None
+    for k in range(chain.n_relu - 1, -1, -1):
+        lo, hi = leaf.lower[k], leaf.upper[k]
         passthrough = (lo >= 0.0) & (hi > 0.0)  # deactivated wins the l = u = 0 tie
         A = A * passthrough[None, :].astype(np.float64)
-        prev = seq.linears[k]
-        const = const + A @ prev.bias
-        A = A @ prev.weight
+        W, b = chain.layers[k]
+        const = const + A @ b
+        A = A @ W
     Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
-    lows = Ap @ spec.box.lower + An @ spec.box.upper + const
+    lows = Ap @ box.lower + An @ box.upper + const
     return float(lows.min())
 
 
-def _widest_unstable(table: BoundsTable) -> tuple[int, int] | None:
+def _widest_unstable(leaf: Leaf) -> tuple[int, int] | None:
     """Unstable neuron with the widest pre-activation interval.
 
     Ties break toward the lowest (layer, neuron): with strict improvement
-    required, the earliest candidate of maximal width wins.
+    required, the earliest candidate of maximal width wins. Pinned neurons
+    are clamped to one side of zero, so they are never candidates.
     """
     best = None
     best_w = 0.0
-    for k in range(len(table.linear_ids) - 1):
-        lo, hi = table.pre_activation(k)
+    for k, (lo, hi) in enumerate(zip(leaf.lower, leaf.upper)):
         unstable = (lo < 0.0) & (hi > 0.0)
         if not unstable.any():
             continue
@@ -123,33 +204,6 @@ def _widest_unstable(table: BoundsTable) -> tuple[int, int] | None:
             best_w = float(widths[j])
             best = (k, j)
     return best
-
-
-def force_split(
-    net: Network, k: int, j: int, branch: str, table: BoundsTable, box: Box
-) -> Network:
-    """Pin hidden layer k's neuron j to a sign and rewrite the chain."""
-    seq = as_sequential(net)
-    if not 0 <= k < len(seq.relus):
-        raise ContractError(f"no hidden layer {k} to split")
-    x, y, z = seq.linears[k], seq.relus[k], seq.linears[k + 1]
-    others = np.setdiff1d(np.arange(x.width), [j])
-    if branch == "deactivate":
-        part = LayerPartition(np.array([j]), np.empty(0, np.int64), others, x.width)
-    elif branch == "activate":
-        part = LayerPartition(np.empty(0, np.int64), np.array([j]), others, x.width)
-    else:
-        raise ContractError(f"branch must be 'deactivate' or 'activate', got {branch!r}")
-    v_range = (box.lower, box.upper) if k == 0 else table.post_activation(k - 1)
-    pre_lb, _ = table.pre_activation(k)
-    x2, y2, z2, _plan = reduce_layer(x, y, z, part, v_range, pre_lb)
-    wb = [(l.weight, l.bias) for l in seq.linears]
-    if x2 is None:
-        wb[k : k + 2] = [(z2.weight, z2.bias)]
-    else:
-        wb[k] = (x2.weight, x2.bias)
-        wb[k + 1] = (z2.weight, z2.bias)
-    return from_sequential(wb, seq.input.width)
 
 
 def bab_verify(
@@ -162,19 +216,23 @@ def bab_verify(
 ) -> Verdict:
     """Depth-first sign branching until every leaf's margins certify.
 
-    The deactivated child is explored first. splits counts branch events;
-    each adds two leaves. A leaf with no unstable neuron left is affine on
-    the box, so its margins are re-bounded exactly before giving up; a
-    negative exact bound ends the search with unknown (the leaf's sign
-    region may be empty, so no counterexample is claimed). The reported
-    bound is the worst bound among closed leaves, plus the failing leaf's
-    for non-verified outcomes.
+    A split pins the widest unstable neuron inactive in one child and active
+    in the other (see split_leaf); the inactive child is explored first.
+    splits counts branch events; each adds two leaves. A leaf whose sign
+    region turns out empty closes without touching the bound. A leaf with no
+    unstable neuron left is affine, so its margins are re-bounded exactly
+    over the box before giving up; a negative exact bound ends the search
+    with unknown (the minimum may lie outside the leaf's sign region, so no
+    counterexample is claimed). The reported bound is the worst bound among
+    closed leaves, plus the failing leaf's for non-verified outcomes.
     """
     t0 = time.monotonic()
     if spec.rows.shape[0] == 0:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
-    root = _affine_ended(net)
-    stack: list[Network] = [root]
+    chain = Chain.of(net).affine_ended()
+    A, const = _margin_rows(chain, spec)
+    box = spec.box
+    stack: list = [None]  # None is the root; a child is (parent leaf, layer, neuron, sign)
     splits = 0
     worst = np.inf
 
@@ -184,20 +242,23 @@ def bab_verify(
     while stack:
         if time.monotonic() - t0 > timeout:
             return done(TIMED_OUT, worst, f"{len(stack)} open branches")
-        cur = stack.pop()
-        table = compute_bounds(cur, spec.box, method, alpha_rule)
-        lo = margin_lower_bounds(
-            cur, spec.box, spec.rows, spec.offsets, method, alpha_rule, table=table
+        item = stack.pop()
+        if item is None:
+            leaf = root_leaf(chain, box, method, alpha_rule)
+        else:
+            leaf = split_leaf(chain, box, *item, method, alpha_rule)
+            if leaf is None:  # no box point has these signs
+                continue
+        lo = chain_margin_lower_bounds(
+            chain, box, A, const, method, leaf.lower, leaf.upper, leaf.relaxations
         )
         m = float(lo.min())
         if m >= 0.0:
             worst = min(worst, m)
             continue
-        cand = _widest_unstable(table)
+        cand = _widest_unstable(leaf)
         if cand is None:
-            exact = _exact_affine_margin(cur, table, spec)
-            if exact is None:  # pragma: no cover - unstable set was just empty
-                return done(UNKNOWN, min(worst, m), "no split candidate")
+            exact = _exact_affine_margin(chain, leaf, A, const, box)
             if exact >= 0.0:
                 worst = min(worst, exact)
                 continue
@@ -206,8 +267,8 @@ def bab_verify(
             return done(UNKNOWN, min(worst, m), "split budget exhausted")
         splits += 1
         k, j = cand
-        stack.append(force_split(cur, k, j, "activate", table, spec.box))
-        stack.append(force_split(cur, k, j, "deactivate", table, spec.box))
+        stack.append((leaf, k, j, ACTIVE))
+        stack.append((leaf, k, j, INACTIVE))
     return done(VERIFIED, worst)
 
 
