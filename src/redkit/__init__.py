@@ -12,7 +12,6 @@ from .bounds import (
     ALPHA_RULES,
     BoundsTable,
     Box,
-    Chain,
     compute_bounds,
     crown_backward,
     interval_forward,
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .generator import generate_network, load_sidecar, save_model
 from .netir import (
+    Chain,
     Layer,
     Network,
     NetworkBuilder,

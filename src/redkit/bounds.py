@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractError
-from .netir import Network, SequentialView, as_sequential
+from .netir import Chain, Network, as_sequential
 
 ALPHA_RULES = ("adaptive", "zero", "one")
 
@@ -137,44 +137,6 @@ class BoundsTable:
             for j in range(lo.shape[0]):
                 out.append((k, j, float(lo[j]), float(hi[j]), self.method))
         return out
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A sequential network as the (W, b) pairs of its linear layers.
-
-    A ReLU follows each of the first n_relu layers (the hidden layers). The
-    arrays are the network's own read-only ones, so building a chain copies
-    nothing.
-    """
-
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    n_relu: int
-
-    @classmethod
-    def of(cls, net: Network) -> Chain:
-        return cls.of_view(as_sequential(net))
-
-    @classmethod
-    def of_view(cls, seq: SequentialView) -> Chain:
-        return cls(tuple((l.weight, l.bias) for l in seq.linears), len(seq.relus))
-
-    @property
-    def input_width(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    def affine_ended(self) -> Chain:
-        """This chain, with an identity readout appended when it ends in a ReLU."""
-        if self.n_relu < len(self.layers):
-            return self
-        width = self.layers[-1][0].shape[0]
-        return Chain(self.layers + ((np.eye(width), np.zeros(width)),), self.n_relu)
-
-    def check_box(self, box: Box):
-        if box.dim != self.input_width:
-            raise ContractError(
-                f"box dimension {box.dim} does not match input width {self.input_width}"
-            )
 
 
 def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):

@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from . import kernels
 from .bounds import ALPHA_RULES, Box, compute_bounds
 from .equivalence import grid_equivalence, sample_equivalence
 from .errors import (
@@ -127,7 +126,7 @@ def cmd_reduce(args) -> int:
     box = _resolve_box(args, net.input_layer.width)
     net = _ensure_sequential(net, box)
     reduced, report = reduce_network(
-        net, box, method=args.method, tol=args.tol, alpha_rule=args.alpha,
+        net, box, method=args.method, alpha_rule=args.alpha,
         shift_method=args.shift_method,
     )
     _print_reduction(report)
@@ -307,11 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="redkit",
         description="Stable-neuron reduction and verification for ReLU networks",
     )
-    top.add_argument(
-        "--backend", choices=("auto", "numba", "numpy"), default=None,
-        help="kernel backend (default: REDKIT_BACKEND or auto)",
-    )
-    top.add_argument("--threads", type=int, default=None, help="cap the numba thread pool")
     sub = top.add_subparsers(dest="command", required=True)
 
     region = argparse.ArgumentParser(add_help=False)
@@ -331,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="path for the reduced model")
     p.add_argument("--report", help="path for the per-layer CSV report")
-    p.add_argument("--tol", type=float, default=0.0, help=argparse.SUPPRESS)
     p.add_argument(
         "--shift-method", choices=("interval", "crown"), default="interval",
         help="how merged-row shifts are lower bounded",
@@ -403,10 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads:
-            kernels.set_threads(args.threads)
-        if args.backend:
-            kernels.set_backend(args.backend)
         return args.func(args) or EXIT_OK
     except BrokenPipeError:
         return EXIT_OK

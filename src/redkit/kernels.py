@@ -1,152 +1,20 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The two hot numeric kernels of the bound passes, in numpy.
 
-Backend selection: REDKIT_BACKEND env var, one of auto (default), numba,
-numpy. Both backends implement the same math; tests compare them to 1e-12.
-REDKIT_THREADS caps the numba thread pool.
+interval_affine maps a box through an affine layer; relu_backward substitutes
+ReLU relaxation lines into the coefficient rows of a backward pass. The bound
+passes call them through the module (kernels.interval_affine(...)), so a
+tracer that rebinds the module attributes sees every bound-pass call.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import ContractError
-
-try:
-    import warnings
-
-    import numba
-    from numba import njit, prange
-
-    # the tbb-version advisory fires on every parallel warmup; not actionable here
-    warnings.filterwarnings("ignore", message=".*TBB.*", category=numba.NumbaWarning)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-def _as_c64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-
-
-def _interval_affine_np(W, b, lo, hi):
-    Wp = np.maximum(W, 0.0)
-    Wn = np.minimum(W, 0.0)
-    return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
-
-
-def _relu_backward_np(A, const, slope_lo, slope_up, icpt_up, upper_pass):
-    # lower pass: nonnegative coefficients keep the lower line, negative ones
-    # take the upper line (and collect its intercept); upper pass mirrors it.
-    use_up = (A >= 0.0) if upper_pass else (A < 0.0)
-    A_out = A * np.where(use_up, slope_up, slope_lo)
-    const_out = const + np.where(use_up, A, 0.0) @ icpt_up
-    return A_out, const_out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _interval_affine_nb(W, b, lo, hi, out_lo, out_hi):
-        m, n = W.shape
-        for i in prange(m):
-            acc_l = b[i]
-            acc_u = b[i]
-            for j in range(n):
-                w = W[i, j]
-                if w >= 0.0:
-                    acc_l += w * lo[j]
-                    acc_u += w * hi[j]
-                else:
-                    acc_l += w * hi[j]
-                    acc_u += w * lo[j]
-            out_lo[i] = acc_l
-            out_hi[i] = acc_u
-
-    @njit(cache=True, parallel=True)
-    def _relu_backward_nb(A, const, slope_lo, slope_up, icpt_up, upper_pass, A_out, const_out):
-        m, n = A.shape
-        for r in prange(m):
-            acc = const[r]
-            for j in range(n):
-                a = A[r, j]
-                if (a >= 0.0) == upper_pass:
-                    A_out[r, j] = a * slope_up[j]
-                    acc += a * icpt_up[j]
-                else:
-                    A_out[r, j] = a * slope_lo[j]
-            const_out[r] = acc
-
-    def _interval_affine_numba(W, b, lo, hi):
-        W = _as_c64(W)
-        b = _as_c64(b)
-        out_lo = np.empty(W.shape[0])
-        out_hi = np.empty(W.shape[0])
-        _interval_affine_nb(W, b, _as_c64(lo), _as_c64(hi), out_lo, out_hi)
-        return out_lo, out_hi
-
-    def _relu_backward_numba(A, const, slope_lo, slope_up, icpt_up, upper_pass):
-        A = _as_c64(A)
-        A_out = np.empty_like(A)
-        const_out = np.empty(A.shape[0])
-        _relu_backward_nb(
-            A,
-            _as_c64(const),
-            _as_c64(slope_lo),
-            _as_c64(slope_up),
-            _as_c64(icpt_up),
-            bool(upper_pass),
-            A_out,
-            const_out,
-        )
-        return A_out, const_out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_BACKENDS = {"numpy": (_interval_affine_np, _relu_backward_np)}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = (_interval_affine_numba, _relu_backward_numba)
-
-_active = "numpy"
-_interval_affine = _interval_affine_np
-_relu_backward = _relu_backward_np
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the backend actually activated."""
-    global _active, _interval_affine, _relu_backward
-    if name == "auto":
-        name = "numba" if HAVE_NUMBA else "numpy"
-    if name not in _BACKENDS:
-        raise ContractError(
-            f"backend {name!r} unavailable; choose from {sorted(_BACKENDS)} or 'auto'"
-        )
-    _interval_affine, _relu_backward = _BACKENDS[name]
-    _active = name
-    return _active
-
-
-def active_backend() -> str:
-    return _active
 
 
 def interval_affine(W, b, lo, hi):
     """Range of W x + b for x in the box [lo, hi], elementwise tight."""
-    return _interval_affine(
-        np.asarray(W, dtype=np.float64),
-        np.asarray(b, dtype=np.float64),
-        np.asarray(lo, dtype=np.float64),
-        np.asarray(hi, dtype=np.float64),
-    )
+    Wp = np.maximum(W, 0.0)
+    Wn = np.minimum(W, 0.0)
+    return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
 
 
 def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
@@ -156,37 +24,9 @@ def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
     result bounds it in terms of pre-ReLU values. The lower relaxation line
     always has intercept zero, so only the upper intercept is passed.
     """
-    return _relu_backward(
-        np.asarray(A, dtype=np.float64),
-        np.asarray(const, dtype=np.float64),
-        np.asarray(slope_lo, dtype=np.float64),
-        np.asarray(slope_up, dtype=np.float64),
-        np.asarray(icpt_up, dtype=np.float64),
-        bool(upper_pass),
-    )
-
-
-def warmup():
-    """Trigger JIT compilation so timed sections do not pay it."""
-    W = np.array([[1.0, -2.0], [0.5, 3.0]])
-    b = np.zeros(2)
-    interval_affine(W, b, -np.ones(2), np.ones(2))
-    relu_backward(W, b, np.ones(2), np.ones(2), np.zeros(2), False)
-    relu_backward(W, b, np.ones(2), np.ones(2), np.zeros(2), True)
-
-
-def set_threads(n: int):
-    """Cap the numba pool; silently a no-op on the numpy-only install."""
-    if HAVE_NUMBA:
-        limit = numba.config.NUMBA_NUM_THREADS
-        numba.set_num_threads(min(limit, max(1, int(n))))
-
-
-_threads = os.environ.get("REDKIT_THREADS")
-if _threads:
-    try:
-        set_threads(int(_threads))
-    except (ValueError, RuntimeError):
-        pass
-
-set_backend(os.environ.get("REDKIT_BACKEND", "auto"))
+    # lower pass: nonnegative coefficients keep the lower line, negative ones
+    # take the upper line (and collect its intercept); upper pass mirrors it.
+    use_up = (A >= 0.0) if upper_pass else (A < 0.0)
+    A_out = A * np.where(use_up, slope_up, slope_lo)
+    const_out = const + np.where(use_up, A, 0.0) @ icpt_up
+    return A_out, const_out

@@ -3,6 +3,10 @@
 Layers are immutable values; a Network is a DAG over them with ordered arcs.
 Transformations elsewhere in the package never mutate a Network, they build a
 new one (usually through NetworkBuilder).
+
+A sequential network also has a flat form, Chain: the (W, b) pairs of its
+linear layers with a ReLU after each hidden one. Bounds, the verifier and the
+reducer work on chains; Chain.to_network is the one way back to a Network.
 """
 from __future__ import annotations
 
@@ -324,6 +328,54 @@ class SequentialView:
         return len(self.relus) == len(self.linears)
 
 
+@dataclass(frozen=True)
+class Chain:
+    """A sequential network as the (W, b) pairs of its linear layers.
+
+    A ReLU follows each of the first n_relu layers (the hidden layers, or
+    every layer when the network ends in a ReLU). A chain read from a network
+    holds the network's own read-only arrays, so building one copies nothing.
+    """
+
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n_relu: int
+
+    @classmethod
+    def of(cls, net: Network) -> Chain:
+        return cls.of_view(as_sequential(net))
+
+    @classmethod
+    def of_view(cls, seq: SequentialView) -> Chain:
+        return cls(tuple((l.weight, l.bias) for l in seq.linears), len(seq.relus))
+
+    @property
+    def input_width(self) -> int:
+        return self.layers[0][0].shape[1]
+
+    def affine_ended(self) -> Chain:
+        """This chain, with an identity readout appended when it ends in a ReLU."""
+        if self.n_relu < len(self.layers):
+            return self
+        width = self.layers[-1][0].shape[0]
+        return Chain(self.layers + ((np.eye(width), np.zeros(width)),), self.n_relu)
+
+    def check_box(self, box):
+        if box.dim != self.input_width:
+            raise ContractError(
+                f"box dimension {box.dim} does not match input width {self.input_width}"
+            )
+
+    def to_network(self) -> Network:
+        """Input -> Linear -> ReLU -> ... with a ReLU after each of the first n_relu layers."""
+        b = NetworkBuilder()
+        cur = b.add_input(self.input_width)
+        for k, (W, bias) in enumerate(self.layers):
+            cur = b.add_linear(cur, W, bias)
+            if k < self.n_relu:
+                cur = b.add_relu(cur, W.shape[0])
+        return b.build()
+
+
 def as_sequential(net: Network) -> SequentialView:
     """View a chain-shaped network as alternating Linear/ReLU; raise otherwise."""
     order = topo_order(net)
@@ -358,13 +410,14 @@ def as_sequential(net: Network) -> SequentialView:
 
 def from_sequential(weights_biases, input_width: int) -> Network:
     """Build Input -> Linear -> ReLU -> ... -> Linear from a list of (W, b)."""
-    b = NetworkBuilder()
-    cur = b.add_input(input_width)
-    n = len(weights_biases)
-    if n == 0:
+    if len(weights_biases) == 0:
         raise ContractError("need at least one linear layer")
-    for k, (w, bias) in enumerate(weights_biases):
-        cur = b.add_linear(cur, w, bias)
-        if k < n - 1:
-            cur = b.add_relu(cur, np.asarray(w).shape[0])
-    return b.build()
+    layers = tuple(
+        (np.asarray(w, dtype=np.float64), np.asarray(bias, dtype=np.float64))
+        for w, bias in weights_biases
+    )
+    if layers[0][0].ndim != 2 or layers[0][0].shape[1] != input_width:
+        raise ContractError(
+            f"first weight has shape {layers[0][0].shape}, input width is {input_width}"
+        )
+    return Chain(layers, len(layers) - 1).to_network()

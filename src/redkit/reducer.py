@@ -6,6 +6,12 @@ activated block of X composes with the columns of Z it feeds, a bias shift
 keeps the replacement pre-activations nonnegative (so the interposed ReLU is
 the identity on them), and Z's bias absorbs the opposite shift. The result
 computes the same function over the input box with fewer ReLU neurons.
+
+The network is rewritten as a list of the (W, b) pairs of its linear layers
+(netir.Chain) with a ReLU implied between each two neighbours. Every rewrite
+keeps that alternation, so the result is again an alternating Linear/ReLU
+chain. collapse_adjacent_linear, which folds runs of linear layers into one,
+serves the simplifier, whose graphs can have such runs.
 """
 from __future__ import annotations
 
@@ -17,15 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .bounds import BoundsTable, Box, compute_bounds, crown_backward
-from .errors import ContractError, InternalInvariantError
+from .bounds import BoundsTable, Box, bound_layers, compute_bounds
+from .errors import ContractError, InternalInvariantError, StructuralError
 from .netir import (
     KIND_LINEAR,
     KIND_RELU,
+    Chain,
     Layer,
     Network,
-    NetworkBuilder,
     as_sequential,
+    topo_order,
 )
 
 
@@ -54,21 +61,18 @@ class LayerPartition:
         return len(self.deactivated) + len(self.activated)
 
 
-def classify(table: BoundsTable, tol: float = 0.0) -> list[LayerPartition]:
+def classify(table: BoundsTable) -> list[LayerPartition]:
     """Partition every hidden layer's neurons by pre-activation sign.
 
-    tol widens both stability tests symmetrically; any nonzero value is
-    unsound and exists only for experiments. Deactivation wins when a bound
-    pair satisfies both tests (the l = u = 0 case).
+    Deactivation wins when a bound pair satisfies both tests (the l = u = 0
+    case).
     """
-    if tol < 0:
-        raise ContractError("tol must be nonnegative")
     parts = []
     for k in range(len(table.linear_ids) - 1):
         lo, hi = table.pre_activation(k)
         idx = np.arange(lo.shape[0])
-        deact = hi <= tol
-        act = (~deact) & (lo >= -tol)
+        deact = hi <= 0.0
+        act = (~deact) & (lo >= 0.0)
         unstable = ~(deact | act)
         parts.append(LayerPartition(idx[deact], idx[act], idx[unstable], lo.shape[0]))
     return parts
@@ -217,75 +221,42 @@ class ReductionReport:
         return buf.getvalue()
 
 
-def _seq_to_network(input_width: int, items: list[tuple[str, object]]) -> Network:
-    """items: ordered ('linear', (W, b)) / ('relu', width) chain entries."""
-    b = NetworkBuilder()
-    cur = b.add_input(input_width)
-    for kind, payload in items:
-        if kind == KIND_LINEAR:
-            W, bias = payload
-            cur = b.add_linear(cur, W, bias)
-        else:
-            cur = b.add_relu(cur, payload)
-    return b.build()
-
-
 def collapse_adjacent_linear(net: Network) -> Network:
-    """Compose consecutive linear layers (W2 W1, W2 b1 + b2) to a fixpoint."""
-    items = _chain_items(net)
-    changed = True
-    while changed:
-        changed = False
-        out: list[tuple[str, object]] = []
-        i = 0
-        while i < len(items):
-            kind, payload = items[i]
-            if (
-                kind == KIND_LINEAR
-                and i + 1 < len(items)
-                and items[i + 1][0] == KIND_LINEAR
-            ):
-                W1, b1 = payload
-                W2, b2 = items[i + 1][1]
-                out.append((KIND_LINEAR, (W2 @ W1, W2 @ b1 + b2)))
-                i += 2
-                changed = True
-            else:
-                out.append((kind, payload))
-                i += 1
-        items = out
-    return _seq_to_network(net.input_layer.width, items)
+    """Compose each run of consecutive linear layers (W2 W1, W2 b1 + b2), left to right.
 
-
-def _chain_items(net: Network) -> list[tuple[str, object]]:
-    """Flatten a chain-shaped network into collapse-friendly items.
-
-    Unlike as_sequential this accepts consecutive linear layers.
+    The network must be a chain of linear and ReLU layers; a ReLU right after
+    the input or after another ReLU raises StructuralError.
     """
-    from .netir import topo_order
-
-    items: list[tuple[str, object]] = []
-    order = topo_order(net)
-    prev = net.input_id
-    for i in order[1:]:
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    n_relu = 0
+    prev, after_linear = net.input_id, False
+    for i in topo_order(net)[1:]:
         layer = net.by_id[i]
         if net.preds[i] != (prev,):
             raise ContractError("collapse_adjacent_linear expects a chain-shaped network")
         if layer.kind == KIND_LINEAR:
-            items.append((KIND_LINEAR, (np.array(layer.weight), np.array(layer.bias))))
+            if after_linear:
+                W, b = pairs[-1]
+                pairs[-1] = (layer.weight @ W, layer.weight @ b + layer.bias)
+            else:
+                pairs.append((layer.weight, layer.bias))
         elif layer.kind == KIND_RELU:
-            items.append((KIND_RELU, layer.width))
+            if not after_linear:
+                raise StructuralError(f"layer {i}: relu not preceded by a linear layer")
+            n_relu += 1
         else:
             raise ContractError("collapse_adjacent_linear expects linear/relu layers only")
+        after_linear = layer.kind == KIND_LINEAR
         prev = i
-    return items
+    if not pairs:
+        raise StructuralError("sequential network needs at least one linear layer")
+    return Chain(tuple(pairs), n_relu).to_network()
 
 
 def reduce_network(
     net: Network,
     box: Box,
     method: str = "crown",
-    tol: float = 0.0,
     alpha_rule: str = "adaptive",
     shift_method: str = "interval",
     table: BoundsTable | None = None,
@@ -296,7 +267,7 @@ def reduce_network(
     Layers are processed from the last hidden layer backwards so each rewrite
     only touches the already-rewritten suffix, keeping earlier layers' bounds
     valid. shift_method 'crown' recomputes merged-row lower bounds with a
-    backward pass over the prefix network for smaller shifts; 'interval' uses
+    backward pass over the prefix chain for smaller shifts; 'interval' uses
     the predecessor range directly.
     """
     if shift_method not in ("interval", "crown"):
@@ -308,7 +279,7 @@ def reduce_network(
     if table is None:
         table = compute_bounds(net, box, method, alpha_rule)
     if partitions is None:
-        partitions = classify(table, tol)
+        partitions = classify(table)
     n_hidden = len(seq.linears) - 1
     if len(partitions) != n_hidden:
         raise ContractError(f"expected {n_hidden} partitions, got {len(partitions)}")
@@ -316,20 +287,10 @@ def reduce_network(
     report = ReductionReport(method=method)
     report.relu_before = sum(l.width for l in seq.relus)
 
-    # mutable chain: [('linear', (W, b)) / ('relu', width), ...]
-    items: list[tuple[str, object]] = [
-        (KIND_LINEAR, (np.array(l.weight), np.array(l.bias))) for l in seq.linears
-    ]
-    chain: list[tuple[str, object]] = []
-    for k, it in enumerate(items):
-        chain.append(it)
-        if k < len(seq.relus):
-            chain.append((KIND_RELU, seq.relus[k].width))
-
+    # (W, b) of every linear layer; a ReLU sits between each two neighbours
+    pairs = list(Chain.of_view(seq).layers)
     for k in range(n_hidden - 1, -1, -1):
-        xi = 2 * k  # chain positions: linear at 2k, relu 2k+1, next linear 2k+2
-        Wx, bx = chain[xi][1]
-        Wz, bz = chain[xi + 2][1]
+        (Wx, bx), (Wz, bz) = pairs[k], pairs[k + 1]
         x = Layer(0, KIND_LINEAR, Wx.shape[0], Wx, bx)
         y = Layer(1, KIND_RELU, Wx.shape[0])
         z = Layer(2, KIND_LINEAR, Wz.shape[0], Wz, bz)
@@ -340,28 +301,22 @@ def reduce_network(
         pre_lb = table.pre_activation(k)[0]
         merge_lower = None
         if shift_method == "crown" and k > 0:
-            prefix = chain[: xi]
 
-            def merge_lower(mw, mb, _prefix=tuple(prefix)):
-                pre_net = _seq_to_network(
-                    net.input_layer.width, list(_prefix) + [(KIND_LINEAR, (mw, mb))]
-                )
-                t = crown_backward(pre_net, box, alpha_rule)
-                return t.output_bounds()[0]
+            def merge_lower(mw, mb, _prefix=tuple(pairs[:k]), _k=k):
+                lower: list = []
+                chain = Chain(_prefix + ((mw, mb),), _k)
+                bound_layers(chain, box, "crown", alpha_rule, lower, [], [])
+                return lower[-1]
 
         x2, y2, z2, plan = reduce_layer(x, y, z, partitions[k], v_range, pre_lb, merge_lower)
         report.add_layer(k, plan)
         if x2 is None:
-            chain[xi : xi + 3] = [(KIND_LINEAR, (np.array(z2.weight), np.array(z2.bias)))]
+            pairs[k : k + 2] = [(z2.weight, z2.bias)]
         else:
-            chain[xi] = (KIND_LINEAR, (np.array(x2.weight), np.array(x2.bias)))
-            chain[xi + 1] = (KIND_RELU, x2.width)
-            chain[xi + 2] = (KIND_LINEAR, (np.array(z2.weight), np.array(z2.bias)))
+            pairs[k : k + 2] = [(x2.weight, x2.bias), (z2.weight, z2.bias)]
 
-    reduced = _seq_to_network(net.input_layer.width, chain)
-    reduced = collapse_adjacent_linear(reduced)
-    out_seq = as_sequential(reduced)
-    report.relu_after = sum(l.width for l in out_seq.relus)
+    reduced = Chain(tuple(pairs), len(pairs) - 1).to_network()
+    report.relu_after = sum(W.shape[0] for W, _ in pairs[:-1])
     if report.relu_after > report.relu_before:
         raise InternalInvariantError("reduction increased the ReLU count")
     report.wall_time_s = time.perf_counter() - t0

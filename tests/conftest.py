@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from redkit import Box, NetworkBuilder, conv_to_matrix
-from redkit import kernels
 
 # original example network
 FIG1_W1 = np.array(
@@ -101,12 +100,6 @@ def build_residual_block(channels: int = 4, side: int = 4, seed: int = 0):
     net = b.build(s)
     box = Box(-np.ones(d), np.ones(d))
     return net, box, {"M1": M1, "B1": B1, "M2": M2, "B2": B2, "M3": M3, "B3": B3}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # absorb jit compilation outside any timed assertion
-    kernels.warmup()
 
 
 def box_samples(box: Box, n: int, seed: int = 0) -> np.ndarray:

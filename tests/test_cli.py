@@ -117,11 +117,25 @@ def test_reduce_without_region_is_usage_error(ws, tmp_path, capsys):
     assert "no input region" in capsys.readouterr().err
 
 
-def test_reduce_backend_flag(ws, capsys):
-    rc = main(["--backend", "numpy", "reduce", "--model", ws["gen"]])
+def test_reduce_crown_shift_method(ws, capsys):
+    rc = main(["reduce", "--model", ws["gen"], "--shift-method", "crown"])
     assert rc == 0
-    from redkit import kernels
-    kernels.set_backend("auto")
+    assert "relu neurons: 48 ->" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--backend", "numpy", "stats"],
+        ["--threads", "2", "stats"],
+        ["reduce", "--tol", "0.1"],
+    ],
+)
+def test_unknown_flags_are_usage_errors(ws, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", ws["gen"]])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --- stats / bounds ---

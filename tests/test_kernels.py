@@ -1,11 +1,15 @@
-"""Backend cross-checks: the numba kernels must match the numpy reference."""
+"""Kernel checks.
+
+The *_backends_agree tests hold the vectorized numpy kernels against scalar
+element-by-element loop references; the rest check interval_affine against
+points of the box.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from redkit import ContractError
 from redkit import kernels
 
 
@@ -18,46 +22,96 @@ def _random_case(seed, m=7, n=5):
     return W, b, lo, hi
 
 
-def _both_backends(fn):
-    prev = kernels.active_backend()
-    try:
-        kernels.set_backend("numpy")
-        a = fn()
-        if kernels.HAVE_NUMBA:
-            kernels.set_backend("numba")
-            b = fn()
-        else:  # pragma: no cover
-            b = a
-    finally:
-        kernels.set_backend("auto" if prev == "numba" else prev)
-    return a, b
+def _interval_affine_loop(W, b, lo, hi):
+    """Element-by-element reference: each weight picks the box end matching its sign."""
+    m, n = W.shape
+    out_lo, out_hi = np.empty(m), np.empty(m)
+    for i in range(m):
+        acc_l = acc_u = b[i]
+        for j in range(n):
+            w = W[i, j]
+            if w >= 0.0:
+                acc_l += w * lo[j]
+                acc_u += w * hi[j]
+            else:
+                acc_l += w * hi[j]
+                acc_u += w * lo[j]
+        out_lo[i], out_hi[i] = acc_l, acc_u
+    return out_lo, out_hi
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_interval_affine_backends_agree(seed):
-    W, b, lo, hi = _random_case(seed)
-    (l1, u1), (l2, u2) = _both_backends(lambda: kernels.interval_affine(W, b, lo, hi))
-    np.testing.assert_allclose(l1, l2, atol=1e-12)
-    np.testing.assert_allclose(u1, u2, atol=1e-12)
+def _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass):
+    """Element-by-element reference of the relaxation substitution.
+
+    A coefficient takes the upper line when its sign matches the pass (a >= 0
+    on the upper pass, a < 0 on the lower one), so a zero coefficient stays
+    on the lower line in the lower pass and moves to the upper line in the
+    upper pass.
+    """
+    m, n = A.shape
+    A_out, const_out = np.empty_like(A), np.empty(m)
+    for r in range(m):
+        acc = const[r]
+        for j in range(n):
+            a = A[r, j]
+            if (a >= 0.0) == upper_pass:
+                A_out[r, j] = a * slope_up[j]
+                acc += a * icpt_up[j]
+            else:
+                A_out[r, j] = a * slope_lo[j]
+        const_out[r] = acc
+    return A_out, const_out
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_relu_backward_backends_agree(seed):
+def _relaxation_case(seed, m=4, n=6):
     rng = np.random.default_rng(seed + 100)
-    m, n = 4, 6
     A = rng.normal(size=(m, n))
+    A[rng.uniform(size=(m, n)) < 0.25] = 0.0
     const = rng.normal(size=m)
     l = rng.uniform(-2, -0.1, size=n)
     u = rng.uniform(0.1, 2, size=n)
     slope_up = u / (u - l)
     icpt_up = -l * slope_up
     slope_lo = (u >= -l).astype(np.float64)
+    return A, const, slope_lo, slope_up, icpt_up
+
+
+# the vectorized kernels against the scalar loops above, zero weights included
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_interval_affine_backends_agree(seed):
+    W, b, lo, hi = _random_case(seed)
+    W[0, 0] = 0.0
+    out_lo, out_hi = kernels.interval_affine(W, b, lo, hi)
+    ref_lo, ref_hi = _interval_affine_loop(W, b, lo, hi)
+    np.testing.assert_allclose(out_lo, ref_lo, atol=1e-12)
+    np.testing.assert_allclose(out_hi, ref_hi, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relu_backward_backends_agree(seed):
+    case = _relaxation_case(seed)
     for upper_pass in (False, True):
-        (A1, c1), (A2, c2) = _both_backends(
-            lambda: kernels.relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass)
-        )
-        np.testing.assert_allclose(A1, A2, atol=1e-12)
-        np.testing.assert_allclose(c1, c2, atol=1e-12)
+        A_out, c_out = kernels.relu_backward(*case, upper_pass)
+        A_ref, c_ref = _relu_backward_loop(*case, upper_pass)
+        np.testing.assert_array_equal(A_out, A_ref)
+        np.testing.assert_allclose(c_out, c_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("upper_pass", [False, True])
+def test_relu_backward_zero_coefficient_line(upper_pass):
+    # a NaN slope on the line a zero coefficient must not take shows up in A_out
+    A = np.array([[0.0, 1.0, -1.0]])
+    const = np.zeros(1)
+    icpt_up = np.array([0.5, 0.5, 0.5])
+    finite, poison = np.full(3, 0.5), np.array([np.nan, 0.5, 0.5])
+    slope_lo, slope_up = (poison, finite) if upper_pass else (finite, poison)
+    A_out, c_out = kernels.relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass)
+    assert A_out[0, 0] == 0.0
+    ref = _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass)
+    np.testing.assert_array_equal(A_out, ref[0])
+    np.testing.assert_array_equal(c_out, ref[1])
 
 
 def test_interval_affine_exact_on_samples():
@@ -80,24 +134,6 @@ def test_interval_affine_tight_at_corners():
         x_max = np.where(W[i] >= 0, hi, lo)
         assert abs(W[i] @ x_min + b[i] - out_lo[i]) < 1e-9
         assert abs(W[i] @ x_max + b[i] - out_hi[i]) < 1e-9
-
-
-def test_backend_env_selection(monkeypatch):
-    kernels.set_backend("numpy")
-    assert kernels.active_backend() == "numpy"
-    kernels.set_backend("auto")
-    expect = "numba" if kernels.HAVE_NUMBA else "numpy"
-    assert kernels.active_backend() == expect
-
-
-def test_backend_rejects_unknown():
-    with pytest.raises(ContractError):
-        kernels.set_backend("gpu")
-
-
-def test_set_threads_accepts_positive():
-    kernels.set_threads(1)
-    kernels.set_threads(2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 
 from redkit import (
     Box,
+    Chain,
     ContractError,
     NetworkBuilder,
     StructuralError,
@@ -164,6 +165,31 @@ def test_as_sequential_round_trip(fig1_net):
     rebuilt = from_sequential(wb, 2)
     x = np.array([0.25, -0.75])
     assert np.array_equal(forward(rebuilt, x), forward(fig1_net, x))
+
+
+def test_chain_round_trip_keeps_layer_ids_and_arrays(fig1_net):
+    chain = Chain.of(fig1_net)
+    assert chain.n_relu == 1 and chain.input_width == 2
+    back = chain.to_network()
+    assert [(l.id, l.kind, l.width) for l in back.layers] == [
+        (l.id, l.kind, l.width) for l in fig1_net.layers
+    ]
+    for a, b in zip(Chain.of(back).layers, chain.layers):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_chain_to_network_trailing_relu():
+    chain = Chain(((np.array([[1.0, -1.0]]), np.array([0.5])),), 1)
+    seq = as_sequential(chain.to_network())
+    assert seq.ends_with_relu
+    assert forward(chain.to_network(), np.array([0.0, 2.0])).tolist() == [0.0]
+
+
+def test_from_sequential_checks_input_width():
+    with pytest.raises(ContractError):
+        from_sequential([(np.eye(2), np.zeros(2))], 3)
+    with pytest.raises(ContractError):
+        from_sequential([], 2)
 
 
 def test_as_sequential_rejects_dag():

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redkit import (
     Box,
+    Chain,
     LayerPartition,
     NetworkBuilder,
+    StructuralError,
     as_sequential,
     classify,
     collapse_adjacent_linear,
     compute_bounds,
+    crown_backward,
     forward,
+    forward_batch,
     from_sequential,
+    generate_network,
     grid_equivalence,
     interval_forward,
     reduce_layer,
@@ -49,7 +56,7 @@ def test_classify_partition_disjoint_and_complete(fig1_net, unit_box):
 
 
 def test_classify_boundary_goes_stable():
-    # u == 0 counts as deactivated; l == 0 as activated (tol 0)
+    # u == 0 counts as deactivated; l == 0 as activated
     b = NetworkBuilder()
     i = b.add_input(1)
     l1 = b.add_linear(i, np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]))
@@ -64,7 +71,7 @@ def test_classify_boundary_goes_stable():
 
 
 def test_classify_tol_never_loosens_soundness(fig1_net, unit_box):
-    (strict,) = classify(interval_forward(fig1_net, unit_box), tol=0.0)
+    (strict,) = classify(interval_forward(fig1_net, unit_box))
     assert strict.unstable.tolist() == [4]
 
 
@@ -265,6 +272,66 @@ def test_reduce_with_supplied_partitions(fig1_net, unit_box):
     assert report.relu_after == 5
 
 
+def test_crown_shift_is_the_crown_bound_of_the_merged_rows():
+    # the last hidden layer merges into a 1-wide output; its shift must be
+    # the crown lower bound of the merged rows over the unchanged prefix
+    # (layer 0 is kept whole, so it leaves the merged bias alone)
+    net, _ = generate_network(2, 12, 3, 1, 1.0, seed=1)
+    box = Box(np.zeros(3), np.ones(3))
+    part = classify(compute_bounds(net, box, "crown"))[1]
+    keep = LayerPartition(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(12), 12)
+    reduced, report = reduce_network(net, box, shift_method="crown", partitions=[keep, part])
+    assert next(r for r in report.rows if r["layer"] == 1)["merged"]
+    (Wx, bx), (Wz, bz) = Chain.of(net).layers[1:]
+    A = part.activated
+    mw, mb = Wz[:, A] @ Wx[A, :], Wz[:, A] @ bx[A]
+    prefix = from_sequential([Chain.of(net).layers[0], (mw, mb)], 3)
+    lo = crown_backward(prefix, box).output_bounds()[0]
+    assert lo[0] < 0.0  # the shift is not zero
+    merged_bias = Chain.of(reduced).layers[1][1][:1]
+    np.testing.assert_array_equal(merged_bias, mb + np.maximum(0.0, -lo))
+
+
+def _demote(part: LayerPartition, rng, frac: float) -> LayerPartition:
+    """The partition with a random share of its stable neurons moved to unstable."""
+    stable = np.concatenate([part.deactivated, part.activated])
+    demoted = stable[rng.uniform(size=len(stable)) < frac]
+    return LayerPartition(
+        np.setdiff1d(part.deactivated, demoted),
+        np.setdiff1d(part.activated, demoted),
+        np.union1d(part.unstable, demoted),
+        part.width,
+    )
+
+
+@pytest.mark.parametrize("shift_method", ["interval", "crown"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_hidden=st.integers(1, 4),
+    width=st.integers(2, 10),
+    output_dim=st.integers(1, 2),
+    stable_fraction=st.floats(0.0, 1.0),
+    demote=st.floats(0.0, 1.0),
+    method=st.sampled_from(["interval", "crown"]),
+)
+def test_reduce_network_matches_original_on_box(
+    shift_method, seed, n_hidden, width, output_dim, stable_fraction, demote, method
+):
+    net, _ = generate_network(n_hidden, width, 3, output_dim, stable_fraction, seed=seed)
+    box = Box(np.zeros(3), np.ones(3))
+    table = compute_bounds(net, box, method)
+    rng = np.random.default_rng(seed)
+    parts = [_demote(p, rng, demote) for p in classify(table)]
+    reduced, report = reduce_network(
+        net, box, method=method, shift_method=shift_method, table=table, partitions=parts
+    )
+    relus = [l.width for l in as_sequential(reduced).relus]
+    assert sum(relus) == report.relu_after <= report.relu_before
+    xs = np.vstack([box.sample(500, rng), box.corners(64)])
+    np.testing.assert_allclose(forward_batch(reduced, xs), forward_batch(net, xs), atol=1e-9)
+
+
 # collapse_adjacent_linear
 
 
@@ -311,3 +378,31 @@ def test_collapse_preserves_forward():
     folded = collapse_adjacent_linear(raw)
     for x in np.random.default_rng(0).uniform(-1, 1, size=(100, 3)):
         np.testing.assert_allclose(forward(folded, x), forward(raw, x), atol=1e-12)
+
+
+def test_collapse_run_of_three_folds_left_to_right():
+    rng = np.random.default_rng(11)
+    W = [rng.normal(size=(3, 2)), rng.normal(size=(4, 3)), rng.normal(size=(2, 4))]
+    c = [rng.normal(size=3), rng.normal(size=4), rng.normal(size=2)]
+    b = NetworkBuilder()
+    cur = b.add_input(2)
+    for Wk, ck in zip(W, c):
+        cur = b.add_linear(cur, Wk, ck)
+    cur = b.add_relu(cur, 2)
+    seq = as_sequential(collapse_adjacent_linear(b.build(cur)))
+    assert len(seq.linears) == 1 and seq.ends_with_relu
+    np.testing.assert_array_equal(seq.linears[0].weight, W[2] @ (W[1] @ W[0]))
+    np.testing.assert_array_equal(seq.linears[0].bias, W[2] @ (W[1] @ c[0] + c[1]) + c[2])
+
+
+@pytest.mark.parametrize("after_input", [True, False])
+def test_collapse_rejects_relu_without_linear(after_input):
+    b = NetworkBuilder()
+    cur = b.add_input(2)
+    if not after_input:
+        cur = b.add_linear(cur, np.eye(2), np.zeros(2))
+        cur = b.add_relu(cur, 2)
+    cur = b.add_relu(cur, 2)
+    cur = b.add_linear(cur, np.eye(2), np.zeros(2))
+    with pytest.raises(StructuralError):
+        collapse_adjacent_linear(b.build(cur))
