@@ -27,6 +27,7 @@ def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
     # lower pass: nonnegative coefficients keep the lower line, negative ones
     # take the upper line (and collect its intercept); upper pass mirrors it.
     use_up = (A >= 0.0) if upper_pass else (A < 0.0)
-    A_out = A * np.where(use_up, slope_up, slope_lo)
     const_out = const + np.where(use_up, A, 0.0) @ icpt_up
-    return A_out, const_out
+    # one temporary the size of A at a time: the slope array becomes the result
+    slopes = np.where(use_up, slope_up, slope_lo)
+    return np.multiply(A, slopes, out=slopes), const_out

@@ -4,6 +4,8 @@ The *_backends_agree tests hold the vectorized numpy kernels against scalar
 element-by-element loop references; the rest check interval_affine against
 points of the box.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,28 @@ def test_relu_backward_zero_coefficient_line(upper_pass):
     ref = _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass)
     np.testing.assert_array_equal(A_out, ref[0])
     np.testing.assert_array_equal(c_out, ref[1])
+
+
+def test_relu_backward_holds_one_temporary():
+    # a crown pass over a wide layer hands this kernel coefficient rows of
+    # tens of MB; besides the sign mask it may hold one A-sized array at a
+    # time, and it must not write into A (chain weights are read-only)
+    A, const, slope_lo, slope_up, icpt_up = _relaxation_case(0, m=300, n=400)
+    A.flags.writeable = False
+    tracemalloc.start()
+    try:
+        for upper_pass in (False, True):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            A_out, _ = kernels.relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < 1.5 * A.nbytes, f"peak {peak} bytes for A of {A.nbytes}"
+            np.testing.assert_array_equal(
+                A_out, _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass)[0]
+            )
+            del A_out
+    finally:
+        tracemalloc.stop()
 
 
 def test_interval_affine_exact_on_samples():
