@@ -54,20 +54,10 @@ from .reducer import (
     ReductionPlan,
     ReductionReport,
     classify,
-    collapse_adjacent_linear,
     reduce_layer,
     reduce_network,
 )
-from .simplifier import (
-    SimplifyStats,
-    find_blocks,
-    initialization,
-    last_block,
-    linear_layer_construction,
-    linearize,
-    normalize_block,
-    simplify,
-)
+from .simplifier import SimplifyStats, simplify
 from .specio import (
     PropertySpec,
     emit_vnnlib,
@@ -119,14 +109,12 @@ __all__ = [
     "bab_verify",
     "bench_pair",
     "classify",
-    "collapse_adjacent_linear",
     "compute_bounds",
     "conv_to_matrix",
     "crown_backward",
     "emit_vnnlib",
     "epsilon_ball",
     "export_onnx",
-    "find_blocks",
     "find_grid_counterexample",
     "forward",
     "forward_batch",
@@ -134,18 +122,13 @@ __all__ = [
     "generate_network",
     "grid_equivalence",
     "import_onnx",
-    "initialization",
     "interval_forward",
-    "last_block",
-    "linear_layer_construction",
-    "linearize",
     "load_center",
     "load_sidecar",
     "load_vnnlib",
     "lower_maxpool",
     "margin_lower_bound",
     "margin_lower_bounds",
-    "normalize_block",
     "parse_vnnlib",
     "reduce_layer",
     "reduce_network",

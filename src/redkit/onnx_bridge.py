@@ -17,26 +17,26 @@ from . import onnx_codec as oc
 from .errors import UnsupportedModelError
 from .netir import Network, NetworkBuilder, as_sequential
 
-SUPPORTED_OPS = frozenset(
-    {
-        "Gemm",
-        "MatMul",
-        "Conv",
-        "BatchNormalization",
-        "Add",
-        "Sub",
-        "Concat",
-        "Reshape",
-        "Flatten",
-        "Squeeze",
-        "Unsqueeze",
-        "Split",
-        "Relu",
-        "MaxPool",
-        "Identity",
-        "Constant",
-    }
-)
+# the fewest inputs each supported op reads by position; every op writes an output
+_MIN_INPUTS = {
+    "Gemm": 2,
+    "MatMul": 2,
+    "Conv": 2,
+    "BatchNormalization": 5,
+    "Add": 2,
+    "Sub": 2,
+    "Concat": 1,
+    "Reshape": 2,
+    "Flatten": 1,
+    "Squeeze": 1,
+    "Unsqueeze": 1,
+    "Split": 1,
+    "Relu": 1,
+    "MaxPool": 1,
+    "Identity": 1,
+    "Constant": 0,
+}
+SUPPORTED_OPS = frozenset(_MIN_INPUTS)
 
 
 @dataclass
@@ -112,6 +112,16 @@ def conv_to_matrix(weight, bias, in_shape, strides=(1, 1), pads=(0, 0, 0, 0), di
                 for c in range(C):
                     M[f * oh * ow + rows, c * H * W + cols] = weight[f, c, ky, kx]
     return M, b, (F, oh, ow)
+
+
+def _check_window(n: oc.NodeP, kernel, strides, pads, dilations):
+    """A 2-D window: two positive sizes, strides and dilations, four nonnegative pads."""
+    lengths = (len(kernel), len(strides), len(pads), len(dilations))
+    if lengths != (2, 2, 4, 2) or min(*kernel, *strides, *dilations) < 1 or min(pads) < 0:
+        raise UnsupportedModelError(
+            f"{n.op_type} node {n.name!r}: bad window, kernel {kernel} strides {strides} "
+            f"pads {pads} dilations {dilations}"
+        )
 
 
 def _pool_windows(in_shape, kernel, strides, pads):
@@ -243,6 +253,11 @@ class _Importer:
         handler = getattr(self, f"_op_{n.op_type.lower()}", None)
         if handler is None:
             raise UnsupportedModelError(f"node {n.name!r}: no handler for {n.op_type}")
+        if len(n.inputs) < _MIN_INPUTS[n.op_type] or not n.outputs:
+            raise UnsupportedModelError(
+                f"{n.op_type} node {n.name!r}: needs {_MIN_INPUTS[n.op_type]} inputs and an "
+                f"output, has {len(n.inputs)} and {len(n.outputs)}"
+            )
         handler(n)
 
     def _op_constant(self, n: oc.NodeP):
@@ -285,9 +300,10 @@ class _Importer:
         alpha = n.attr_f("alpha", 1.0)
         beta = n.attr_f("beta", 1.0)
         W = (B if n.attr_i("transB", 0) else B.T) * alpha
-        if W.shape[1] != v.size:
+        if W.ndim != 2 or W.shape[1] != v.size:
             raise UnsupportedModelError(
-                f"Gemm node {n.name!r}: weight expects width {W.shape[1]}, value has {v.size}"
+                f"Gemm node {n.name!r}: weight of shape {B.shape} does not take a value of "
+                f"width {v.size}"
             )
         bias = np.zeros(W.shape[0])
         if len(n.inputs) > 2 and n.inputs[2]:
@@ -338,6 +354,7 @@ class _Importer:
         ks = n.attr_ints("kernel_shape", [kh, kw])
         if tuple(ks) != (kh, kw):
             raise UnsupportedModelError(f"Conv node {n.name!r}: kernel_shape disagrees with weight")
+        _check_window(n, ks, strides, pads, dil)
         M, b, out_shape = conv_to_matrix(W, bias, v.shape, strides, pads, dil)
         lid = self.b.add_linear(v.lid, M, b)
         self.vals[n.outputs[0]] = _Val(lid, out_shape)
@@ -576,6 +593,7 @@ class _Importer:
             raise UnsupportedModelError(f"MaxPool node {n.name!r}: ceil_mode not supported")
         if any(d != 1 for d in n.attr_ints("dilations", [1, 1])):
             raise UnsupportedModelError(f"MaxPool node {n.name!r}: dilations not supported")
+        _check_window(n, kernel, strides, pads, [1, 1])
         ap = n.attributes.get("auto_pad")
         if ap is not None and ap.s not in (b"", b"NOTSET"):
             raise UnsupportedModelError(f"MaxPool node {n.name!r}: auto_pad not supported")

@@ -8,6 +8,7 @@ re-encoding identical content is byte-identical.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -108,17 +109,15 @@ class _Reader:
             if shift > 70:
                 raise UnsupportedModelError("varint too long in model file")
 
-    def svarint(self) -> int:
-        v = self.uvarint()
-        return v - (1 << 64) if v >= (1 << 63) else v
-
-    def chunk(self) -> bytes:
-        n = self.uvarint()
+    def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise UnsupportedModelError("truncated length-delimited field in model file")
+            raise UnsupportedModelError("truncated field in model file")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
+
+    def chunk(self) -> bytes:
+        return self.take(self.uvarint())
 
     def fields(self):
         """Yield (field_number, wire_type, value); value type depends on wire type."""
@@ -128,20 +127,17 @@ class _Reader:
             if wt == _WT_VARINT:
                 yield fieldno, wt, self.uvarint()
             elif wt == _WT_64:
-                raw = self.buf[self.pos : self.pos + 8]
-                self.pos += 8
-                yield fieldno, wt, raw
+                yield fieldno, wt, self.take(8)
             elif wt == _WT_LEN:
                 yield fieldno, wt, self.chunk()
             elif wt == _WT_32:
-                raw = self.buf[self.pos : self.pos + 4]
-                self.pos += 4
-                yield fieldno, wt, raw
+                yield fieldno, wt, self.take(4)
             else:
                 raise UnsupportedModelError(f"unsupported protobuf wire type {wt}")
 
 
 def _as_signed(v: int) -> int:
+    v &= _U64
     return v - (1 << 64) if v >= (1 << 63) else v
 
 
@@ -151,6 +147,30 @@ def _varints_in(buf: bytes) -> list[int]:
     while not r.eof():
         out.append(_as_signed(r.uvarint()))
     return out
+
+
+def _ints(wt: int, v) -> list[int]:
+    """An integer field, packed (length-delimited) or a single varint."""
+    if wt == _WT_LEN:
+        return _varints_in(v)
+    if wt == _WT_VARINT:
+        return [_as_signed(v)]
+    raise UnsupportedModelError(f"integer field has wire type {wt}")
+
+
+def _reals(wt: int, v, dtype: str) -> list[float]:
+    """A float ('<f4') or double ('<f8') field, packed or a single fixed-width value."""
+    single = _WT_32 if dtype == "<f4" else _WT_64
+    if wt not in (_WT_LEN, single) or len(v) % np.dtype(dtype).itemsize:
+        raise UnsupportedModelError(f"malformed {dtype} field (wire type {wt})")
+    return np.frombuffer(v, dtype=dtype).tolist()
+
+
+def _text(v: bytes) -> str:
+    try:
+        return v.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise UnsupportedModelError(f"string field is not valid UTF-8: {e.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +201,11 @@ class TensorP:
                 raise UnsupportedModelError(
                     f"tensor {self.name!r}: unsupported data type {self.data_type}"
                 )
+            if len(self.raw_data) % np.dtype(dt).itemsize:
+                raise UnsupportedModelError(
+                    f"tensor {self.name!r}: {len(self.raw_data)} raw bytes is not a whole "
+                    f"number of {dt} elements"
+                )
             arr = np.frombuffer(self.raw_data, dtype=dt)
         elif self.data_type == DT_FLOAT and self.float_data:
             arr = np.asarray(self.float_data, dtype=np.float32)
@@ -190,10 +215,14 @@ class TensorP:
             arr = np.asarray(self.int64_data, dtype=np.int64)
         elif self.data_type == DT_INT32 and self.int32_data:
             arr = np.asarray(self.int32_data, dtype=np.int32)
-        elif int(np.prod(shape)) == 0:
+        elif math.prod(shape) == 0:
             arr = np.zeros(0, dtype=np.float32)
         else:
             raise UnsupportedModelError(f"tensor {self.name!r}: no data payload")
+        if any(d < 0 for d in shape) or math.prod(shape) != arr.size:
+            raise UnsupportedModelError(
+                f"tensor {self.name!r}: dims {list(shape)} do not fit {arr.size} elements"
+            )
         if self.data_type in (DT_FLOAT, DT_DOUBLE):
             arr = arr.astype(np.float64)
         else:
@@ -276,27 +305,21 @@ def _decode_tensor(buf: bytes) -> TensorP:
     t = TensorP()
     for no, wt, v in _Reader(buf).fields():
         if no == 1:
-            t.dims.extend(_varints_in(v) if wt == _WT_LEN else [_as_signed(v)])
+            t.dims.extend(_ints(wt, v))
         elif no == 2 and wt == _WT_VARINT:
             t.data_type = v
         elif no == 4:
-            if wt == _WT_LEN:
-                t.float_data.extend(np.frombuffer(v, dtype="<f4").tolist())
-            else:
-                t.float_data.append(struct.unpack("<f", v)[0])
+            t.float_data.extend(_reals(wt, v, "<f4"))
         elif no == 5:
-            t.int32_data.extend(_varints_in(v) if wt == _WT_LEN else [_as_signed(v)])
+            t.int32_data.extend(_ints(wt, v))
         elif no == 7:
-            t.int64_data.extend(_varints_in(v) if wt == _WT_LEN else [_as_signed(v)])
+            t.int64_data.extend(_ints(wt, v))
         elif no == 8 and wt == _WT_LEN:
-            t.name = v.decode("utf-8")
+            t.name = _text(v)
         elif no == 9 and wt == _WT_LEN:
             t.raw_data = v
         elif no == 10:
-            if wt == _WT_LEN:
-                t.double_data.extend(np.frombuffer(v, dtype="<f8").tolist())
-            else:
-                t.double_data.append(struct.unpack("<d", v)[0])
+            t.double_data.extend(_reals(wt, v, "<f8"))
         elif no == 14 and wt == _WT_VARINT and v != 0:
             raise UnsupportedModelError(f"tensor {t.name!r}: external data is not supported")
     return t
@@ -306,7 +329,7 @@ def _decode_attr(buf: bytes) -> AttrP:
     a = AttrP()
     for no, wt, v in _Reader(buf).fields():
         if no == 1 and wt == _WT_LEN:
-            a.name = v.decode("utf-8")
+            a.name = _text(v)
         elif no == 2 and wt == _WT_32:
             a.f = struct.unpack("<f", v)[0]
         elif no == 3 and wt == _WT_VARINT:
@@ -318,12 +341,9 @@ def _decode_attr(buf: bytes) -> AttrP:
         elif no == 6:
             raise UnsupportedModelError(f"attribute {a.name!r}: graph attributes not supported")
         elif no == 7:
-            if wt == _WT_LEN:
-                a.floats.extend(np.frombuffer(v, dtype="<f4").tolist())
-            else:
-                a.floats.append(struct.unpack("<f", v)[0])
+            a.floats.extend(_reals(wt, v, "<f4"))
         elif no == 8:
-            a.ints.extend(_varints_in(v) if wt == _WT_LEN else [_as_signed(v)])
+            a.ints.extend(_ints(wt, v))
         elif no == 9 and wt == _WT_LEN:
             a.strings.append(v)
         elif no == 20 and wt == _WT_VARINT:
@@ -335,18 +355,18 @@ def _decode_node(buf: bytes) -> NodeP:
     n = NodeP()
     for no, wt, v in _Reader(buf).fields():
         if no == 1 and wt == _WT_LEN:
-            n.inputs.append(v.decode("utf-8"))
+            n.inputs.append(_text(v))
         elif no == 2 and wt == _WT_LEN:
-            n.outputs.append(v.decode("utf-8"))
+            n.outputs.append(_text(v))
         elif no == 3 and wt == _WT_LEN:
-            n.name = v.decode("utf-8")
+            n.name = _text(v)
         elif no == 4 and wt == _WT_LEN:
-            n.op_type = v.decode("utf-8")
+            n.op_type = _text(v)
         elif no == 5 and wt == _WT_LEN:
             a = _decode_attr(v)
             n.attributes[a.name] = a
         elif no == 7 and wt == _WT_LEN and v:
-            dom = v.decode("utf-8")
+            dom = _text(v)
             if dom not in ("", "ai.onnx"):
                 raise UnsupportedModelError(f"node {n.name!r}: unsupported domain {dom!r}")
     return n
@@ -361,7 +381,7 @@ def _decode_shape(buf: bytes) -> list:
                 if dno == 1 and dwt == _WT_VARINT:
                     dim_val = _as_signed(dv)
                 elif dno == 2 and dwt == _WT_LEN:
-                    dim_val = dv.decode("utf-8")
+                    dim_val = _text(dv)
             dims.append(dim_val)
     return dims
 
@@ -370,7 +390,7 @@ def _decode_value_info(buf: bytes) -> ValueInfoP:
     vi = ValueInfoP()
     for no, wt, v in _Reader(buf).fields():
         if no == 1 and wt == _WT_LEN:
-            vi.name = v.decode("utf-8")
+            vi.name = _text(v)
         elif no == 2 and wt == _WT_LEN:  # TypeProto
             for tno, twt, tv in _Reader(v).fields():
                 if tno == 1 and twt == _WT_LEN:  # tensor_type
@@ -388,7 +408,7 @@ def _decode_graph(buf: bytes) -> GraphP:
         if no == 1 and wt == _WT_LEN:
             g.nodes.append(_decode_node(v))
         elif no == 2 and wt == _WT_LEN:
-            g.name = v.decode("utf-8")
+            g.name = _text(v)
         elif no == 5 and wt == _WT_LEN:
             g.initializers.append(_decode_tensor(v))
         elif no == 11 and wt == _WT_LEN:
@@ -405,9 +425,9 @@ def decode_model(data: bytes) -> ModelP:
         if no == 1 and wt == _WT_VARINT:
             m.ir_version = v
         elif no == 2 and wt == _WT_LEN:
-            m.producer_name = v.decode("utf-8")
+            m.producer_name = _text(v)
         elif no == 3 and wt == _WT_LEN:
-            m.producer_version = v.decode("utf-8")
+            m.producer_version = _text(v)
         elif no == 7 and wt == _WT_LEN:
             m.graph = _decode_graph(v)
             saw_graph = True
@@ -415,7 +435,7 @@ def decode_model(data: bytes) -> ModelP:
             dom, ver = "", 0
             for ono, owt, ov in _Reader(v).fields():
                 if ono == 1 and owt == _WT_LEN:
-                    dom = ov.decode("utf-8")
+                    dom = _text(ov)
                 elif ono == 2 and owt == _WT_VARINT:
                     ver = _as_signed(ov)
             m.opset_imports.append((dom, ver))

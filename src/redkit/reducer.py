@@ -10,8 +10,7 @@ computes the same function over the input box with fewer ReLU neurons.
 The network is rewritten as a list of the (W, b) pairs of its linear layers
 (netir.Chain) with a ReLU implied between each two neighbours. Every rewrite
 keeps that alternation, so the result is again an alternating Linear/ReLU
-chain. collapse_adjacent_linear, which folds runs of linear layers into one,
-serves the simplifier, whose graphs can have such runs.
+chain.
 """
 from __future__ import annotations
 
@@ -24,16 +23,8 @@ import numpy as np
 
 from . import kernels
 from .bounds import BoundsTable, Box, bound_layers, compute_bounds
-from .errors import ContractError, InternalInvariantError, StructuralError
-from .netir import (
-    KIND_LINEAR,
-    KIND_RELU,
-    Chain,
-    Layer,
-    Network,
-    as_sequential,
-    topo_order,
-)
+from .errors import ContractError, InternalInvariantError
+from .netir import KIND_LINEAR, KIND_RELU, Chain, Layer, Network, as_sequential
 
 
 @dataclass(frozen=True)
@@ -219,38 +210,6 @@ class ReductionReport:
             f"ratio={self.ratio:.4f} method={self.method} wall_time_s={self.wall_time_s:.4f}\n"
         )
         return buf.getvalue()
-
-
-def collapse_adjacent_linear(net: Network) -> Network:
-    """Compose each run of consecutive linear layers (W2 W1, W2 b1 + b2), left to right.
-
-    The network must be a chain of linear and ReLU layers; a ReLU right after
-    the input or after another ReLU raises StructuralError.
-    """
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    n_relu = 0
-    prev, after_linear = net.input_id, False
-    for i in topo_order(net)[1:]:
-        layer = net.by_id[i]
-        if net.preds[i] != (prev,):
-            raise ContractError("collapse_adjacent_linear expects a chain-shaped network")
-        if layer.kind == KIND_LINEAR:
-            if after_linear:
-                W, b = pairs[-1]
-                pairs[-1] = (layer.weight @ W, layer.weight @ b + layer.bias)
-            else:
-                pairs.append((layer.weight, layer.bias))
-        elif layer.kind == KIND_RELU:
-            if not after_linear:
-                raise StructuralError(f"layer {i}: relu not preceded by a linear layer")
-            n_relu += 1
-        else:
-            raise ContractError("collapse_adjacent_linear expects linear/relu layers only")
-        after_linear = layer.kind == KIND_LINEAR
-        prev = i
-    if not pairs:
-        raise StructuralError("sequential network needs at least one linear layer")
-    return Chain(tuple(pairs), n_relu).to_network()
 
 
 def reduce_network(

@@ -9,8 +9,9 @@ blocked ReLU layers contribute their pre-activations (their ReLU moves into
 the new layer), passthrough layers contribute their outputs, shifted into the
 nonnegative range when they come straight from the input box.
 
-The result computes the same function over the given input region and is a
-plain alternating Linear/ReLU chain.
+The Sum-free graph left over is read straight into a netir.Chain, composing
+each run of linear layers into one, so the result computes the same function
+over the given input region and is a plain alternating Linear/ReLU chain.
 """
 from __future__ import annotations
 
@@ -20,24 +21,7 @@ import numpy as np
 
 from .bounds import Box
 from .errors import ContractError, InternalInvariantError, StructuralError
-from .netir import (
-    KIND_INPUT,
-    KIND_LINEAR,
-    KIND_RELU,
-    KIND_SUM,
-    Layer,
-    Network,
-    as_sequential,
-)
-from .reducer import collapse_adjacent_linear
-
-
-@dataclass(frozen=True)
-class SumLinearBlockView:
-    """A Sum layer together with the Linear layers that feed it (in order)."""
-
-    sum_id: int
-    linear_ids: tuple[int, ...]
+from .netir import KIND_INPUT, KIND_LINEAR, KIND_RELU, KIND_SUM, Chain, Network
 
 
 @dataclass
@@ -63,30 +47,19 @@ class _Graph:
 
     @classmethod
     def from_network(cls, net: Network) -> "_Graph":
+        """Share the network's read-only arrays; rewrites replace arrays, never write them."""
         g = cls()
         for l in net.layers:
             g.kind[l.id] = l.kind
             g.width[l.id] = l.width
             if l.kind == KIND_LINEAR:
-                g.weight[l.id] = np.array(l.weight)
-                g.bias[l.id] = np.array(l.bias)
+                g.weight[l.id] = l.weight
+                g.bias[l.id] = l.bias
             g.preds[l.id] = list(net.preds[l.id])
         g.input_id = net.input_id
         g.output_id = net.output_id
         g._next = max(g.kind) + 1
         return g
-
-    def to_network(self) -> Network:
-        layers = []
-        arcs = []
-        for i in sorted(self.kind):
-            if self.kind[i] == KIND_LINEAR:
-                layers.append(Layer(i, KIND_LINEAR, self.width[i], self.weight[i], self.bias[i]))
-            else:
-                layers.append(Layer(i, self.kind[i], self.width[i]))
-            for p in self.preds[i]:
-                arcs.append((p, i))
-        return Network(layers, arcs, self.input_id, self.output_id)
 
     def add(self, kind, width, weight=None, bias=None, preds=()) -> int:
         i = self._next
@@ -149,19 +122,6 @@ def _initialize(g: _Graph):
                 g.replace_pred(c, lid, [s])
         if g.output_id == lid:
             g.output_id = s
-
-
-def _block_view(g: _Graph, sid: int) -> SumLinearBlockView:
-    if g.kind.get(sid) != KIND_SUM:
-        raise ContractError(f"layer {sid} is not a sum layer")
-    members = tuple(g.preds[sid])
-    succs = g.succs_map()
-    for m in members:
-        if g.kind[m] != KIND_LINEAR:
-            raise StructuralError(f"block {sid}: predecessor {m} is not linear")
-        if succs[m] != [sid]:
-            raise StructuralError(f"block {sid}: linear {m} feeds layers outside the block")
-    return SumLinearBlockView(sid, members)
 
 
 def _last_block(g: _Graph) -> int:
@@ -258,7 +218,7 @@ def _construct(g: _Graph, sid: int, box: Box | None):
         by_pred[p] = l
     ins = list(by_pred)
     if len(ins) <= 1:
-        raise ContractError(f"block {sid} has a single input; use linearize")
+        raise ContractError(f"block {sid} has a single input; it dissolves instead")
     succs = g.succs_map()
     member_set = set(members)
     blocked = [
@@ -321,51 +281,49 @@ def _linearize(g: _Graph, sid: int):
     """Dissolve a single-input block: its lone linear takes the Sum's place."""
     members = g.preds[sid]
     if len(members) != 1:
-        raise ContractError(f"block {sid} has {len(members)} members; linearize needs one")
+        raise ContractError(f"block {sid} has {len(members)} members; only one dissolves")
     _rewire_consumers(g, sid, members[0])
     g.remove(sid)
 
 
-# ---------------------------------------------------------------------------
-# public network-level surface
+def _read_chain(g: _Graph) -> Chain:
+    """Read a Sum-free graph into a Chain, walking from the input.
 
-
-def initialization(net: Network) -> Network:
-    """Block-encode a network (identity Linears under Sums, a Sum per Linear)."""
-    g = _Graph.from_network(net)
-    _initialize(g)
-    return g.to_network()
-
-
-def find_blocks(net: Network) -> list[SumLinearBlockView]:
-    g = _Graph.from_network(net)
-    return [_block_view(g, sid) for sid in g.sums()]
-
-
-def last_block(net: Network) -> SumLinearBlockView:
-    g = _Graph.from_network(net)
-    return _block_view(g, _last_block(g))
-
-
-def normalize_block(net: Network, sum_id: int) -> Network:
-    g = _Graph.from_network(net)
-    _block_view(g, sum_id)
-    _normalize(g, sum_id)
-    return g.to_network()
-
-
-def linear_layer_construction(net: Network, sum_id: int, box: Box | None = None) -> Network:
-    g = _Graph.from_network(net)
-    _block_view(g, sum_id)
-    _construct(g, sum_id, box)
-    return g.to_network()
-
-
-def linearize(net: Network, sum_id: int) -> Network:
-    g = _Graph.from_network(net)
-    _block_view(g, sum_id)
-    _linearize(g, sum_id)
-    return g.to_network()
+    Each run of linear layers is composed left to right (W2 W1, W2 b1 + b2).
+    A ReLU right after the input or another ReLU, a layer that fans out and
+    a layer left off the chain all raise StructuralError.
+    """
+    succs = g.succs_map()
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    n_relu = 0
+    cur, after_linear = g.input_id, False
+    on_chain = {cur}
+    while cur != g.output_id:
+        if len(succs[cur]) != 1:
+            raise StructuralError(f"layer {cur} has {len(succs[cur])} consumers; not a chain")
+        cur = succs[cur][0]
+        on_chain.add(cur)
+        kind = g.kind[cur]
+        if kind == KIND_LINEAR:
+            W, b = g.weight[cur], g.bias[cur]
+            if after_linear:
+                W1, b1 = pairs[-1]
+                pairs[-1] = (W @ W1, W @ b1 + b)
+            else:
+                pairs.append((W, b))
+        elif kind == KIND_RELU:
+            if not after_linear:
+                raise StructuralError(f"layer {cur}: relu not preceded by a linear layer")
+            n_relu += 1
+        else:
+            raise StructuralError(f"layer {cur}: kind {kind} not allowed in a chain")
+        after_linear = kind == KIND_LINEAR
+    if len(on_chain) != len(g.kind):
+        left = sorted(set(g.kind) - on_chain)
+        raise StructuralError(f"layers {left} are not on the input-to-output chain")
+    if not pairs:
+        raise StructuralError("sequential network needs at least one linear layer")
+    return Chain(tuple(pairs), n_relu)
 
 
 def simplify(net: Network, box: Box | None = None) -> tuple[Network, SimplifyStats]:
@@ -399,6 +357,4 @@ def simplify(net: Network, box: Box | None = None) -> tuple[Network, SimplifySta
         else:
             _linearize(g, sid)
             stats.linearizations += 1
-    out = collapse_adjacent_linear(g.to_network())
-    as_sequential(out)
-    return out, stats
+    return _read_chain(g).to_network(), stats

@@ -46,11 +46,6 @@ WIDTHS = [32, 48, 64, 96, 128]
 FRACS = [0.0, 0.3, 0.7, 1.0]
 INPUT_DIM = 8
 
-# criterion 5 stashes its Verified (network, spec) pairs here; criterion 7
-# replays them through the grid falsifier.
-_VERIFIED: list = []
-
-
 def _schedule():
     out = []
     for i in range(50):
@@ -96,14 +91,17 @@ def reductions(corpus):
     return {"rows": rows, "reduce_time": time.perf_counter() - t0}
 
 
-def _median_time(fn, repeats=5):
-    fn()  # warm caches and jit outside the clock
-    ts = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        ts.append(time.perf_counter() - t0)
-    return float(np.median(ts))
+def _interleaved_medians(fa, fb, repeats=21):
+    """Median wall times of fa and fb, timed in alternating order so drift hits both."""
+    fa()  # warm caches outside the clock
+    fb()
+    ts = {fa: [], fb: []}
+    for k in range(repeats):
+        for fn in (fa, fb) if k % 2 == 0 else (fb, fa):
+            t0 = time.perf_counter()
+            fn()
+            ts[fn].append(time.perf_counter() - t0)
+    return float(np.median(ts[fa])), float(np.median(ts[fb]))
 
 
 def test_criterion_1_worked_example(fig1_net, unit_box):
@@ -243,24 +241,36 @@ def _verifiable_spec(row):
     raise AssertionError(f"no verifiable robustness radius found for net {row['i']}")
 
 
-def test_criterion_5_verification_speedup(reductions):
-    sub = [r for r in reductions["rows"] if r["frac"] >= 0.7]
+def _stable_rows(reductions):
+    return [r for r in reductions["rows"] if r["frac"] >= 0.7]
+
+
+@pytest.fixture(scope="module")
+def verified_specs(reductions):
+    """(row, spec) for ten verifiable properties on the largest high-stability nets."""
+    sub = _stable_rows(reductions)
+    picks = sorted(sub, key=lambda r: (-r["width"], -r["depth"], r["i"]))[:10]
+    return [(row, _verifiable_spec(row)) for row in picks]
+
+
+def test_criterion_5_verification_speedup(reductions, verified_specs):
+    sub = _stable_rows(reductions)
     assert len(sub) >= 10
 
     # full crown bound computation must not get slower on any reduced net
     slower = []
     for row in sub:
-        t_orig = _median_time(lambda: compute_bounds(row["net"], row["box"], method="crown"))
-        t_red = _median_time(lambda: compute_bounds(row["red"], row["box"], method="crown"))
+        t_orig, t_red = _interleaved_medians(
+            lambda: compute_bounds(row["net"], row["box"], method="crown"),
+            lambda: compute_bounds(row["red"], row["box"], method="crown"),
+        )
         if t_red > t_orig:
             slower.append(row["i"])
     assert not slower, f"reduced crown pass slower on nets {slower}"
 
     # ten verifiable properties on the largest nets of the subset
-    picks = sorted(sub, key=lambda r: (-r["width"], -r["depth"], r["i"]))[:10]
     speedups = []
-    for row in picks:
-        spec = _verifiable_spec(row)
+    for row, spec in verified_specs:
         result = bench_pair(row["net"], row["red"], spec, repeats=5)
         by_variant = {r["variant"]: r for r in result["rows"]}
         assert result["agreement"], f"verdicts disagree on {spec.name}"
@@ -269,8 +279,6 @@ def test_criterion_5_verification_speedup(reductions):
         speedups.append(
             by_variant["original"]["median_time_s"] / by_variant["reduced"]["median_time_s"]
         )
-        _VERIFIED.append((row["net"], spec))
-        _VERIFIED.append((row["red"], spec))
     geomean = float(np.exp(np.mean(np.log(speedups))))
     assert geomean >= 1.2
     print(
@@ -294,13 +302,16 @@ def test_criterion_6_onnx_round_trip(reductions):
     )
 
 
-def test_criterion_7_no_counterexamples():
-    assert _VERIFIED, "criterion 5 must run first and stash its verified pairs"
-    for net, spec in _VERIFIED:
+def test_criterion_7_no_counterexamples(verified_specs):
+    # each spec verifies on its original net (the fixture's search) and on the
+    # reduced twin (criterion 5's verdict agreement)
+    pairs = [(net, spec) for row, spec in verified_specs for net in (row["net"], row["red"])]
+    assert pairs
+    for net, spec in pairs:
         assert find_grid_counterexample(net, spec, budget=10_000) is None, (
             f"grid search falsified {spec.name}"
         )
     print(
         f"criterion 7: PASS - grid search (10000 points) found no counterexample "
-        f"for {len(_VERIFIED)} verified verdicts"
+        f"for {len(pairs)} verified verdicts"
     )

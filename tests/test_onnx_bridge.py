@@ -418,6 +418,23 @@ def test_symbolic_feature_dim_rejected():
         import_onnx(_bytes(g))
 
 
+@pytest.mark.parametrize(
+    "attr,ints", [("pads", [1, 1, 1]), ("strides", [0, 1]), ("dilations", [1])]
+)
+def test_conv_bad_window_attributes_rejected(attr, ints):
+    conv = oc.NodeP(op_type="Conv", name="c", inputs=["x", "k"], outputs=["y"])
+    conv.attributes[attr] = oc.AttrP(attr, oc.AT_INTS, ints=ints)
+    g = _graph([conv], [_t("k", np.ones((1, 1, 2, 2)))], [1, 1, 3, 3], "y")
+    with pytest.raises(UnsupportedModelError, match="bad window"):
+        import_onnx(_bytes(g))
+
+
+@pytest.mark.parametrize("kernel,strides", [((2,), (1, 1)), ((2, 2), (1,)), ((2, 2), (1, -1))])
+def test_maxpool_bad_window_attributes_rejected(kernel, strides):
+    with pytest.raises(UnsupportedModelError, match="bad window"):
+        import_onnx(_bytes(_pool_graph([1, 1, 4, 4], kernel, strides)))
+
+
 # --- export ---
 
 

@@ -6,11 +6,14 @@ base-128), so the round-trip tests are anchored to an external format,
 not to the codec itself.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import redkit.onnx_codec as oc
-from redkit.errors import UnsupportedModelError
+from redkit import export_onnx, from_sequential, import_onnx
+from redkit.errors import RedkitError, UnsupportedModelError
 
 
 def _tiny_model(**model_kw) -> oc.ModelP:
@@ -241,3 +244,77 @@ def test_encode_is_deterministic():
     a = oc.encode_model(_tiny_model())
     b = oc.encode_model(_tiny_model())
     assert a == b
+
+
+# --- malformed input raises UnsupportedModelError, never a raw exception ---
+
+
+def test_truncated_fixed_width_fields_rejected():
+    for key in (b"\x09", b"\x0d"):  # field 1 as a 64-bit, then a 32-bit value
+        with pytest.raises(UnsupportedModelError, match="truncated"):
+            list(oc._Reader(key + b"\x00\x00\x00").fields())
+
+
+def test_invalid_utf8_string_rejected():
+    node = oc._f_len(4, b"\xffRelu")  # op_type
+    with pytest.raises(UnsupportedModelError, match="UTF-8"):
+        oc._decode_node(node)
+
+
+def test_wrong_wire_type_for_numbers_rejected():
+    with pytest.raises(UnsupportedModelError, match="wire type"):
+        oc._decode_tensor(oc._tag(1, oc._WT_32) + b"\x00" * 4)  # dims as a 32-bit value
+    with pytest.raises(UnsupportedModelError, match="wire type"):
+        oc._decode_tensor(oc._f_varint(4, 3))  # float_data as a varint
+    with pytest.raises(UnsupportedModelError, match="wire type"):
+        oc._decode_attr(oc._f_len(7, b"\x00" * 5))  # 5 bytes of packed floats
+
+
+def test_tensor_payload_size_mismatch_rejected():
+    t = oc.TensorP(name="odd", dims=[2], data_type=oc.DT_FLOAT, raw_data=b"\x00" * 7)
+    with pytest.raises(UnsupportedModelError, match="odd"):
+        t.to_array()
+    t = oc.TensorP(name="short", dims=[2, 3], data_type=oc.DT_FLOAT, float_data=[1.0, 2.0])
+    with pytest.raises(UnsupportedModelError, match="do not fit"):
+        t.to_array()
+    t = oc.TensorP(name="neg", dims=[-1, -2], data_type=oc.DT_FLOAT, float_data=[1.0, 2.0])
+    with pytest.raises(UnsupportedModelError, match="do not fit"):
+        t.to_array()
+
+
+def test_varint_beyond_64_bits_wraps_like_protobuf():
+    # ten bytes carry 70 bits; protobuf keeps the low 64, so this reads as -1
+    buf = oc._tag(7, oc._WT_VARINT) + b"\xff" * 9 + b"\x7f" + oc._f_varint(2, oc.DT_INT64)
+    t = oc._decode_tensor(oc._packed_varints(1, [1]) + buf)
+    assert t.to_array().tolist() == [-1]
+
+
+def test_node_with_too_few_inputs_rejected():
+    m = _tiny_model()
+    m.graph.nodes[0].inputs = ["x"]
+    with pytest.raises(UnsupportedModelError, match="needs 2 inputs"):
+        import_onnx(oc.encode_model(m))
+
+
+def test_byte_mutations_raise_only_typed_errors():
+    # seeded 1-3-byte overwrites of an exported 3 -> 4 -> 2 model; every one
+    # must import or raise a RedkitError (the CLI's exit 2), never leak
+    rng = np.random.default_rng(0)
+    layers = [(rng.normal(size=(4, 3)), rng.normal(size=4))]
+    layers.append((rng.normal(size=(2, 4)), rng.normal(size=2)))
+    net = from_sequential(layers, 3)
+    data = export_onnx(net)
+    leaked = Counter()
+    with np.errstate(all="ignore"):
+        for seed in range(3000):
+            r = np.random.default_rng(seed)
+            buf = bytearray(data)
+            for _ in range(r.integers(1, 4)):
+                buf[r.integers(len(buf))] = r.integers(256)
+            try:
+                import_onnx(bytes(buf))
+            except RedkitError:
+                pass
+            except Exception as e:  # noqa: BLE001 - the test counts what escapes
+                leaked[type(e).__name__] += 1
+    assert not leaked, dict(leaked)

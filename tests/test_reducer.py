@@ -8,10 +8,8 @@ from redkit import (
     Chain,
     LayerPartition,
     NetworkBuilder,
-    StructuralError,
     as_sequential,
     classify,
-    collapse_adjacent_linear,
     compute_bounds,
     crown_backward,
     forward,
@@ -330,79 +328,3 @@ def test_reduce_network_matches_original_on_box(
     assert sum(relus) == report.relu_after <= report.relu_before
     xs = np.vstack([box.sample(500, rng), box.corners(64)])
     np.testing.assert_allclose(forward_batch(reduced, xs), forward_batch(net, xs), atol=1e-9)
-
-
-# collapse_adjacent_linear
-
-
-def test_collapse_two_linears():
-    b = NetworkBuilder()
-    i = b.add_input(1)
-    l1 = b.add_linear(i, np.array([[2.0]]), np.array([1.0]))
-    l2 = b.add_linear(l1, np.array([[3.0]]), np.array([0.0]))
-    net = collapse_adjacent_linear(b.build(l2))
-    seq = as_sequential(net)
-    assert len(seq.linears) == 1
-    np.testing.assert_array_equal(seq.linears[0].weight, [[6.0]])
-    np.testing.assert_array_equal(seq.linears[0].bias, [3.0])
-
-
-def test_collapse_identity_chain():
-    b = NetworkBuilder()
-    i = b.add_input(3)
-    l1 = b.add_linear(i, np.eye(3), np.zeros(3))
-    l2 = b.add_linear(l1, np.eye(3), np.zeros(3))
-    net = collapse_adjacent_linear(b.build(l2))
-    seq = as_sequential(net)
-    assert len(seq.linears) == 1
-    np.testing.assert_array_equal(seq.linears[0].weight, np.eye(3))
-
-
-def test_collapse_preserves_forward():
-    rng = np.random.default_rng(9)
-    net = from_sequential(
-        [
-            (rng.normal(size=(5, 3)), rng.normal(size=5)),
-            (rng.normal(size=(4, 5)), rng.normal(size=4)),
-        ],
-        3,
-    )
-    # from_sequential inserts a relu between; build raw chain instead
-    b = NetworkBuilder()
-    i = b.add_input(3)
-    W1, b1 = rng.normal(size=(5, 3)), rng.normal(size=5)
-    W2, b2 = rng.normal(size=(4, 5)), rng.normal(size=4)
-    l1 = b.add_linear(i, W1, b1)
-    l2 = b.add_linear(l1, W2, b2)
-    raw = b.build(l2)
-    folded = collapse_adjacent_linear(raw)
-    for x in np.random.default_rng(0).uniform(-1, 1, size=(100, 3)):
-        np.testing.assert_allclose(forward(folded, x), forward(raw, x), atol=1e-12)
-
-
-def test_collapse_run_of_three_folds_left_to_right():
-    rng = np.random.default_rng(11)
-    W = [rng.normal(size=(3, 2)), rng.normal(size=(4, 3)), rng.normal(size=(2, 4))]
-    c = [rng.normal(size=3), rng.normal(size=4), rng.normal(size=2)]
-    b = NetworkBuilder()
-    cur = b.add_input(2)
-    for Wk, ck in zip(W, c):
-        cur = b.add_linear(cur, Wk, ck)
-    cur = b.add_relu(cur, 2)
-    seq = as_sequential(collapse_adjacent_linear(b.build(cur)))
-    assert len(seq.linears) == 1 and seq.ends_with_relu
-    np.testing.assert_array_equal(seq.linears[0].weight, W[2] @ (W[1] @ W[0]))
-    np.testing.assert_array_equal(seq.linears[0].bias, W[2] @ (W[1] @ c[0] + c[1]) + c[2])
-
-
-@pytest.mark.parametrize("after_input", [True, False])
-def test_collapse_rejects_relu_without_linear(after_input):
-    b = NetworkBuilder()
-    cur = b.add_input(2)
-    if not after_input:
-        cur = b.add_linear(cur, np.eye(2), np.zeros(2))
-        cur = b.add_relu(cur, 2)
-    cur = b.add_relu(cur, 2)
-    cur = b.add_linear(cur, np.eye(2), np.zeros(2))
-    with pytest.raises(StructuralError):
-        collapse_adjacent_linear(b.build(cur))

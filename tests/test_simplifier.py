@@ -4,29 +4,42 @@ import pytest
 from redkit import (
     Box,
     ContractError,
+    Layer,
+    Network,
     NetworkBuilder,
+    StructuralError,
     as_sequential,
-    find_blocks,
     forward,
-    initialization,
-    last_block,
-    linear_layer_construction,
-    linearize,
-    normalize_block,
     sample_equivalence,
     simplify,
     validate,
 )
 from redkit.netir import KIND_LINEAR, KIND_RELU, KIND_SUM
+from redkit.simplifier import _Graph, _initialize, _last_block, _linearize, _normalize, _read_chain
 
 from conftest import build_fig1, build_residual_block, box_samples
+
+
+def _as_network(g: _Graph) -> Network:
+    """The scratch graph as a Network, so validate and forward can check a single step."""
+    layers = [
+        Layer(i, g.kind[i], g.width[i], g.weight.get(i), g.bias.get(i)) for i in sorted(g.kind)
+    ]
+    arcs = [(p, i) for i in sorted(g.kind) for p in g.preds[i]]
+    return Network(layers, arcs, g.input_id, g.output_id)
+
+
+def _initialized(net) -> _Graph:
+    g = _Graph.from_network(net)
+    _initialize(g)
+    return g
 
 
 def test_initialization_wraps_linears():
     b = NetworkBuilder()
     i = b.add_input(2)
     l = b.add_linear(i, np.eye(2), np.ones(2))
-    net = initialization(b.build(l))
+    net = _as_network(_initialized(b.build(l)))
     kinds = sorted(x.kind for x in net.layers)
     assert kinds == ["input", "linear", "sum"]
     assert validate(net).violations == []
@@ -35,17 +48,18 @@ def test_initialization_wraps_linears():
 
 def test_initialization_residual_block_structure():
     net, _, _ = build_residual_block()
-    init = initialization(net)
-    blocks = find_blocks(init)
+    g = _initialized(net)
+    succs = g.succs_map()
+    blocks = g.sums()
     # the Add becomes a Sum block with fresh identity members; each conv gets
     # a singleton block of its own
     assert len(blocks) == 4
-    assert sorted(len(blk.linear_ids) for blk in blocks) == [1, 1, 1, 2]
-    for blk in blocks:
-        for lid in blk.linear_ids:
-            assert init.by_id[lid].kind == KIND_LINEAR
-            assert init.succs[lid] == (blk.sum_id,)
-    assert validate(init).violations == []
+    assert sorted(len(g.preds[sid]) for sid in blocks) == [1, 1, 1, 2]
+    for sid in blocks:
+        for lid in g.preds[sid]:
+            assert g.kind[lid] == KIND_LINEAR
+            assert succs[lid] == [sid]
+    assert validate(_as_network(g)).violations == []
 
 
 def test_initialization_noop_on_relu_chain():
@@ -53,8 +67,8 @@ def test_initialization_noop_on_relu_chain():
     i = b.add_input(2)
     r = b.add_relu(i, 2)
     net = b.build(r)
-    out = initialization(net)
-    assert sorted(x.kind for x in out.layers) == ["input", "relu"]
+    g = _initialized(net)
+    assert sorted(g.kind.values()) == ["input", "relu"]
 
 
 def test_normalize_scalar_composition():
@@ -65,15 +79,13 @@ def test_normalize_scalar_composition():
     inner_s = b.add_sum([inner_l], 1)
     outer_l = b.add_linear(inner_s, np.array([[2.0]]), np.array([1.0]))
     outer_s = b.add_sum([outer_l], 1)
-    net = b.build(outer_s)
-    out = normalize_block(net, last_block(net).sum_id)
-    blk = last_block(out)
-    (lid,) = blk.linear_ids
-    lin = out.by_id[lid]
-    np.testing.assert_array_equal(lin.weight, [[6.0]])
-    np.testing.assert_array_equal(lin.bias, [9.0])
+    g = _Graph.from_network(b.build(outer_s))
+    _normalize(g, _last_block(g))
+    (lid,) = g.preds[_last_block(g)]
+    np.testing.assert_array_equal(g.weight[lid], [[6.0]])
+    np.testing.assert_array_equal(g.bias[lid], [9.0])
     # the consumed inner block is gone
-    assert len(find_blocks(out)) == 1
+    assert len(g.sums()) == 1
 
 
 def test_normalize_merges_same_predecessor():
@@ -82,13 +94,20 @@ def test_normalize_merges_same_predecessor():
     la = b.add_linear(i, np.array([[1.0]]), np.array([2.0]))
     lb = b.add_linear(i, np.array([[3.0]]), np.array([4.0]))
     s = b.add_sum([la, lb], 1)
-    net = b.build(s)
-    out = normalize_block(net, last_block(net).sum_id)
-    blk = last_block(out)
-    assert len(blk.linear_ids) == 1
-    lin = out.by_id[blk.linear_ids[0]]
-    np.testing.assert_array_equal(lin.weight, [[4.0]])
-    np.testing.assert_array_equal(lin.bias, [6.0])
+    g = _Graph.from_network(b.build(s))
+    _normalize(g, _last_block(g))
+    members = g.preds[_last_block(g)]
+    assert len(members) == 1
+    np.testing.assert_array_equal(g.weight[members[0]], [[4.0]])
+    np.testing.assert_array_equal(g.bias[members[0]], [6.0])
+
+
+def test_graph_shares_read_only_arrays(fig1_net):
+    g = _Graph.from_network(fig1_net)
+    lin = [l for l in fig1_net.layers if l.kind == KIND_LINEAR]
+    for l in lin:
+        assert g.weight[l.id] is l.weight and not g.weight[l.id].flags.writeable
+        assert g.bias[l.id] is l.bias and not g.bias[l.id].flags.writeable
 
 
 def test_construction_relu_passthrough_zero_shift():
@@ -179,8 +198,9 @@ def test_linearize_single_linear_block():
     i = b.add_input(2)
     l = b.add_linear(i, 2 * np.eye(2), np.ones(2))
     s = b.add_sum([l], 2)
-    net = b.build(s)
-    out = linearize(net, last_block(net).sum_id)
+    g = _Graph.from_network(b.build(s))
+    _linearize(g, _last_block(g))
+    out = _as_network(g)
     assert sorted(x.kind for x in out.layers) == ["input", "linear"]
     assert np.array_equal(forward(out, np.ones(2)), [3.0, 3.0])
 
@@ -228,3 +248,92 @@ def test_stats_fields():
     # budget is measured on the initialized graph, which is never smaller
     assert stats.layer_budget >= len(net.layers)
     assert stats.constructions <= stats.layer_budget
+
+
+# reading a Sum-free graph into a chain: runs of linear layers fold into one
+
+
+def _read(net) -> Network:
+    return _read_chain(_Graph.from_network(net)).to_network()
+
+
+def test_read_chain_folds_two_linears():
+    b = NetworkBuilder()
+    i = b.add_input(1)
+    l1 = b.add_linear(i, np.array([[2.0]]), np.array([1.0]))
+    l2 = b.add_linear(l1, np.array([[3.0]]), np.array([0.0]))
+    seq = as_sequential(_read(b.build(l2)))
+    assert len(seq.linears) == 1
+    np.testing.assert_array_equal(seq.linears[0].weight, [[6.0]])
+    np.testing.assert_array_equal(seq.linears[0].bias, [3.0])
+
+
+def test_read_chain_folds_identity_chain():
+    b = NetworkBuilder()
+    i = b.add_input(3)
+    l1 = b.add_linear(i, np.eye(3), np.zeros(3))
+    l2 = b.add_linear(l1, np.eye(3), np.zeros(3))
+    seq = as_sequential(_read(b.build(l2)))
+    assert len(seq.linears) == 1
+    np.testing.assert_array_equal(seq.linears[0].weight, np.eye(3))
+
+
+def test_read_chain_fold_preserves_forward():
+    rng = np.random.default_rng(9)
+    b = NetworkBuilder()
+    i = b.add_input(3)
+    W1, b1 = rng.normal(size=(5, 3)), rng.normal(size=5)
+    W2, b2 = rng.normal(size=(4, 5)), rng.normal(size=4)
+    l1 = b.add_linear(i, W1, b1)
+    l2 = b.add_linear(l1, W2, b2)
+    raw = b.build(l2)
+    folded = _read(raw)
+    for x in np.random.default_rng(0).uniform(-1, 1, size=(100, 3)):
+        np.testing.assert_allclose(forward(folded, x), forward(raw, x), atol=1e-12)
+
+
+def test_read_chain_run_of_three_folds_left_to_right():
+    rng = np.random.default_rng(11)
+    W = [rng.normal(size=(3, 2)), rng.normal(size=(4, 3)), rng.normal(size=(2, 4))]
+    c = [rng.normal(size=3), rng.normal(size=4), rng.normal(size=2)]
+    b = NetworkBuilder()
+    cur = b.add_input(2)
+    for Wk, ck in zip(W, c):
+        cur = b.add_linear(cur, Wk, ck)
+    cur = b.add_relu(cur, 2)
+    seq = as_sequential(_read(b.build(cur)))
+    assert len(seq.linears) == 1 and seq.ends_with_relu
+    np.testing.assert_array_equal(seq.linears[0].weight, W[2] @ (W[1] @ W[0]))
+    np.testing.assert_array_equal(seq.linears[0].bias, W[2] @ (W[1] @ c[0] + c[1]) + c[2])
+
+
+@pytest.mark.parametrize("after_input", [True, False])
+def test_read_chain_rejects_relu_without_linear(after_input):
+    b = NetworkBuilder()
+    cur = b.add_input(2)
+    if not after_input:
+        cur = b.add_linear(cur, np.eye(2), np.zeros(2))
+        cur = b.add_relu(cur, 2)
+    cur = b.add_relu(cur, 2)
+    cur = b.add_linear(cur, np.eye(2), np.zeros(2))
+    net = b.build(cur)
+    with pytest.raises(StructuralError):
+        _read(net)
+    with pytest.raises(StructuralError):
+        simplify(net)
+
+
+def test_read_chain_rejects_fan_out_and_stray_layers():
+    b = NetworkBuilder()
+    i = b.add_input(2)
+    l1 = b.add_linear(i, np.eye(2), np.zeros(2))
+    r1 = b.add_relu(l1, 2)
+    b.add_linear(i, np.eye(2), np.zeros(2))  # a second consumer of the input
+    with pytest.raises(StructuralError, match="consumers"):
+        _read(b.build(r1))
+    b = NetworkBuilder()
+    i = b.add_input(2)
+    l1 = b.add_linear(i, np.eye(2), np.zeros(2))
+    b.add_input(2)  # a layer no path from the input reaches
+    with pytest.raises(StructuralError, match="not on the"):
+        _read(b.build(l1))
