@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ContractError
+from .errors import ContractError, InternalInvariantError
 from .netir import Chain, Network, as_sequential
 
 ALPHA_RULES = ("adaptive", "zero", "one")
+
+# A hidden layer whose weight matrix has at least this many entries is bounded
+# without its interval-dead rows and enters backward passes in compacted form
+# (see relax_layer). Below it, the per-call numpy overhead of compacting
+# outweighs the work saved, so small layers keep the plain arithmetic.
+COMPACT_MIN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,18 +74,42 @@ class Box:
         return self.lower + bits * self.widths
 
 
+@dataclass(frozen=True)
+class _Compacted:
+    """A large hidden layer in backward form: its live neurons only.
+
+    order lists the neurons that are not dead (hi > 0), the n_unstable
+    unstable ones first, then the active ones. weight and bias are the
+    layer's rows in that order; weight's columns follow below, the order of
+    the compacted layer underneath, or the natural order when that layer is
+    not compacted (below is None). slope_lo, slope_up and icpt_up are the
+    relaxation lines of the unstable neurons; the active ones pass through.
+    """
+
+    order: np.ndarray
+    n_unstable: int
+    slope_lo: np.ndarray
+    slope_up: np.ndarray
+    icpt_up: np.ndarray
+    weight: np.ndarray
+    bias: np.ndarray
+    below: np.ndarray | None
+
+
 @dataclass
 class _ReluRelaxation:
     """Per-neuron bounding lines over a pre-activation range [l, u].
 
     Upper line passes through (l, 0) and (u, u) when unstable; lower line has
     slope alpha in {0, 1} and intercept 0. Stable neurons use the exact
-    identity/zero lines.
+    identity/zero lines. compact is the layer in backward form when it is
+    large (see relax_layer), else None.
     """
 
     slope_lo: np.ndarray
     slope_up: np.ndarray
     icpt_up: np.ndarray
+    compact: _Compacted | None = None
 
 
 def relu_relaxation(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRelaxation:
@@ -103,12 +133,53 @@ def relu_relaxation(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRel
     return _ReluRelaxation(slope_lo, slope_up, icpt_up)
 
 
+def _is_large(chain: Chain, k: int) -> bool:
+    return k < chain.n_relu and chain.layers[k][0].size >= COMPACT_MIN_ENTRIES
+
+
+def relax_layer(
+    chain: Chain, k: int, lo: np.ndarray, hi: np.ndarray, alpha_rule: str, relaxations: list
+) -> _ReluRelaxation:
+    """ReLU lines of hidden layer k over [lo, hi], plus its backward form when large.
+
+    relaxations holds the lines of layers 0..k-1. A layer with at least
+    COMPACT_MIN_ENTRIES weights gets a _Compacted form, built once here:
+    dead neurons contribute nothing to a backward pass and active ones pass
+    their coefficients through unchanged, so only the unstable slice needs
+    relu_backward and only live rows and columns take part in the product.
+    """
+    r = relu_relaxation(lo, hi, alpha_rule)
+    if not _is_large(chain, k):
+        return r
+    W, b = chain.layers[k]
+    dead = hi <= 0.0
+    unstable = ~dead & (lo < 0.0)
+    order = np.concatenate([np.flatnonzero(unstable), np.flatnonzero(~dead & ~unstable)])
+    prev = relaxations[k - 1].compact if k > 0 else None
+    below = None if prev is None else prev.order
+    u = order[: int(unstable.sum())]
+    r.compact = _Compacted(
+        order,
+        u.shape[0],
+        r.slope_lo[u],
+        r.slope_up[u],
+        r.icpt_up[u],
+        W[order] if below is None else W[np.ix_(order, below)],
+        b[order],
+        below,
+    )
+    return r
+
+
 @dataclass
 class BoundsTable:
     """Pre-activation ranges per linear layer, in input-to-output order.
 
     lower/upper are keyed by linear layer id; linear_ids preserves order. The
-    last entry doubles as the output range.
+    last entry doubles as the output range. For crown, a row of a large
+    hidden layer (see COMPACT_MIN_ENTRIES) that the interval step already
+    proves dead (hi <= 0) keeps its interval range: it skips the backward
+    pass, which could only tighten a range that stays dead.
     """
 
     method: str
@@ -173,7 +244,10 @@ def bound_layers(
     the ReLU of the previous range otherwise. interval stops at that forward
     step; crown also runs the backward pass and intersects the two, since
     the backward pass alone can lose to plain intervals in correlated
-    corners.
+    corners. On a large hidden layer (at least COMPACT_MIN_ENTRIES weights)
+    the rows that the forward step proves dead (hi <= 0) skip the backward
+    pass and keep their interval range, and the layer's relaxation carries
+    its compacted backward form (relax_layer).
 
     signs, one int8 array per hidden layer, restricts the bounds to a sign
     region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent is
@@ -200,8 +274,17 @@ def bound_layers(
             W, b = W[rows], b[rows]
         lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
         if method == "crown":
-            lo = np.maximum(_backward_from(chain, k, W, b, relaxations, box, upper_pass=False), lo)
-            hi = np.minimum(_backward_from(chain, k, W, b, relaxations, box, upper_pass=True), hi)
+            live = None  # rows the backward pass bounds, when not all of them
+            if _is_large(chain, k) and (hi <= 0.0).any():
+                live = np.flatnonzero(hi > 0.0)
+                W, b = W[live], b[live]
+            c_lo = _backward_from(chain, k, W, b, relaxations, box, upper_pass=False)
+            c_hi = _backward_from(chain, k, W, b, relaxations, box, upper_pass=True)
+            if live is None:
+                lo, hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
+            else:
+                lo[live] = np.maximum(c_lo, lo[live])
+                hi[live] = np.minimum(c_hi, hi[live])
         if rows is not None:
             lo_all, hi_all = parent[0][k].copy(), parent[1][k].copy()
             lo_all[rows], hi_all[rows] = lo, hi
@@ -214,7 +297,7 @@ def bound_layers(
         lower.append(lo)
         upper.append(hi)
         if hidden and method == "crown":
-            relaxations.append(relu_relaxation(lo, hi, alpha_rule))
+            relaxations.append(relax_layer(chain, k, lo, hi, alpha_rule, relaxations))
     return True
 
 
@@ -236,11 +319,33 @@ def interval_forward(net: Network, box: Box) -> BoundsTable:
 
 
 def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_pass: bool):
-    """Push a coefficient row set from just after linear k down to the input box."""
+    """Push a coefficient row set from just after linear k down to the input box.
+
+    A layer with a compacted form takes its step on the live neurons only:
+    A's columns are gathered onto them (once, when the layer above was not
+    compacted: its compacted weights already produce them), relu_backward
+    runs on the leading unstable slice and the compacted weights do the
+    rest. Neither A nor const is written to.
+    """
+    cols = None  # the order A's columns follow; None is the natural order
     for j in range(k - 1, -1, -1):
         r = relaxations[j]
-        A, const = kernels.relu_backward(A, const, r.slope_lo, r.slope_up, r.icpt_up, upper_pass)
-        W, b = chain.layers[j]
+        c = r.compact
+        if cols is not None and (c is None or cols is not c.order):
+            raise InternalInvariantError(f"layer {j}: compacted columns out of order")
+        if c is None:
+            A, const = kernels.relu_backward(A, const, r.slope_lo, r.slope_up, r.icpt_up, upper_pass)
+            W, b = chain.layers[j]
+        else:
+            if cols is None:
+                A = A[:, c.order]
+            u = c.n_unstable
+            if u:
+                A[:, :u], const = kernels.relu_backward(
+                    A[:, :u], const, c.slope_lo, c.slope_up, c.icpt_up, upper_pass
+                )
+            W, b = c.weight, c.bias
+        cols = None if c is None else c.below
         const = const + A @ b
         A = A @ W
     lo, hi = kernels.interval_affine(A, const, box.lower, box.upper)

@@ -26,7 +26,20 @@ _KINDS = (KIND_INPUT, KIND_LINEAR, KIND_RELU, KIND_SUM)
 
 
 def freeze_array(a, dtype=np.float64) -> np.ndarray:
-    """Copy to a C-contiguous read-only float64 array."""
+    """A C-contiguous read-only array of dtype.
+
+    An input that already is one and owns its data (it is not a view of
+    another buffer) is returned as it is, so layers can share frozen arrays;
+    anything else, writeable arrays included, is copied.
+    """
+    if (
+        type(a) is np.ndarray
+        and a.dtype == dtype
+        and a.flags.c_contiguous
+        and not a.flags.writeable
+        and a.flags.owndata
+    ):
+        return a
     arr = np.array(a, dtype=dtype, order="C", copy=True)
     arr.flags.writeable = False
     return arr
@@ -420,4 +433,7 @@ def from_sequential(weights_biases, input_width: int) -> Network:
         raise ContractError(
             f"first weight has shape {layers[0][0].shape}, input width is {input_width}"
         )
+    for k, (w, bias) in enumerate(layers):
+        if not (np.isfinite(w).all() and np.isfinite(bias).all()):
+            raise ContractError(f"linear layer {k} has non-finite weight or bias entries")
     return Chain(layers, len(layers) - 1).to_network()

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import onnx_codec as oc
 from .errors import UnsupportedModelError
-from .netir import Network, NetworkBuilder, as_sequential
+from .netir import KIND_LINEAR, Network, NetworkBuilder, as_sequential
 
 # the fewest inputs each supported op reads by position; every op writes an output
 _MIN_INPUTS = {
@@ -239,6 +239,13 @@ class _Importer:
         if out_name not in self.vals:
             raise UnsupportedModelError(f"graph output {out_name!r} is constant or undefined")
         net = self.b.build(output_id=self.vals[out_name].lid)
+        for layer in net.layers:
+            if layer.kind == KIND_LINEAR and not (
+                np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()
+            ):
+                raise UnsupportedModelError(
+                    f"linear layer {layer.id} has non-finite weight or bias entries"
+                )
         report = ImportReport(
             input_shape=full_shape,
             present_ops=sorted({n.op_type for n in g.nodes}),

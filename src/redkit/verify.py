@@ -30,7 +30,7 @@ from .bounds import (
     bound_layers,
     chain_margin_lower_bounds,
     clamp_to_signs,
-    relu_relaxation,
+    relax_layer,
 )
 from .equivalence import sample_equivalence
 from .errors import ContractError
@@ -125,7 +125,7 @@ def split_leaf(
     upper = list(leaf.upper[:k]) + [hi]
     relaxations = list(leaf.relaxations[:k])
     if method == "crown":
-        relaxations.append(relu_relaxation(lo, hi, alpha_rule))
+        relaxations.append(relax_layer(chain, k, lo, hi, alpha_rule, relaxations))
     if not bound_layers(
         chain, box, method, alpha_rule, lower, upper, relaxations,
         start=k + 1, stop=chain.n_relu, signs=signs, parent=(leaf.lower, leaf.upper),

@@ -14,7 +14,7 @@ from redkit import (
     topo_order,
     validate,
 )
-from redkit.netir import KIND_INPUT, KIND_LINEAR, KIND_RELU, KIND_SUM
+from redkit.netir import KIND_INPUT, KIND_LINEAR, KIND_RELU, KIND_SUM, Layer, freeze_array
 
 from conftest import build_fig1, build_fig4, build_residual_block
 
@@ -226,3 +226,38 @@ def test_nan_weight_flagged():
     l = b.add_linear(i, np.array([[np.nan]]), np.zeros(1))
     rep = validate(b.build(l))
     assert any("finite" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_from_sequential_rejects_non_finite_parameters(bad, where):
+    W1, b1 = np.ones((3, 2)), np.zeros(3)
+    W2, b2 = np.ones((1, 3)), np.zeros(1)
+    if where == "weight":
+        W2[0, 1] = bad
+    else:
+        b2[0] = bad
+    with pytest.raises(ContractError, match="layer 1 has non-finite"):
+        from_sequential([(W1, b1), (W2, b2)], 2)
+
+
+def test_freeze_array_shares_a_frozen_array_and_copies_the_rest():
+    frozen = freeze_array(np.arange(6.0).reshape(2, 3))
+    assert not frozen.flags.writeable and frozen.flags.owndata
+    assert freeze_array(frozen) is frozen
+    # a layer built from another layer's arrays holds the same memory
+    layer = Layer(0, KIND_LINEAR, 2, frozen, freeze_array(np.zeros(2)))
+    assert layer.weight is frozen
+    writeable = np.arange(6.0).reshape(2, 3)
+    out = freeze_array(writeable)
+    assert out is not writeable and not np.shares_memory(out, writeable)
+    writeable[0, 0] = 99.0
+    assert out[0, 0] == 0.0
+    # read-only but not owning its data, or not C-contiguous, or not float64
+    view = frozen[:, :2]
+    assert not np.shares_memory(freeze_array(view), frozen)
+    t = frozen.T
+    assert freeze_array(t).flags.c_contiguous and not np.shares_memory(freeze_array(t), frozen)
+    ints = np.arange(3)
+    ints.flags.writeable = False
+    assert freeze_array(ints).dtype == np.float64

@@ -480,3 +480,14 @@ def test_exported_bytes_decode_anywhere(fig4_net):
     model = oc.decode_model(data)
     assert model.graph.name == "reduced"
     assert model.producer_name == "redkit"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["w", "b"])
+def test_non_finite_initializer_rejected(bad, where):
+    w, b = np.ones((2, 3)), np.zeros(2)
+    (w if where == "w" else b)[1, ...] = bad
+    node, inits = _gemm("g0", "x", w, b, "y")
+    g = _graph([node], inits, [1, 3], "y")
+    with pytest.raises(UnsupportedModelError, match="non-finite"):
+        import_onnx(_bytes(g))

@@ -1,14 +1,19 @@
-"""The benchmark scripts reach redkit only through `rk.<name>`; every such name must exist.
+"""Checks on the benchmark tooling.
 
-A public name deleted from redkit would otherwise surface only when the
-benchmark runs, so this scan fails first.
+The benchmark scripts reach redkit only through `rk.<name>`; every such name
+must exist. A public name deleted from redkit would otherwise surface only
+when the benchmark runs, so this scan fails first. scripts/bench_pairs.py
+summarizes paired runs; its direction-aware win count is checked on fixed
+records.
 """
+import importlib.util
 import re
 from pathlib import Path
 
 import redkit
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_perfbench_rk_names_resolve():
@@ -20,3 +25,30 @@ def test_perfbench_rk_names_resolve():
     assert refs, f"no rk.<name> references found under {PERFBENCH}"
     missing = sorted((file, name) for file, name in refs if not hasattr(redkit, name))
     assert not missing, f"perfbench names absent from redkit: {missing}"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_bench_pairs_summary_counts_wins_in_each_direction():
+    bp = _bench_pairs()
+
+    def run(t, rate, counts="c"):
+        return {"metrics": {"verdict_s_p50": t, "jobs_per_s": rate}, "correct": True,
+                "failed": 0, "counts_sha256": counts, "jobs_sha256": "j"}
+
+    runs = {
+        "base": [run(1.0, 1.0), run(2.0, 2.0), run(3.0, 3.0), run(4.0, 4.0)],
+        "change": [run(0.5, 2.0), run(2.5, 1.0), run(1.0, 4.0), run(4.0, 5.0)],
+    }
+    out = bp.summarize(runs, {"verdict_s_p50": "lower", "jobs_per_s": "higher"})
+    assert out["verdict_s_p50"]["change_wins"] == 2  # the tie counts for neither side
+    assert out["jobs_per_s"]["change_wins"] == 3
+    assert out["verdict_s_p50"]["base"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert out["counts_match"] and out["jobs_match"] and out["all_correct"]
+    runs["change"][1] = run(2.5, 1.0, counts="other")
+    assert not bp.summarize(runs, {})["counts_match"]
