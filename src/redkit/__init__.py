@@ -13,10 +13,7 @@ from .bounds import (
     BoundsTable,
     Box,
     compute_bounds,
-    crown_backward,
     interval_forward,
-    margin_lower_bound,
-    margin_lower_bounds,
 )
 from .equivalence import EquivReport, grid_equivalence, sample_equivalence
 from .errors import (
@@ -46,12 +43,10 @@ from .onnx_bridge import (
     conv_to_matrix,
     export_onnx,
     import_onnx,
-    lower_maxpool,
     reference_forward,
 )
 from .reducer import (
     LayerPartition,
-    ReductionPlan,
     ReductionReport,
     classify,
     reduce_layer,
@@ -99,7 +94,6 @@ __all__ = [
     "ParseError",
     "PropertySpec",
     "RedkitError",
-    "ReductionPlan",
     "ReductionReport",
     "SimplifyStats",
     "StructuralError",
@@ -111,7 +105,6 @@ __all__ = [
     "classify",
     "compute_bounds",
     "conv_to_matrix",
-    "crown_backward",
     "emit_vnnlib",
     "epsilon_ball",
     "export_onnx",
@@ -126,9 +119,6 @@ __all__ = [
     "load_center",
     "load_sidecar",
     "load_vnnlib",
-    "lower_maxpool",
-    "margin_lower_bound",
-    "margin_lower_bounds",
     "parse_vnnlib",
     "reduce_layer",
     "reduce_network",

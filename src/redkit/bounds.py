@@ -352,19 +352,12 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
     return hi if upper_pass else lo
 
 
-def crown_backward(net: Network, box: Box, alpha_rule: str = "adaptive") -> BoundsTable:
-    """Progressive backward substitution with per-neuron linear relaxations.
-
-    Layer k's bounds reuse the relaxations of layers 1..k-1, which were
-    computed from their own (already final) bounds. Each layer is also
-    intersected with the running interval bounds: both are sound, and the
-    backward pass alone can lose to plain intervals in correlated corners.
-    First-layer bounds coincide bit-for-bit with interval_forward.
-    """
-    return _table(net, box, "crown", alpha_rule)
-
-
 def compute_bounds(net: Network, box: Box, method: str, alpha_rule: str = "adaptive") -> BoundsTable:
+    """Pre-activation bounds of every linear layer of a sequential network.
+
+    method is 'interval' or 'crown' (see bound_layers); alpha_rule picks the
+    lower ReLU line of crown. Crown's first-layer bounds equal interval's.
+    """
     return _table(net, box, method, alpha_rule)
 
 
@@ -382,57 +375,3 @@ def chain_margin_lower_bounds(
     v_lo, v_hi = np.maximum(lower[n - 1], 0.0), np.maximum(upper[n - 1], 0.0)
     lo, _ = kernels.interval_affine(A, const, v_lo, v_hi)
     return lo
-
-
-def margin_lower_bounds(
-    net: Network,
-    box: Box,
-    C,
-    d=None,
-    method: str = "crown",
-    alpha_rule: str = "adaptive",
-    table: BoundsTable | None = None,
-) -> np.ndarray:
-    """Sound lower bounds of the margins C y + d over the box.
-
-    The margin rows are composed into the final linear layer before bounding;
-    bounding outputs separately and then combining would discard correlations
-    and is strictly looser.
-    """
-    chain = Chain.of(net)
-    if chain.n_relu == len(chain.layers):
-        raise ContractError("margins need an affine-ended network")
-    chain.check_box(box)
-    C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-    W, b = chain.layers[-1]
-    if C.shape[1] != W.shape[0]:
-        raise ContractError(f"margin rows have {C.shape[1]} entries, output width is {W.shape[0]}")
-    if method not in ("interval", "crown"):
-        raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
-    d = np.zeros(C.shape[0]) if d is None else np.asarray(d, dtype=np.float64).reshape(-1)
-    lower, upper, relaxations = [], [], []
-    n = chain.n_relu
-    if n:
-        need = n if method == "crown" else 0
-        if table is None or table.method != method or len(table.relaxations) < need:
-            table = _table(net, box, method, alpha_rule)
-        lower = [table.pre_activation(k)[0] for k in range(n)]
-        upper = [table.pre_activation(k)[1] for k in range(n)]
-        relaxations = table.relaxations
-    return chain_margin_lower_bounds(
-        chain, box, C @ W, C @ b + d, method, lower, upper, relaxations
-    )
-
-
-def margin_lower_bound(
-    net: Network,
-    box: Box,
-    c,
-    d: float = 0.0,
-    method: str = "crown",
-    alpha_rule: str = "adaptive",
-    table: BoundsTable | None = None,
-) -> float:
-    """Single-margin convenience wrapper around margin_lower_bounds."""
-    v = margin_lower_bounds(net, box, np.atleast_2d(c), [d], method, alpha_rule, table)
-    return float(v[0])

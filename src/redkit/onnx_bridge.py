@@ -614,18 +614,6 @@ def import_onnx(data: bytes) -> tuple[Network, ImportReport]:
     return _Importer(model.graph).run()
 
 
-def lower_maxpool(data) -> Network:
-    """Import a model whose MaxPool nodes need gadget lowering; network only.
-
-    The IR has no pooling kind, so lowering happens while the decoded node
-    list is translated; this entry point exists for callers that only care
-    about the lowered network.
-    """
-    if isinstance(data, oc.GraphP):
-        return _Importer(data).run()[0]
-    return import_onnx(data)[0]
-
-
 # ---------------------------------------------------------------------------
 # independent reference evaluation of the decoded node list
 

@@ -15,6 +15,7 @@ chain.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 from . import kernels
 from .bounds import BoundsTable, Box, bound_layers, compute_bounds
 from .errors import ContractError, InternalInvariantError
-from .netir import KIND_LINEAR, KIND_RELU, Chain, Layer, Network, as_sequential
+from .netir import Chain, Network, as_sequential
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class LayerPartition:
         object.__setattr__(self, "activated", a)
         object.__setattr__(self, "unstable", u)
         merged = np.concatenate([d, a, u])
+        if ((merged < 0) | (merged >= self.width)).any():
+            raise ContractError(f"partition indices must lie in [0, {self.width})")
         if len(np.unique(merged)) != self.width or len(merged) != self.width:
             raise ContractError("partition classes must cover each neuron exactly once")
 
@@ -69,96 +72,54 @@ def classify(table: BoundsTable) -> list[LayerPartition]:
     return parts
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
-    """Everything needed to audit one layer's rewrite.
-
-    merge_weight/merge_bias are the composed rows replacing the activated
-    block (empty when merging was skipped); shift is the nonnegativity
-    correction added to the new rows' biases and subtracted, through Z's
-    columns, from Z's bias. kept lists surviving original neuron indices in
-    their output order after the merged rows.
-    """
-
-    partition: LayerPartition
-    merged: bool
-    merge_weight: np.ndarray
-    merge_bias: np.ndarray
-    shift: np.ndarray
-    kept: np.ndarray
-    width_before: int
-    width_after: int
-
-
-def _interval_lower(W, b, v_lo, v_hi):
-    lo, _ = kernels.interval_affine(W, b, v_lo, v_hi)
-    return lo
-
-
 def reduce_layer(
-    x: Layer,
-    y: Layer,
-    z: Layer,
+    x: tuple[np.ndarray, np.ndarray],
+    z: tuple[np.ndarray, np.ndarray],
     part: LayerPartition,
     v_range: tuple[np.ndarray, np.ndarray],
     pre_lb: np.ndarray,
     merge_lower=None,
-) -> tuple[Layer | None, Layer | None, Layer, ReductionPlan]:
-    """Rewrite the block V -> X(linear) -> Y(relu) -> Z(linear).
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
+    """Rewrite the block V -> X -> ReLU -> Z, given the (W, b) pairs of X and Z.
 
     v_range bounds V's output (the box, or clamped bounds for a ReLU V);
     pre_lb is X's known pre-activation lower bound vector, used for in-place
-    stabilization shifts when merging is skipped. merge_lower optionally
-    supplies a tighter lower-bounding function for merged rows. Returns
-    (X', Y', Z', plan); X' and Y' are None when the hidden layer vanished
-    (caller splices a single linear computing the constant Z bias).
+    stabilization shifts when merging is skipped. merge_lower(W, b), when
+    given, returns a tighter lower bound of the merged rows than the interval
+    one over v_range. Returns (pairs, merged): pairs replaces [X, Z] and is
+    [X', Z'], or the single pair [Z'] of a constant map when the hidden layer
+    vanished; merged tells whether the activated block was folded into Z.
     """
-    if x.kind != KIND_LINEAR or z.kind != KIND_LINEAR or y.kind != KIND_RELU:
-        raise ContractError("reduce_layer expects linear, relu, linear layers")
-    if part.width != x.width:
-        raise ContractError(f"partition width {part.width} != layer width {x.width}")
-    D, A, U = part.deactivated, part.activated, part.unstable
-    n = z.width
-    v_lo, v_hi = v_range
-    if len(A) > n:
-        merge_w = z.weight[:, A] @ x.weight[A, :]
-        merge_b = z.weight[:, A] @ x.bias[A]
+    (Wx, bx), (Wz, bz) = x, z
+    if part.width != Wx.shape[0]:
+        raise ContractError(f"partition width {part.width} != layer width {Wx.shape[0]}")
+    A, U = part.activated, part.unstable
+    n = Wz.shape[0]
+    merged = len(A) > n
+    if merged:
+        merge_w = Wz[:, A] @ Wx[A, :]
+        merge_b = Wz[:, A] @ bx[A]
         if merge_lower is not None:
             lo = merge_lower(merge_w, merge_b)
         else:
-            lo = _interval_lower(merge_w, merge_b, v_lo, v_hi)
+            lo, _ = kernels.interval_affine(merge_w, merge_b, *v_range)
         shift = np.maximum(0.0, -lo)
-        new_w = np.vstack([merge_w, x.weight[U, :]])
-        new_b = np.concatenate([merge_b + shift, x.bias[U]])
-        z_w = np.hstack([np.eye(n), z.weight[:, U]])
-        z_b = z.bias - shift
-        plan = ReductionPlan(part, True, merge_w, merge_b, shift, np.sort(U), x.width, new_w.shape[0])
+        new_w = np.vstack([merge_w, Wx[U, :]])
+        new_b = np.concatenate([merge_b + shift, bx[U]])
+        z_w = np.hstack([np.eye(n), Wz[:, U]])
+        z_b = bz - shift
     else:
-        kept = np.sort(np.concatenate([A, U])).astype(np.int64)
-        shift_vec = np.zeros(len(kept))
+        kept = np.sort(np.concatenate([A, U]))
+        shift = np.zeros(len(kept))
         in_a = np.isin(kept, A)
-        shift_vec[in_a] = np.maximum(0.0, -pre_lb[kept[in_a]])
-        new_w = x.weight[kept, :]
-        new_b = x.bias[kept] + shift_vec
-        z_w = z.weight[:, kept]
-        z_b = z.bias - z.weight[:, kept] @ shift_vec
-        plan = ReductionPlan(
-            part,
-            False,
-            np.empty((0, x.in_width)),
-            np.empty(0),
-            shift_vec,
-            kept,
-            x.width,
-            len(kept),
-        )
+        shift[in_a] = np.maximum(0.0, -pre_lb[kept[in_a]])
+        new_w = Wx[kept, :]
+        new_b = bx[kept] + shift
+        z_w = Wz[:, kept]
+        z_b = bz - z_w @ shift
     if new_w.shape[0] == 0:
-        z_only = Layer(z.id, KIND_LINEAR, n, np.zeros((n, x.in_width)), z_b)
-        return None, None, z_only, plan
-    x2 = Layer(x.id, KIND_LINEAR, new_w.shape[0], new_w, new_b)
-    y2 = Layer(y.id, KIND_RELU, new_w.shape[0])
-    z2 = Layer(z.id, KIND_LINEAR, n, z_w, z_b)
-    return x2, y2, z2, plan
+        return [(np.zeros((n, Wx.shape[1])), z_b)], merged
+    return [(new_w, new_b), (z_w, z_b)], merged
 
 
 @dataclass
@@ -171,17 +132,17 @@ class ReductionReport:
     relu_after: int = 0
     wall_time_s: float = 0.0
 
-    def add_layer(self, index: int, plan: ReductionPlan):
-        p = plan.partition
+    def add_layer(self, index: int, part: LayerPartition, merged: bool, width_after: int):
+        """Append hidden layer index's row: its partition counts, merged flag and new width."""
         self.rows.append(
             {
                 "layer": index,
-                "width_before": plan.width_before,
-                "n_deactivated": len(p.deactivated),
-                "n_activated": len(p.activated),
-                "n_unstable": len(p.unstable),
-                "width_after": plan.width_after,
-                "merged": int(plan.merged),
+                "width_before": part.width,
+                "n_deactivated": len(part.deactivated),
+                "n_activated": len(part.activated),
+                "n_unstable": len(part.unstable),
+                "width_after": width_after,
+                "merged": int(merged),
             }
         )
 
@@ -218,16 +179,20 @@ def reduce_network(
     method: str = "crown",
     alpha_rule: str = "adaptive",
     shift_method: str = "interval",
-    table: BoundsTable | None = None,
     partitions: list[LayerPartition] | None = None,
 ) -> tuple[Network, ReductionReport]:
     """Drop/merge every provably stable neuron; returns (network, report).
 
-    Layers are processed from the last hidden layer backwards so each rewrite
-    only touches the already-rewritten suffix, keeping earlier layers' bounds
-    valid. shift_method 'crown' recomputes merged-row lower bounds with a
-    backward pass over the prefix chain for smaller shifts; 'interval' uses
-    the predecessor range directly.
+    The root table is compute_bounds(net, box, method, alpha_rule); the
+    partitions default to its classification. Layers are processed from the
+    last hidden layer backwards, each rewrite splicing reduce_layer's pairs
+    into the list of (W, b) pairs, so it only touches the already-rewritten
+    suffix and earlier layers' bounds stay valid. shift_method 'interval'
+    bounds merged rows over the predecessor range; 'crown' bounds them with
+    one more crown layer on top of the unchanged prefix's crown bounds and
+    lines. Those are the root table's when method is 'crown'; otherwise one
+    crown pass over the prefix computes them at the first merged layer past
+    layer 0, and every smaller layer reuses them.
     """
     if shift_method not in ("interval", "crown"):
         raise ContractError(f"shift_method must be 'interval' or 'crown', got {shift_method!r}")
@@ -235,8 +200,7 @@ def reduce_network(
     seq = as_sequential(net)
     if seq.ends_with_relu:
         raise ContractError("reduce_network expects an affine-ended sequential network")
-    if table is None:
-        table = compute_bounds(net, box, method, alpha_rule)
+    table = compute_bounds(net, box, method, alpha_rule)
     if partitions is None:
         partitions = classify(table)
     n_hidden = len(seq.linears) - 1
@@ -247,12 +211,26 @@ def reduce_network(
     report.relu_before = sum(l.width for l in seq.relus)
 
     # (W, b) of every linear layer; a ReLU sits between each two neighbours
-    pairs = list(Chain.of_view(seq).layers)
+    original = Chain.of_view(seq).layers
+    pairs = list(original)
+    # crown lower, upper and lines of the original hidden layers, as far as bounded
+    crown = None
+    if method == "crown":
+        ranges = [table.pre_activation(j) for j in range(n_hidden)]
+        crown = ([lo for lo, _ in ranges], [hi for _, hi in ranges], table.relaxations)
+
+    def crown_lower(W, b, k):
+        """Crown lower bound of rows (W, b) placed after the original layers 0..k-1."""
+        nonlocal crown
+        if crown is None:  # bounded once, at the largest k, and sliced for smaller ones
+            crown = ([], [], [])
+            bound_layers(Chain(original, n_hidden), box, "crown", alpha_rule, *crown, stop=k)
+        lower, upper, lines = (c[:k] for c in crown)
+        chain = Chain(original[:k] + ((W, b),), k)
+        bound_layers(chain, box, "crown", alpha_rule, lower, upper, lines, start=k)
+        return lower[-1]
+
     for k in range(n_hidden - 1, -1, -1):
-        (Wx, bx), (Wz, bz) = pairs[k], pairs[k + 1]
-        x = Layer(0, KIND_LINEAR, Wx.shape[0], Wx, bx)
-        y = Layer(1, KIND_RELU, Wx.shape[0])
-        z = Layer(2, KIND_LINEAR, Wz.shape[0], Wz, bz)
         if k == 0:
             v_range = (box.lower, box.upper)
         else:
@@ -260,19 +238,10 @@ def reduce_network(
         pre_lb = table.pre_activation(k)[0]
         merge_lower = None
         if shift_method == "crown" and k > 0:
-
-            def merge_lower(mw, mb, _prefix=tuple(pairs[:k]), _k=k):
-                lower: list = []
-                chain = Chain(_prefix + ((mw, mb),), _k)
-                bound_layers(chain, box, "crown", alpha_rule, lower, [], [])
-                return lower[-1]
-
-        x2, y2, z2, plan = reduce_layer(x, y, z, partitions[k], v_range, pre_lb, merge_lower)
-        report.add_layer(k, plan)
-        if x2 is None:
-            pairs[k : k + 2] = [(z2.weight, z2.bias)]
-        else:
-            pairs[k : k + 2] = [(x2.weight, x2.bias), (z2.weight, z2.bias)]
+            merge_lower = functools.partial(crown_lower, k=k)
+        new, merged = reduce_layer(pairs[k], pairs[k + 1], partitions[k], v_range, pre_lb, merge_lower)
+        report.add_layer(k, partitions[k], merged, new[0][0].shape[0] if len(new) == 2 else 0)
+        pairs[k : k + 2] = new
 
     reduced = Chain(tuple(pairs), len(pairs) - 1).to_network()
     report.relu_after = sum(W.shape[0] for W, _ in pairs[:-1])

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from redkit import Box, NetworkBuilder, conv_to_matrix
+from redkit import Box, Chain, NetworkBuilder, conv_to_matrix, root_leaf
+from redkit.bounds import chain_margin_lower_bounds
 
 # original example network
 FIG1_W1 = np.array(
@@ -105,3 +106,19 @@ def build_residual_block(channels: int = 4, side: int = 4, seed: int = 0):
 def box_samples(box: Box, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.uniform(box.lower, box.upper, size=(n, box.lower.shape[0]))
+
+
+def leaf_margins(chain, box, leaf, C, d, method):
+    """Lower bounds of the margins C y + d over a leaf's sign region."""
+    W, b = chain.layers[-1]
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    return chain_margin_lower_bounds(
+        chain, box, C @ W, C @ b + np.asarray(d, dtype=float), method,
+        leaf.lower, leaf.upper, leaf.relaxations,
+    )
+
+
+def root_margins(net, box, C, d=0.0, method="crown", alpha_rule="adaptive"):
+    """Lower bounds of the margins C y + d over the whole box."""
+    chain = Chain.of(net)
+    return leaf_margins(chain, box, root_leaf(chain, box, method, alpha_rule), C, d, method)

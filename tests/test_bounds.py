@@ -8,14 +8,11 @@ from redkit import (
     ContractError,
     NetworkBuilder,
     compute_bounds,
-    crown_backward,
     forward,
     from_sequential,
     interval_forward,
-    margin_lower_bound,
-    margin_lower_bounds,
 )
-from conftest import FIG1_PRE_LO, FIG1_PRE_HI, box_samples
+from conftest import FIG1_PRE_LO, FIG1_PRE_HI, box_samples, root_margins
 
 
 def _chain(rng, widths, scale=0.8):
@@ -55,14 +52,14 @@ def test_zero_weight_linear_gives_point_interval():
 
 def test_crown_first_hidden_equals_interval(fig1_net, unit_box):
     ti = interval_forward(fig1_net, unit_box)
-    tc = crown_backward(fig1_net, unit_box)
+    tc = compute_bounds(fig1_net, unit_box, "crown")
     np.testing.assert_array_equal(tc.pre_activation(0)[0], ti.pre_activation(0)[0])
     np.testing.assert_array_equal(tc.pre_activation(0)[1], ti.pre_activation(0)[1])
 
 
 def test_crown_fig1_output_containment(fig1_net, unit_box):
     # exact range of y1 is [-3,3]; crown must contain it and sit inside interval
-    lo_c, hi_c = crown_backward(fig1_net, unit_box).output_bounds()
+    lo_c, hi_c = compute_bounds(fig1_net, unit_box, "crown").output_bounds()
     lo_i, hi_i = interval_forward(fig1_net, unit_box).output_bounds()
     assert lo_c[0] <= -3.0 <= 3.0 <= hi_c[0]
     assert lo_i[0] <= lo_c[0] and hi_c[0] <= hi_i[0]
@@ -70,7 +67,7 @@ def test_crown_fig1_output_containment(fig1_net, unit_box):
 
 def test_crown_fig1_y1_lower_is_exact(fig1_net, unit_box):
     # the adaptive relaxation happens to be exact on the lower side here
-    lo_c, _ = crown_backward(fig1_net, unit_box).output_bounds()
+    lo_c, _ = compute_bounds(fig1_net, unit_box, "crown").output_bounds()
     assert lo_c[0] == -3.0
 
 
@@ -83,7 +80,7 @@ def test_crown_fully_activated_net_is_exact():
     b2 = rng.normal(size=2)
     net = from_sequential([(W1, b1), (W2, b2)], 3)
     box = Box(-np.ones(3), np.ones(3))
-    lo, hi = crown_backward(net, box).output_bounds()
+    lo, hi = compute_bounds(net, box, "crown").output_bounds()
     M = W2 @ W1
     c = W2 @ b1 + b2
     exact_lo = np.minimum(M, 0) @ np.ones(3) + np.maximum(M, 0) @ -np.ones(3) + c
@@ -121,27 +118,27 @@ def test_post_activation_clamps(fig1_net, unit_box):
 
 
 def test_margin_fig1_y2_minus_y1_interval(fig1_net, unit_box):
-    got = margin_lower_bound(fig1_net, unit_box, np.array([-1.0, 1.0]), method="interval")
+    got = root_margins(fig1_net, unit_box, np.array([-1.0, 1.0]), method="interval")[0]
     assert got == 2.0
 
 
 def test_margin_fig1_y1_minus_y2_falsifiable(fig1_net, unit_box):
     for method in ("interval", "crown"):
-        got = margin_lower_bound(fig1_net, unit_box, np.array([1.0, -1.0]), method=method)
+        got = root_margins(fig1_net, unit_box, np.array([1.0, -1.0]), method=method)[0]
         assert got <= -2.0
-    frozen = margin_lower_bound(fig1_net, unit_box, np.array([1.0, -1.0]), method="interval")
+    frozen = root_margins(fig1_net, unit_box, np.array([1.0, -1.0]), method="interval")[0]
     assert frozen == -14.0
 
 
 def test_margin_zero_vector_is_zero(fig1_net, unit_box):
-    assert margin_lower_bound(fig1_net, unit_box, np.zeros(2), method="interval") == 0.0
-    assert margin_lower_bound(fig1_net, unit_box, np.zeros(2), method="crown") == 0.0
+    assert root_margins(fig1_net, unit_box, np.zeros(2), method="interval")[0] == 0.0
+    assert root_margins(fig1_net, unit_box, np.zeros(2), method="crown")[0] == 0.0
 
 
 def test_margin_rows_with_offsets(fig1_net, unit_box):
     C = np.array([[1.0, 0.0], [-1.0, 1.0]])
     d = np.array([3.0, 0.0])
-    lo = margin_lower_bounds(fig1_net, unit_box, C, d, method="crown")
+    lo = root_margins(fig1_net, unit_box, C, d, method="crown")
     assert lo.shape == (2,)
     assert lo[0] == 0.0  # y1 + 3, crown lower is exact here
     assert lo[1] >= 2.0 - 1e-12
@@ -150,20 +147,10 @@ def test_margin_rows_with_offsets(fig1_net, unit_box):
 def test_margin_sound_vs_samples(fig1_net, unit_box):
     c = np.array([0.7, -0.3])
     for method in ("interval", "crown"):
-        bound = margin_lower_bound(fig1_net, unit_box, c, method=method)
+        bound = root_margins(fig1_net, unit_box, c, method=method)[0]
         xs = box_samples(unit_box, 2000, seed=3)
         vals = np.array([c @ forward(fig1_net, x) for x in xs])
         assert vals.min() >= bound - 1e-9
-
-
-def test_margin_rejects_trailing_relu():
-    b = NetworkBuilder()
-    i = b.add_input(2)
-    l = b.add_linear(i, np.eye(2), np.zeros(2))
-    r = b.add_relu(l, 2)
-    net = b.build(r)
-    with pytest.raises(ContractError):
-        margin_lower_bound(net, Box(-np.ones(2), np.ones(2)), np.ones(2))
 
 
 # soundness and structure properties
@@ -201,7 +188,7 @@ def test_crown_contained_in_interval_elementwise():
         net = _chain(rng, [3, 16, 16, 2])
         box = Box(-np.ones(3), np.ones(3))
         ti = interval_forward(net, box)
-        tc = crown_backward(net, box)
+        tc = compute_bounds(net, box, "crown")
         for k in range(2):
             li, ui = ti.pre_activation(k)
             lc, uc = tc.pre_activation(k)
@@ -227,7 +214,7 @@ def test_interval_monotone_in_box():
 
 @pytest.mark.parametrize("alpha_rule", ["adaptive", "zero", "one"])
 def test_alpha_rules_all_sound(fig1_net, unit_box, alpha_rule):
-    t = crown_backward(fig1_net, unit_box, alpha_rule=alpha_rule)
+    t = compute_bounds(fig1_net, unit_box, "crown", alpha_rule)
     xs = box_samples(unit_box, 500, seed=9)
     lo, hi = t.output_bounds()
     for x in xs:
@@ -237,7 +224,7 @@ def test_alpha_rules_all_sound(fig1_net, unit_box, alpha_rule):
 
 def test_alpha_rule_rejected(fig1_net, unit_box):
     with pytest.raises(ContractError):
-        crown_backward(fig1_net, unit_box, alpha_rule="half")
+        compute_bounds(fig1_net, unit_box, "crown", "half")
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,7 +15,6 @@ from redkit import (
     export_onnx,
     forward,
     import_onnx,
-    lower_maxpool,
     reference_forward,
 )
 from conftest import box_samples
@@ -351,7 +350,7 @@ def _pool_graph(in_dims, kernel, strides=None):
 
 
 def test_maxpool_pair_gadget():
-    net = lower_maxpool(_bytes(_pool_graph([1, 1, 1, 2], (1, 2))))
+    net = import_onnx(_bytes(_pool_graph([1, 1, 1, 2], (1, 2))))[0]
     assert forward(net, np.array([3.0, 5.0])).tolist() == [5.0]
     assert forward(net, np.array([5.0, 3.0])).tolist() == [5.0]
     # max of negatives must stay negative; the gadget is not a relu
@@ -363,7 +362,7 @@ def test_maxpool_pair_gadget():
 
 def test_maxpool_2x2_matches_direct_max():
     g = _pool_graph([1, 1, 4, 4], (2, 2), strides=(2, 2))
-    net = lower_maxpool(_bytes(g))
+    net = import_onnx(_bytes(g))[0]
     for _ in range(250):
         x = rng.normal(size=16)
         want = x.reshape(4, 4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4).max(axis=1)
@@ -372,7 +371,7 @@ def test_maxpool_2x2_matches_direct_max():
 
 def test_maxpool_window_of_three():
     g = _pool_graph([1, 1, 1, 3], (1, 3))
-    net = lower_maxpool(_bytes(g))
+    net = import_onnx(_bytes(g))[0]
     # a third window element chains through a Sum join
     assert KIND_SUM in {l.kind for l in net.layers}
     for x in ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [2.0, 3.0, 1.0], [-1.0, -5.0, -2.0]):

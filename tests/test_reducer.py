@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from redkit import (
     Box,
     Chain,
+    ContractError,
     LayerPartition,
     NetworkBuilder,
     as_sequential,
     classify,
     compute_bounds,
-    crown_backward,
     forward,
     forward_batch,
     from_sequential,
@@ -22,6 +22,7 @@ from redkit import (
     reduce_network,
     sample_equivalence,
 )
+from redkit import reducer
 from conftest import (
     FIG4_B1,
     FIG4_B2,
@@ -76,43 +77,35 @@ def test_classify_tol_never_loosens_soundness(fig1_net, unit_box):
 # reduce_layer
 
 
-def _fig1_layers(net):
-    seq = as_sequential(net)
-    return seq.linears[0], seq.relus[0], seq.linears[1]
-
-
 def test_reduce_layer_fig1_merge_values(fig1_net, unit_box):
-    x, y, z = _fig1_layers(fig1_net)
+    x, z = Chain.of(fig1_net).layers
     (part,) = classify(interval_forward(fig1_net, unit_box))
     pre_lb = interval_forward(fig1_net, unit_box).pre_activation(0)[0]
-    x2, y2, z2, plan = reduce_layer(
-        x, y, z, part, (unit_box.lower, unit_box.upper), pre_lb
+    [(W1, b1), (W2, b2)], merged = reduce_layer(
+        x, z, part, (unit_box.lower, unit_box.upper), pre_lb
     )
-    assert plan.merged
-    np.testing.assert_array_equal(plan.merge_weight, np.array([[1.0, -1.0], [3.0, 1.0]]))
-    np.testing.assert_array_equal(plan.shift, np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(x2.weight, FIG4_W1)
-    np.testing.assert_array_equal(x2.bias, FIG4_B1)
-    np.testing.assert_array_equal(z2.weight, FIG4_W2)
-    np.testing.assert_array_equal(z2.bias, FIG4_B2)
-    assert y2.width == 3
-    assert plan.width_before == 5 and plan.width_after == 3
+    assert merged
+    np.testing.assert_array_equal(W1, FIG4_W1)
+    np.testing.assert_array_equal(b1, FIG4_B1)
+    np.testing.assert_array_equal(W2, FIG4_W2)
+    np.testing.assert_array_equal(b2, FIG4_B2)
+    assert part.width == 5 and W1.shape[0] == 3
 
 
 def test_reduce_layer_empty_partition_is_identity(fig1_net, unit_box):
-    x, y, z = _fig1_layers(fig1_net)
+    x, z = Chain.of(fig1_net).layers
     part = LayerPartition(
         np.empty(0, np.int64), np.empty(0, np.int64), np.arange(5), 5
     )
     pre_lb = interval_forward(fig1_net, unit_box).pre_activation(0)[0]
-    x2, y2, z2, plan = reduce_layer(
-        x, y, z, part, (unit_box.lower, unit_box.upper), pre_lb
+    [(W1, b1), (W2, b2)], merged = reduce_layer(
+        x, z, part, (unit_box.lower, unit_box.upper), pre_lb
     )
-    assert not plan.merged
-    np.testing.assert_array_equal(x2.weight, x.weight)
-    np.testing.assert_array_equal(x2.bias, x.bias)
-    np.testing.assert_array_equal(z2.weight, z.weight)
-    np.testing.assert_array_equal(z2.bias, z.bias)
+    assert not merged
+    np.testing.assert_array_equal(W1, x[0])
+    np.testing.assert_array_equal(b1, x[1])
+    np.testing.assert_array_equal(W2, z[0])
+    np.testing.assert_array_equal(b2, z[1])
 
 
 def test_reduce_layer_planted_segment_equivalence():
@@ -135,17 +128,11 @@ def test_reduce_layer_planted_segment_equivalence():
     hi = np.maximum(X, 0) @ v_hi + bx
     part = LayerPartition(np.array([0, 1]), np.array([2, 3, 4, 5]), np.empty(0, np.int64), m)
 
-    from redkit.netir import Layer
-    from redkit.netir import KIND_LINEAR, KIND_RELU
-
-    x = Layer(1, KIND_LINEAR, m, X, bx)
-    y = Layer(2, KIND_RELU, m)
-    z = Layer(3, KIND_LINEAR, n, Z, bz)
-    x2, y2, z2, plan = reduce_layer(x, y, z, part, (v_lo, v_hi), lo)
-    assert plan.merged and x2.width == n
+    [(X2, bx2), (Z2, bz2)], merged = reduce_layer((X, bx), (Z, bz), part, (v_lo, v_hi), lo)
+    assert merged and X2.shape[0] == n
     for v in rng.uniform(v_lo, v_hi, size=(1000, q)):
         before = Z @ np.maximum(X @ v + bx, 0.0) + bz
-        after = z2.weight @ np.maximum(x2.weight @ v + x2.bias, 0.0) + z2.bias
+        after = Z2 @ np.maximum(X2 @ v + bx2, 0.0) + bz2
         np.testing.assert_allclose(after, before, atol=1e-9)
 
 
@@ -270,21 +257,61 @@ def test_reduce_with_supplied_partitions(fig1_net, unit_box):
     assert report.relu_after == 5
 
 
-def test_crown_shift_is_the_crown_bound_of_the_merged_rows():
+def test_partition_rejects_a_negative_index():
+    # -1 leaves neuron 1 in no class, so reduce_network would drop it silently
+    with pytest.raises(ContractError, match="must lie in"):
+        LayerPartition([0], [2], [-1], 3)
+
+
+def test_partition_rejects_an_index_past_the_width():
+    with pytest.raises(ContractError, match="must lie in"):
+        LayerPartition([0], [3], [1], 3)
+
+
+@pytest.mark.parametrize("method", ["crown", "interval"])
+def test_crown_shift_never_rebounds_the_prefix_from_layer_0(method, monkeypatch):
+    # every layer merges; each merged row past layer 0 is bounded by one
+    # crown layer on top of the prefix, which is bounded at most once
+    net, _ = generate_network(3, 12, 3, 1, 1.0, seed=1)
+    box = Box(np.zeros(3), np.ones(3))
+    calls = []
+    real = reducer.bound_layers
+
+    def recording(chain, box, method, alpha_rule, lower, upper, relaxations, start=0, stop=None):
+        calls.append((start, stop))
+        return real(chain, box, method, alpha_rule, lower, upper, relaxations, start, stop)
+
+    monkeypatch.setattr(reducer, "bound_layers", recording)
+    reduced, report = reduce_network(net, box, method=method, shift_method="crown")
+    merged = sorted(r["layer"] for r in report.rows if r["merged"] and r["layer"] > 0)
+    assert len(merged) >= 2
+    assert sorted(start for start, stop in calls if stop is None) == merged
+    assert [stop for start, stop in calls if stop is not None] == (
+        [] if method == "crown" else [merged[-1]]
+    )
+    xs = np.vstack([box.sample(500, np.random.default_rng(0)), box.corners(8)])
+    np.testing.assert_allclose(forward_batch(reduced, xs), forward_batch(net, xs), atol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["crown", "interval"])
+def test_crown_shift_is_the_crown_bound_of_the_merged_rows(method):
     # the last hidden layer merges into a 1-wide output; its shift must be
     # the crown lower bound of the merged rows over the unchanged prefix
-    # (layer 0 is kept whole, so it leaves the merged bias alone)
+    # (layer 0 is kept whole, so it leaves the merged bias alone), whichever
+    # method bounded the root table
     net, _ = generate_network(2, 12, 3, 1, 1.0, seed=1)
     box = Box(np.zeros(3), np.ones(3))
     part = classify(compute_bounds(net, box, "crown"))[1]
     keep = LayerPartition(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(12), 12)
-    reduced, report = reduce_network(net, box, shift_method="crown", partitions=[keep, part])
+    reduced, report = reduce_network(
+        net, box, method=method, shift_method="crown", partitions=[keep, part]
+    )
     assert next(r for r in report.rows if r["layer"] == 1)["merged"]
     (Wx, bx), (Wz, bz) = Chain.of(net).layers[1:]
     A = part.activated
     mw, mb = Wz[:, A] @ Wx[A, :], Wz[:, A] @ bx[A]
     prefix = from_sequential([Chain.of(net).layers[0], (mw, mb)], 3)
-    lo = crown_backward(prefix, box).output_bounds()[0]
+    lo = compute_bounds(prefix, box, "crown").output_bounds()[0]
     assert lo[0] < 0.0  # the shift is not zero
     merged_bias = Chain.of(reduced).layers[1][1][:1]
     np.testing.assert_array_equal(merged_bias, mb + np.maximum(0.0, -lo))
@@ -322,7 +349,7 @@ def test_reduce_network_matches_original_on_box(
     rng = np.random.default_rng(seed)
     parts = [_demote(p, rng, demote) for p in classify(table)]
     reduced, report = reduce_network(
-        net, box, method=method, shift_method=shift_method, table=table, partitions=parts
+        net, box, method=method, shift_method=shift_method, partitions=parts
     )
     relus = [l.width for l in as_sequential(reduced).relus]
     assert sum(relus) == report.relu_after <= report.relu_before

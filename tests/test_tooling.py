@@ -2,10 +2,12 @@
 
 The benchmark scripts reach redkit only through `rk.<name>`; every such name
 must exist. A public name deleted from redkit would otherwise surface only
-when the benchmark runs, so this scan fails first. scripts/bench_pairs.py
+when the benchmark runs, so this scan fails first. redkit.__all__ must list
+every public name the package imports, each once, and each must resolve. scripts/bench_pairs.py
 summarizes paired runs; its direction-aware win count is checked on fixed
 records.
 """
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -25,6 +27,24 @@ def test_perfbench_rk_names_resolve():
     assert refs, f"no rk.<name> references found under {PERFBENCH}"
     missing = sorted((file, name) for file, name in refs if not hasattr(redkit, name))
     assert not missing, f"perfbench names absent from redkit: {missing}"
+
+
+def test_all_names_resolve():
+    listed = redkit.__all__
+    assert len(listed) == len(set(listed)), "redkit.__all__ repeats a name"
+    missing = [name for name in listed if not hasattr(redkit, name)]
+    assert not missing, f"redkit.__all__ names absent from redkit: {missing}"
+    tree = ast.parse(Path(redkit.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert imported, "no imports found in redkit/__init__.py"
+    unlisted = sorted(imported - set(listed))
+    assert not unlisted, f"imported by redkit/__init__.py but not in __all__: {unlisted}"
 
 
 def _bench_pairs():

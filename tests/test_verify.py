@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_samples
+from conftest import box_samples, leaf_margins, root_margins
 from redkit import (
     Box,
     Chain,
     LayerPartition,
     PropertySpec,
-    as_sequential,
     bab_verify,
     bench_pair,
     compute_bounds,
@@ -26,13 +25,11 @@ from redkit import (
     forward_batch,
     from_sequential,
     generate_network,
-    margin_lower_bounds,
     reduce_layer,
     root_leaf,
     split_leaf,
 )
 from redkit import verify as verify_mod
-from redkit.bounds import chain_margin_lower_bounds
 from redkit.errors import ContractError
 from redkit.verify import ACTIVE, INACTIVE, TIMED_OUT, UNKNOWN, VERIFIED
 
@@ -62,11 +59,10 @@ def test_crown_closes_the_same_property_at_the_root(fig1_net, unit_box):
 
 
 def test_root_margins_behind_the_example(fig1_net, unit_box):
-    from redkit import margin_lower_bound
     c = np.array([[1.0, 0.0]])
     d = np.array([3.0])
-    assert margin_lower_bound(fig1_net, unit_box, c, d, method="interval") == -4.0
-    assert margin_lower_bound(fig1_net, unit_box, c, d, method="crown") == 0.0
+    assert root_margins(fig1_net, unit_box, c, d, method="interval")[0] == -4.0
+    assert root_margins(fig1_net, unit_box, c, d, method="crown")[0] == 0.0
 
 
 def test_difference_property_verified_by_interval(fig1_net, unit_box):
@@ -130,15 +126,6 @@ def _unstable_count(leaf):
     return sum(int(((lo < 0) & (hi > 0)).sum()) for lo, hi in zip(leaf.lower, leaf.upper))
 
 
-def _leaf_margins(chain, box, leaf, C, d, method):
-    W, b = chain.layers[-1]
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    return chain_margin_lower_bounds(
-        chain, box, C @ W, C @ b + np.asarray(d, dtype=float), method,
-        leaf.lower, leaf.upper, leaf.relaxations,
-    )
-
-
 def _pre_activations(chain, xs):
     """Pre-activations of every hidden layer at each row of xs."""
     out, h = [], xs
@@ -167,7 +154,7 @@ def test_sign_split_branches_partition_the_behavior(fig1_net, unit_box):
     chain = Chain.of(fig1_net)
     root = root_leaf(chain, unit_box, "interval")
     kids = {s: split_leaf(chain, unit_box, root, 0, 4, s, "interval") for s in (ACTIVE, INACTIVE)}
-    bound = {s: _leaf_margins(chain, unit_box, kid, [[1.0, 0.0]], [3.0], "interval")[0]
+    bound = {s: leaf_margins(chain, unit_box, kid, [[1.0, 0.0]], [3.0], "interval")[0]
              for s, kid in kids.items()}
     for x in box_samples(unit_box, 200, seed=11):
         pre = -x[0] + x[1]  # neuron 4 pre-activation in the worked network
@@ -191,22 +178,17 @@ def test_sign_split_rejects_bad_layer_neuron_and_sign(fig1_net, unit_box):
 
 def _surgery_child(net, k, j, sign, table, box):
     """The branch network the verifier used to build: pin by layer surgery."""
-    seq = as_sequential(net)
-    x, y, z = seq.linears[k], seq.relus[k], seq.linears[k + 1]
-    others = np.setdiff1d(np.arange(x.width), [j])
+    pairs = list(Chain.of(net).layers)
+    width = pairs[k][0].shape[0]
+    others = np.setdiff1d(np.arange(width), [j])
     none = np.empty(0, np.int64)
     if sign == INACTIVE:
-        part = LayerPartition(np.array([j]), none, others, x.width)
+        part = LayerPartition(np.array([j]), none, others, width)
     else:
-        part = LayerPartition(none, np.array([j]), others, x.width)
+        part = LayerPartition(none, np.array([j]), others, width)
     v_range = (box.lower, box.upper) if k == 0 else table.post_activation(k - 1)
-    x2, _, z2, _ = reduce_layer(x, y, z, part, v_range, table.pre_activation(k)[0])
-    wb = [(l.weight, l.bias) for l in seq.linears]
-    if x2 is None:
-        wb[k : k + 2] = [(z2.weight, z2.bias)]
-    else:
-        wb[k : k + 2] = [(x2.weight, x2.bias), (z2.weight, z2.bias)]
-    return from_sequential(wb, seq.input.width)
+    pairs[k : k + 2], _ = reduce_layer(pairs[k], pairs[k + 1], part, v_range, table.pre_activation(k)[0])
+    return from_sequential(pairs, net.input_layer.width)
 
 
 def _generated(n_hidden, width, n_in, n_out, seed):
@@ -246,10 +228,10 @@ def test_sign_split_child_is_no_looser_than_the_surgery_child(
             for sign in (ACTIVE, INACTIVE):
                 child = split_leaf(chain, box, root, k, j, sign, method, alpha_rule)
                 surgery = _surgery_child(net, k, j, sign, table, box)
-                old = margin_lower_bounds(surgery, box, C, d, method, alpha_rule)
+                old = root_margins(surgery, box, C, d, method, alpha_rule)
                 if child is None:  # an empty region needs no bound
                     continue
-                new = _leaf_margins(chain, box, child, C, d, method)
+                new = leaf_margins(chain, box, child, C, d, method)
                 assert np.all(new >= old - 1e-9), (k, j, sign, new, old)
                 checked += 1
     assert checked >= 2
@@ -345,7 +327,7 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, alpha_rule, 
         mag = 1e-9 * (1.0 + np.abs(z).max(initial=0.0))
         assert np.all(z >= leaf.lower[k] - mag) and np.all(z <= leaf.upper[k] + mag)
     C, d = np.array([[1.0, -1.0]]), np.array([0.0])
-    bound = _leaf_margins(chain, box, leaf, C, d, method)[0]
+    bound = leaf_margins(chain, box, leaf, C, d, method)[0]
     ys = forward_batch(from_sequential(wb, widths[0]), xs[inside])
     if len(ys):
         assert (ys @ C.T + d).min() >= bound - 1e-9
