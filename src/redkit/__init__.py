@@ -65,6 +65,7 @@ from .specio import (
 )
 from .verify import (
     Leaf,
+    LeafBatch,
     Verdict,
     bab_verify,
     bench_pair,
@@ -89,6 +90,7 @@ __all__ = [
     "Layer",
     "LayerPartition",
     "Leaf",
+    "LeafBatch",
     "Network",
     "NetworkBuilder",
     "ParseError",

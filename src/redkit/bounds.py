@@ -3,7 +3,9 @@
 Two methods share one table format: interval (forward ranges, cheap and
 loose) and a backward linear-relaxation pass (per-neuron slope/intercept
 lines, tighter). Bounds are always sound: every concrete pre-activation lies
-inside the reported range.
+inside the reported range. The layer loop (bound_layers) and the backward
+pass also take a batch of sign regions, every array with a leading batch
+axis, for branch and bound.
 """
 from __future__ import annotations
 
@@ -113,6 +115,7 @@ class _ReluRelaxation:
 
 
 def relu_relaxation(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRelaxation:
+    """The ReLU lines over [lo, hi], neuron by neuron; (B, n) ranges give (B, n) lines."""
     deact = hi <= 0.0  # includes the degenerate l == u == 0 case
     act = (~deact) & (lo >= 0.0)
     unstable = ~(deact | act)
@@ -213,14 +216,24 @@ class BoundsTable:
 def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
     """Clamp pre-activation ranges to pinned signs: lo >= 0 where +1, hi <= 0 where -1.
 
-    Returns None when a pin contradicts its range (an active pin with
-    hi < 0, an inactive one with lo > 0): no box point has that sign. Only a
-    pin is trusted to prove this; an unpinned range can cross itself by a
-    rounding error when it is a single point.
+    Returns (lo, hi, empty). empty is True when a pin contradicts its range
+    (an active pin with hi < 0, an inactive one with lo > 0): no box point
+    has that sign. Only a pin is trusted to prove this; an unpinned range can
+    cross itself by a rounding error when it is a single point. For (B, n)
+    ranges and signs, empty holds one flag per batch member.
     """
-    if ((signs > 0) & (hi < 0.0)).any() or ((signs < 0) & (lo > 0.0)).any():
-        return None
-    return np.where(signs > 0, np.maximum(lo, 0.0), lo), np.where(signs < 0, np.minimum(hi, 0.0), hi)
+    empty = (((signs > 0) & (hi < 0.0)) | ((signs < 0) & (lo > 0.0))).any(axis=-1)
+    lo = np.where(signs > 0, np.maximum(lo, 0.0), lo)
+    return lo, np.where(signs < 0, np.minimum(hi, 0.0), hi), empty
+
+
+def has_large_layer(chain: Chain) -> bool:
+    """Whether a hidden layer has COMPACT_MIN_ENTRIES weights or more.
+
+    Such a layer is bounded in compacted form (relax_layer), which exists
+    for one leaf at a time only, so its chain is never bounded in a batch.
+    """
+    return any(_is_large(chain, k) for k in range(chain.n_relu))
 
 
 def bound_layers(
@@ -235,7 +248,7 @@ def bound_layers(
     stop: int | None = None,
     signs=None,
     parent: tuple[list, list] | None = None,
-) -> bool:
+) -> bool | np.ndarray:
     """Bound layers start..stop-1 of the chain on top of a bounded prefix.
 
     lower/upper hold the pre-activation ranges of layers 0..start-1 and
@@ -256,11 +269,23 @@ def bound_layers(
     recomputed, because they stay inactive and feed nothing downstream.
     Returns False, and stops, when a pinned neuron's bounds come out
     strictly on the other side of zero: then no box point has the pinned
-    signs.
+    signs. Otherwise returns True.
+
+    A batch of B sign regions over the same box bounds them all in one pass:
+    every array then has a leading batch axis ((B, n) ranges, relaxation
+    lines, signs and parent ranges), and member b of each meets member b of
+    the others. The box is shared, so a batch starts at start >= 1, and a
+    chain with a large hidden layer is never batched (has_large_layer). A
+    batch returns one flag per member and stops only when every member is
+    empty.
     """
     if method not in ("interval", "crown"):
         raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
+    batched = start > 0 and lower[start - 1].ndim == 2
+    if batched and has_large_layer(chain):
+        raise ContractError("a chain with a large hidden layer is bounded one leaf at a time")
     stop = len(chain.layers) if stop is None else stop
+    ok = np.ones(lower[start - 1].shape[0], bool) if batched else True
     for k in range(start, stop):
         W, b = chain.layers[k]
         hidden = k < chain.n_relu
@@ -269,9 +294,11 @@ def bound_layers(
         else:
             v_lo, v_hi = np.maximum(lower[k - 1], 0.0), np.maximum(upper[k - 1], 0.0)
         rows = None
-        if parent is not None and hidden and (parent[1][k] <= 0.0).any():
-            rows = np.flatnonzero(parent[1][k] > 0.0)
-            W, b = W[rows], b[rows]
+        if parent is not None and hidden:
+            dead = parent[1][k] <= 0.0
+            if dead.any():  # in a batch, bound the rows live in some member
+                rows = np.flatnonzero(~dead.all(axis=0) if batched else ~dead)
+                W, b = W[rows], b[rows]
         lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
         if method == "crown":
             live = None  # rows the backward pass bounds, when not all of them
@@ -286,19 +313,22 @@ def bound_layers(
                 lo[live] = np.maximum(c_lo, lo[live])
                 hi[live] = np.minimum(c_hi, hi[live])
         if rows is not None:
-            lo_all, hi_all = parent[0][k].copy(), parent[1][k].copy()
-            lo_all[rows], hi_all[rows] = lo, hi
+            p_lo, p_hi = parent[0][k], parent[1][k]
+            lo_all, hi_all = p_lo.copy(), p_hi.copy()
+            lo_all[..., rows], hi_all[..., rows] = lo, hi
+            if batched:  # a bounded row may still be dead in some members' parents
+                lo_all, hi_all = np.where(dead, p_lo, lo_all), np.where(dead, p_hi, hi_all)
             lo, hi = lo_all, hi_all
         if signs is not None and hidden:
-            clamped = clamp_to_signs(lo, hi, signs[k])
-            if clamped is None:
-                return False
-            lo, hi = clamped
+            lo, hi, empty = clamp_to_signs(lo, hi, signs[k])
+            ok = ok & ~empty
+            if not np.any(ok):
+                return ok if batched else False
         lower.append(lo)
         upper.append(hi)
         if hidden and method == "crown":
             relaxations.append(relax_layer(chain, k, lo, hi, alpha_rule, relaxations))
-    return True
+    return ok if batched else True
 
 
 def _table(net: Network, box: Box, method: str, alpha_rule: str) -> BoundsTable:
@@ -326,6 +356,9 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
     compacted: its compacted weights already produce them), relu_backward
     runs on the leading unstable slice and the compacted weights do the
     rest. Neither A nor const is written to.
+
+    With batched relaxations ((B, n) lines) the row set, shared or (B, m, n),
+    is pushed through each member's lines, and the result is (B, m).
     """
     cols = None  # the order A's columns follow; None is the natural order
     for j in range(k - 1, -1, -1):
@@ -368,6 +401,8 @@ def chain_margin_lower_bounds(
 
     lower/upper/relaxations are the hidden layers' bounds of the same method,
     as bound_layers fills them; A and const already fold in the readout layer.
+    For a batch of leaves (each array with a leading batch axis) the result
+    is (B, m), one row of margin bounds per member.
     """
     n = chain.n_relu
     if method == "crown" or n == 0:

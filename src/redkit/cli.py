@@ -28,7 +28,13 @@ from .onnx_bridge import export_onnx, import_onnx
 from .reducer import reduce_network
 from .simplifier import simplify
 from .specio import PropertySpec, epsilon_ball, load_center, load_vnnlib
-from .verify import bab_verify, bench_pair, find_grid_counterexample, verify_incomplete
+from .verify import (
+    bab_verify,
+    bench_pair,
+    check_budget,
+    find_grid_counterexample,
+    verify_incomplete,
+)
 
 
 def _read_model(path) -> Network:
@@ -220,6 +226,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_budget(args.timeout, args.max_splits)
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)
@@ -242,6 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    check_budget(args.timeout, args.max_splits)
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)

@@ -28,6 +28,17 @@ from .errors import ContractError, InternalInvariantError
 from .netir import Chain, Network, as_sequential
 
 
+def _indices(values, name: str) -> np.ndarray:
+    """values as int64 neuron indices; a value that is not an integer is an error."""
+    raw = np.asarray(values)
+    integral = raw.dtype.kind in "iu" or (
+        raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw == np.trunc(raw)).all()
+    )
+    if raw.size and not integral:
+        raise ContractError(f"{name} indices must be integers, got {raw.ravel()[:4]!r}")
+    return raw.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class LayerPartition:
     """Index partition of one ReLU layer: deactivated / activated / unstable."""
@@ -38,13 +49,9 @@ class LayerPartition:
     width: int
 
     def __post_init__(self):
-        d = np.asarray(self.deactivated, dtype=np.int64)
-        a = np.asarray(self.activated, dtype=np.int64)
-        u = np.asarray(self.unstable, dtype=np.int64)
-        object.__setattr__(self, "deactivated", d)
-        object.__setattr__(self, "activated", a)
-        object.__setattr__(self, "unstable", u)
-        merged = np.concatenate([d, a, u])
+        for name in ("deactivated", "activated", "unstable"):
+            object.__setattr__(self, name, _indices(getattr(self, name), name))
+        merged = np.concatenate([self.deactivated, self.activated, self.unstable])
         if ((merged < 0) | (merged >= self.width)).any():
             raise ContractError(f"partition indices must lie in [0, {self.width})")
         if len(np.unique(merged)) != self.width or len(merged) != self.width:

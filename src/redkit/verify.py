@@ -16,9 +16,17 @@ for the layers before k. Every leaf's bounds are sound on its sign region.
 A re-bound that puts a pinned neuron strictly on the wrong side of zero
 shows that no box point has the pinned signs, and that leaf closes without
 a margin.
+
+The search bounds up to BATCH leaves per step: their arrays are stacked
+along a leading batch axis (LeafBatch), so one numpy call serves every
+leaf, and each still re-bounds only the layers after its own split. A
+chain with a large hidden layer (bounds.has_large_layer) is searched one
+leaf at a time, and a step that pops a single leaf runs the plain
+arithmetic.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -27,9 +35,11 @@ import numpy as np
 from .bounds import (
     Box,
     Chain,
+    _ReluRelaxation,
     bound_layers,
     chain_margin_lower_bounds,
     clamp_to_signs,
+    has_large_layer,
     relax_layer,
 )
 from .equivalence import sample_equivalence
@@ -43,6 +53,10 @@ TIMED_OUT = "timeout"
 
 ACTIVE = 1
 INACTIVE = -1
+
+# Leaves bounded per branch-and-bound step. Chosen from {16, 32, 64} by
+# paired perfbench runs on bab_tight (CHANGES.md).
+BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,81 @@ class Leaf:
     signs: tuple[np.ndarray, ...]
 
 
+@dataclass(frozen=True)
+class LeafBatch:
+    """B leaves held together: Leaf's fields with a leading batch axis.
+
+    lower[k][b], upper[k][b] and signs[k][b] are member b's arrays for hidden
+    layer k, and relaxations[k] holds (B, n) lines. empty[b] is True when
+    member b's sign region turned out empty; its arrays then mean nothing.
+    Only a batch that wraps one leaf (of) keeps its compacted backward
+    forms: a chain with a large hidden layer is never bounded in a batch.
+    """
+
+    lower: tuple[np.ndarray, ...]
+    upper: tuple[np.ndarray, ...]
+    relaxations: tuple
+    signs: tuple[np.ndarray, ...]
+    empty: np.ndarray
+
+    @classmethod
+    def of(cls, leaf: Leaf) -> LeafBatch:
+        """One leaf as a batch of one, its arrays views of the leaf's."""
+        return cls(
+            tuple(a[None] for a in leaf.lower),
+            tuple(a[None] for a in leaf.upper),
+            tuple(
+                _ReluRelaxation(r.slope_lo[None], r.slope_up[None], r.icpt_up[None], r.compact)
+                for r in leaf.relaxations
+            ),
+            tuple(a[None] for a in leaf.signs),
+            np.zeros(1, bool),
+        )
+
+    @staticmethod
+    def concat(batches) -> LeafBatch:
+        """The members of batches, in order, copied into one batch."""
+
+        def cat(field):
+            return tuple(np.concatenate(arrays) for arrays in zip(*(getattr(b, field) for b in batches)))
+
+        relaxations = tuple(
+            _ReluRelaxation(*(
+                np.concatenate([getattr(r, line) for r in rs])
+                for line in ("slope_lo", "slope_up", "icpt_up")
+            ))
+            for rs in zip(*(b.relaxations for b in batches))
+        )
+        return LeafBatch(
+            cat("lower"), cat("upper"), relaxations, cat("signs"), np.concatenate([b.empty for b in batches])
+        )
+
+    def take(self, rows) -> LeafBatch:
+        """Members rows (an index array), copied into a new batch."""
+        return LeafBatch(
+            tuple(a[rows] for a in self.lower),
+            tuple(a[rows] for a in self.upper),
+            tuple(_rows(r, rows) for r in self.relaxations),
+            tuple(a[rows] for a in self.signs),
+            self.empty[rows],
+        )
+
+    def __len__(self) -> int:
+        return self.empty.shape[0]
+
+    def leaf(self, b: int) -> Leaf:
+        """Member b as a Leaf, its arrays views of the batch's."""
+        return Leaf(
+            tuple(a[b] for a in self.lower),
+            tuple(a[b] for a in self.upper),
+            tuple(
+                _ReluRelaxation(r.slope_lo[b], r.slope_up[b], r.icpt_up[b], r.compact)
+                for r in self.relaxations
+            ),
+            tuple(a[b] for a in self.signs),
+        )
+
+
 def root_leaf(chain: Chain, box: Box, method: str = "crown", alpha_rule: str = "adaptive") -> Leaf:
     """The whole box, nothing pinned."""
     chain.check_box(box)
@@ -92,34 +181,46 @@ def root_leaf(chain: Chain, box: Box, method: str = "crown", alpha_rule: str = "
     return Leaf(tuple(lower), tuple(upper), tuple(relaxations), signs)
 
 
+def _check_split(chain: Chain, lower: tuple, k: int, j: int, sign: int) -> None:
+    """Reject a split of a neuron that the leaf does not have, or a bad sign."""
+    if not 0 <= k < chain.n_relu:
+        raise ContractError(f"no hidden layer {k} to split")
+    if not 0 <= j < lower[k].shape[-1]:
+        raise ContractError(f"hidden layer {k} has no neuron {j}")
+    if sign not in (ACTIVE, INACTIVE):
+        raise ContractError(f"sign must be {ACTIVE} (active) or {INACTIVE} (inactive), got {sign!r}")
+
+
 def split_leaf(
     chain: Chain,
     box: Box,
-    leaf: Leaf,
-    k: int,
-    j: int,
-    sign: int,
+    leaf,
+    k,
+    j,
+    sign,
     method: str = "crown",
     alpha_rule: str = "adaptive",
-) -> Leaf | None:
+):
     """Pin neuron j of hidden layer k to ACTIVE or INACTIVE and re-bound.
 
     Layers before k are shared with the parent, layer k is the parent's with
     neuron j clamped, and layers after k are bounded again with every pin
     re-applied. Returns None when the pinned sign region is empty.
+
+    Given a LeafBatch of B parents and length-B sequences k, j and sign
+    (one split per parent), splits them in one batched pass and returns the
+    B children as a LeafBatch in the same order, empty sign regions flagged
+    in its empty mask. A chain with a large hidden layer (see
+    bounds.has_large_layer) cannot be split in a batch.
     """
-    if not 0 <= k < chain.n_relu:
-        raise ContractError(f"no hidden layer {k} to split")
-    if not 0 <= j < leaf.lower[k].shape[0]:
-        raise ContractError(f"hidden layer {k} has no neuron {j}")
-    if sign not in (ACTIVE, INACTIVE):
-        raise ContractError(f"sign must be {ACTIVE} (active) or {INACTIVE} (inactive), got {sign!r}")
+    if isinstance(leaf, LeafBatch):
+        return _split_batch(chain, box, leaf, k, j, sign, method, alpha_rule)
+    _check_split(chain, leaf.lower, k, j, sign)
     pins = leaf.signs[k].copy()
     pins[j] = sign
-    clamped = clamp_to_signs(leaf.lower[k], leaf.upper[k], pins)
-    if clamped is None:
+    lo, hi, empty = clamp_to_signs(leaf.lower[k], leaf.upper[k], pins)
+    if empty:
         return None
-    lo, hi = clamped
     signs = leaf.signs[:k] + (pins,) + leaf.signs[k + 1 :]
     lower = list(leaf.lower[:k]) + [lo]
     upper = list(leaf.upper[:k]) + [hi]
@@ -132,6 +233,73 @@ def split_leaf(
     ):
         return None
     return Leaf(tuple(lower), tuple(upper), tuple(relaxations), signs)
+
+
+def _rows(r: _ReluRelaxation, rows) -> _ReluRelaxation:
+    return _ReluRelaxation(r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows])
+
+
+def _set_rows(r: _ReluRelaxation, rows, new: _ReluRelaxation) -> None:
+    r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows] = new.slope_lo, new.slope_up, new.icpt_up
+
+
+def _split_batch(chain, box, parents: LeafBatch, ks, js, signs, method, alpha_rule) -> LeafBatch:
+    """split_leaf on a batch: pin every member, then re-bound layer by layer.
+
+    The members are bounded in order of their split layer, so at layer l the
+    ones split above it (k < l), which re-bound l, are a leading slice of
+    the arrays; the ones split at l clamp their parent's range, and the rest
+    keep it.
+    """
+    if not len(parents) == len(ks) == len(js) == len(signs) > 0:
+        raise ContractError("a batch split needs one layer, neuron and sign per parent leaf")
+    if has_large_layer(chain):
+        raise ContractError("a chain with a large hidden layer is split one leaf at a time")
+    for k, j, sign in zip(ks, js, signs):
+        _check_split(chain, parents.lower, k, j, sign)
+    order = np.argsort(ks, kind="stable")
+    ks, js = np.asarray(ks)[order], np.asarray(js)[order]
+    signs = np.asarray(signs, np.int8)[order]
+    first = int(ks[0])
+    in_order = bool((order == np.arange(len(order))).all())
+
+    def fresh(arrays, rows=lambda a: a[order]):
+        # copies of what is written below, the layers from the first split on;
+        # earlier layers are shared when the members already come in order
+        return [a if l < first and in_order else rows(a) for l, a in enumerate(arrays)]
+
+    lower, upper, pins = fresh(parents.lower), fresh(parents.upper), fresh(parents.signs)
+    relax = fresh(parents.relaxations, lambda r: _rows(r, order))
+    empty = np.zeros(len(order), bool)
+    for l in range(first, chain.n_relu):
+        c, d = np.searchsorted(ks, [l, l + 1])
+        if c:  # members 0..c-1 were split above l: bound layer l again
+            lo_c, hi_c = [a[:c] for a in lower], [a[:c] for a in upper]
+            prefix_lo, prefix_hi = lo_c[:l], hi_c[:l]
+            prefix_relax = [_rows(r, slice(c)) for r in relax[:l]]
+            ok = bound_layers(
+                chain, box, method, alpha_rule, prefix_lo, prefix_hi, prefix_relax,
+                start=l, stop=l + 1, signs=[a[:c] for a in pins], parent=(lo_c, hi_c),
+            )
+            empty[:c] |= ~ok
+            if ok.any():
+                lower[l][:c], upper[l][:c] = prefix_lo[l], prefix_hi[l]
+                if method == "crown":
+                    _set_rows(relax[l], slice(c), prefix_relax[l])
+        if d > c:  # members c..d-1 pin a neuron of layer l
+            g = slice(c, d)
+            pins[l][np.arange(c, d), js[g]] = signs[g]
+            lo, hi, e = clamp_to_signs(lower[l][g], upper[l][g], pins[l][g])
+            empty[g] |= e
+            lower[l][g], upper[l][g] = lo, hi
+            if method == "crown":
+                _set_rows(relax[l], g, relax_layer(chain, l, lo, hi, alpha_rule, relax))
+    children = LeafBatch(tuple(lower), tuple(upper), tuple(relax), tuple(pins), empty)
+    if in_order:
+        return children
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return children.take(back)
 
 
 def _margin_rows(chain: Chain, spec: PropertySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -185,25 +353,84 @@ def _exact_affine_margin(chain: Chain, leaf: Leaf, A, const, box: Box) -> float:
     return float(lows.min())
 
 
-def _widest_unstable(leaf: Leaf) -> tuple[int, int] | None:
-    """Unstable neuron with the widest pre-activation interval.
+def _widest_unstable(lower, upper):
+    """Per leaf, the unstable neuron with the widest pre-activation interval.
 
-    Ties break toward the lowest (layer, neuron): with strict improvement
-    required, the earliest candidate of maximal width wins. Pinned neurons
-    are clamped to one side of zero, so they are never candidates.
+    lower/upper are the hidden layers' ranges of a batch of leaves, each with
+    a leading batch axis. Returns (layer, neuron) index arrays, layer -1 for
+    a leaf with no unstable neuron. Ties break toward the lowest (layer,
+    neuron): argmax over the layers' widths laid end to end keeps the first
+    maximum. Pinned neurons are clamped to one side of zero, so they are
+    never candidates.
     """
-    best = None
-    best_w = 0.0
-    for k, (lo, hi) in enumerate(zip(leaf.lower, leaf.upper)):
-        unstable = (lo < 0.0) & (hi > 0.0)
-        if not unstable.any():
-            continue
-        widths = np.where(unstable, hi - lo, -np.inf)
-        j = int(np.argmax(widths))
-        if widths[j] > best_w:
-            best_w = float(widths[j])
-            best = (k, j)
-    return best
+    B = lower[0].shape[0] if lower else 1
+    sizes = [lo.shape[-1] for lo in lower]
+    if not sum(sizes):
+        return np.full(B, -1), np.zeros(B, np.int64)
+    widths = np.concatenate(
+        [np.where((lo < 0.0) & (hi > 0.0), hi - lo, -np.inf) for lo, hi in zip(lower, upper)],
+        axis=-1,
+    )
+    flat = widths.argmax(axis=-1)
+    ends = np.cumsum(sizes)
+    layer = np.searchsorted(ends, flat, side="right")
+    neuron = flat - (ends - sizes)[layer]
+    found = widths[np.arange(B), flat] > 0.0
+    return np.where(found, layer, -1), neuron
+
+
+def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str, alpha_rule: str):
+    """Bound the leaves that stack items name: several as one batch, one alone.
+
+    An item is None for the root, or (batch, b, layer, neuron, sign): split
+    member b of batch there. Returns the children as a LeafBatch, the
+    minimum of each child's margin lower bounds, and the child of each item
+    in item order (its position in the batch); or (None, None, None) for a
+    single child whose sign region is empty. A batch is gathered in order
+    of split layer, the order split_leaf bounds it in.
+    """
+    if len(items) == 1:  # the plain 2-D arithmetic, compacted layers included
+        item = items[0]
+        if item is None:
+            leaf = root_leaf(chain, box, method, alpha_rule)
+        else:
+            batch, b, k, j, sign = item
+            leaf = split_leaf(chain, box, batch.leaf(b), k, j, sign, method, alpha_rule)
+        if leaf is None:
+            return None, None, None
+        lo = chain_margin_lower_bounds(
+            chain, box, A, const, method, leaf.lower, leaf.upper, leaf.relaxations
+        )
+        return LeafBatch.of(leaf), lo[None].min(axis=1), [0]
+    order = sorted(range(len(items)), key=lambda i: items[i][2])
+    runs: list = []  # consecutive members from one batch: (batch, members)
+    for i in order:
+        batch, b = items[i][:2]
+        if runs and runs[-1][0] is batch:
+            runs[-1][1].append(b)
+        else:
+            runs.append((batch, [b]))
+    parts = [batch.take(rows) for batch, rows in runs]
+    parents = parts[0] if len(parts) == 1 else LeafBatch.concat(parts)
+    ks, js, signs = zip(*(items[i][2:] for i in order))
+    children = split_leaf(chain, box, parents, ks, js, signs, method, alpha_rule)
+    lo = chain_margin_lower_bounds(
+        chain, box, A, const, method, children.lower, children.upper, children.relaxations
+    )
+    return children, lo.min(axis=1), np.argsort(order)
+
+
+def check_budget(timeout, max_splits) -> None:
+    """Reject a branch-and-bound budget that cannot mean what it says.
+
+    max_splits must be a nonnegative integer and timeout a nonnegative
+    number of seconds; 0 times out at the first check. A negative or NaN
+    timeout would time out at once or never.
+    """
+    if not (isinstance(max_splits, numbers.Integral) and max_splits >= 0):
+        raise ContractError(f"max_splits must be a nonnegative integer, got {max_splits!r}")
+    if not (isinstance(timeout, numbers.Real) and timeout >= 0):
+        raise ContractError(f"timeout must be a nonnegative number of seconds, got {timeout!r}")
 
 
 def bab_verify(
@@ -214,25 +441,33 @@ def bab_verify(
     timeout: float = 60.0,
     max_splits: int = 100_000,
 ) -> Verdict:
-    """Depth-first sign branching until every leaf's margins certify.
+    """Sign branching, depth-first in batches of up to BATCH leaves, until the margins certify.
 
     A split pins the widest unstable neuron inactive in one child and active
     in the other (see split_leaf); the inactive child is explored first.
-    splits counts branch events; each adds two leaves. A leaf whose sign
-    region turns out empty closes without touching the bound. A leaf with no
+    Each step pops up to BATCH open leaves off the end of the stack, and no
+    more than max_splits - splits + 1, bounds them as one batch, and
+    handles them in the order popped; the children go back so that the
+    first leaf's inactive child is popped next. splits
+    counts branch events; each adds two leaves. A leaf whose sign region
+    turns out empty closes without touching the bound. A leaf with no
     unstable neuron left is affine, so its margins are re-bounded exactly
     over the box before giving up; a negative exact bound ends the search
     with unknown (the minimum may lie outside the leaf's sign region, so no
-    counterexample is claimed). The reported bound is the worst bound among
-    closed leaves, plus the failing leaf's for non-verified outcomes.
+    counterexample is claimed). The search also stops at the first leaf that
+    would exceed max_splits, and at the first timeout check, once per step,
+    past timeout seconds. The reported bound is the worst bound among closed
+    leaves, plus the failing leaf's for non-verified outcomes.
     """
+    check_budget(timeout, max_splits)
     t0 = time.monotonic()
     if spec.rows.shape[0] == 0:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
     box = spec.box
-    stack: list = [None]  # None is the root; a child is (parent leaf, layer, neuron, sign)
+    cap = 1 if has_large_layer(chain) else BATCH
+    stack: list = [None]  # None is the root; a child is (batch, member, layer, neuron, sign)
     splits = 0
     worst = np.inf
 
@@ -242,33 +477,34 @@ def bab_verify(
     while stack:
         if time.monotonic() - t0 > timeout:
             return done(TIMED_OUT, worst, f"{len(stack)} open branches")
-        item = stack.pop()
-        if item is None:
-            leaf = root_leaf(chain, box, method, alpha_rule)
-        else:
-            leaf = split_leaf(chain, box, *item, method, alpha_rule)
-            if leaf is None:  # no box point has these signs
-                continue
-        lo = chain_margin_lower_bounds(
-            chain, box, A, const, method, leaf.lower, leaf.upper, leaf.relaxations
-        )
-        m = float(lo.min())
-        if m >= 0.0:
-            worst = min(worst, m)
+        # a leaf popped past max_splits - splits + 1 would be bounded in vain
+        # when every leaf before it needs a split: the search stops there
+        items = [stack.pop() for _ in range(min(cap, len(stack), max_splits - splits + 1))]
+        batch, margins, members = _bound_step(chain, box, items, A, const, method, alpha_rule)
+        if batch is None:  # no box point has these signs
             continue
-        cand = _widest_unstable(leaf)
-        if cand is None:
-            exact = _exact_affine_margin(chain, leaf, A, const, box)
-            if exact >= 0.0:
-                worst = min(worst, exact)
+        layers, neurons = _widest_unstable(batch.lower, batch.upper)
+        opened = []
+        for b in members:  # in the order popped
+            if batch.empty[b]:  # no box point has these signs
                 continue
-            return done(UNKNOWN, min(worst, exact), "affine leaf bound is negative")
-        if splits >= max_splits:
-            return done(UNKNOWN, min(worst, m), "split budget exhausted")
-        splits += 1
-        k, j = cand
-        stack.append((leaf, k, j, ACTIVE))
-        stack.append((leaf, k, j, INACTIVE))
+            m = float(margins[b])
+            if m >= 0.0:
+                worst = min(worst, m)
+                continue
+            if layers[b] < 0:
+                exact = _exact_affine_margin(chain, batch.leaf(b), A, const, box)
+                if exact >= 0.0:
+                    worst = min(worst, exact)
+                    continue
+                return done(UNKNOWN, min(worst, exact), "affine leaf bound is negative")
+            if splits >= max_splits:
+                return done(UNKNOWN, min(worst, m), "split budget exhausted")
+            splits += 1
+            opened.append((b, int(layers[b]), int(neurons[b])))
+        for b, k, j in reversed(opened):
+            stack.append((batch, b, k, j, ACTIVE))
+            stack.append((batch, b, k, j, INACTIVE))
     return done(VERIFIED, worst)
 
 

@@ -11,6 +11,7 @@ import pytest
 import redkit.onnx_codec as oc
 from conftest import build_fig1
 from redkit import export_onnx, forward, import_onnx
+from redkit import cli
 from redkit.cli import main
 
 
@@ -234,6 +235,22 @@ def test_verify_no_bab_stops_early(ws, capsys):
     out = capsys.readouterr().out
     assert "incomplete: unknown" in out
     assert "branch and bound" not in out
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("flag,value", [
+    ("--max-splits", "-3"), ("--timeout", "-1"), ("--timeout", "nan"),
+])
+def test_an_invalid_budget_exits_2_before_any_bounding(ws, capsys, monkeypatch, command, flag, value):
+    def no_bounding(*args, **kwargs):
+        raise AssertionError("bounded before rejecting the budget")
+
+    for name in ("verify_incomplete", "reduce_network"):
+        monkeypatch.setattr(cli, name, no_bounding)
+    rc = main([command, "--model", ws["fig1"], "--vnnlib", ws["prop_true"], flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag[2:].replace("-", "_") in err
 
 
 # --- bench ---

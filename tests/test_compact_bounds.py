@@ -8,9 +8,10 @@ arithmetic, so each test bounds the same chain both ways and compares.
 import numpy as np
 import pytest
 
-from redkit import Box, Chain, from_sequential, root_leaf, split_leaf
-from redkit import bounds
+from redkit import Box, Chain, PropertySpec, forward_batch, from_sequential, root_leaf, split_leaf
+from redkit import bounds, verify
 from redkit.bounds import _backward_from, bound_layers, chain_margin_lower_bounds
+from redkit.errors import ContractError
 from redkit.verify import ACTIVE, INACTIVE
 
 PLAIN = 1 << 62  # no layer is that large
@@ -206,3 +207,34 @@ def test_backward_pass_never_writes_into_its_rows():
     for k, r in enumerate(relaxations):
         if r.compact is not None:
             assert not np.shares_memory(r.compact.weight, chain.layers[k][0])
+
+
+def test_a_chain_with_a_large_layer_is_split_one_leaf_at_a_time(monkeypatch):
+    # compacted forms exist per leaf only, so such a chain never runs a batch
+    net, chain, box = _planted_chain(3, [8, 64, 64, 3])
+    monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", 1)
+    root = root_leaf(chain, box)
+    assert all(r.compact is not None for r in root.relaxations)
+    k = 0
+    j = int(np.flatnonzero((root.lower[k] < 0) & (root.upper[k] > 0))[0])
+    pair = verify.LeafBatch.concat([verify.LeafBatch.of(root)] * 2)
+    with pytest.raises(ContractError, match="one leaf at a time"):
+        split_leaf(chain, box, pair, [k, k], [j, j], [ACTIVE, INACTIVE])
+    with pytest.raises(ContractError, match="one leaf at a time"):
+        bound_layers(chain, box, "crown", "adaptive", [pair.lower[0]], [pair.upper[0]],
+                     [pair.relaxations[0]], start=1)
+
+    calls = []
+    real_split = verify.split_leaf
+
+    def recording_split(chain, box, leaf, *rest):
+        calls.append(type(leaf))
+        return real_split(chain, box, leaf, *rest)
+
+    monkeypatch.setattr(verify, "split_leaf", recording_split)
+    C = np.array([[1.0, -1.0, 0.0]])
+    ys = forward_batch(net, box.sample(2000, np.random.default_rng(0))) @ C.T
+    spec = PropertySpec(box, C, -ys.min(axis=0), name="y0_minus_y1")
+    v = verify.bab_verify(net, spec, max_splits=6)
+    assert v.splits > 0
+    assert calls and set(calls) == {verify.Leaf}

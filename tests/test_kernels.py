@@ -179,3 +179,46 @@ def test_interval_affine_sound_property(W, b, lo, widths, t):
     y = W @ x + b
     assert np.all(y >= out_lo - 1e-9)
     assert np.all(y <= out_hi + 1e-9)
+
+
+# the batch forms against one plain call per member
+
+
+@pytest.mark.parametrize("shared_rows", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_relu_backward_batch_matches_per_member_calls(seed, shared_rows):
+    members = [_relaxation_case(seed * 10 + b) for b in range(5)]
+    if shared_rows:  # one row set meets every member's lines
+        members = [(members[0][0], members[0][1]) + m[2:] for m in members]
+    A = members[0][0] if shared_rows else np.stack([m[0] for m in members])
+    const = members[0][1] if shared_rows else np.stack([m[1] for m in members])
+    lines = [np.stack([m[i] for m in members]) for i in (2, 3, 4)]
+    for upper_pass in (False, True):
+        A_out, c_out = kernels.relu_backward(A, const, *lines, upper_pass)
+        assert A_out.shape == (5,) + members[0][0].shape
+        for b, m in enumerate(members):
+            A_ref, c_ref = kernels.relu_backward(*m, upper_pass)
+            np.testing.assert_array_equal(A_out[b], A_ref)
+            np.testing.assert_allclose(c_out[b], c_ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interval_affine_batch_matches_per_member_calls(seed):
+    cases = [_random_case(seed * 10 + b) for b in range(4)]
+    W, b, lo, hi = cases[0]
+    # a batch of boxes through one layer
+    out_lo, out_hi = kernels.interval_affine(
+        W, b, np.stack([c[2] for c in cases]), np.stack([c[3] for c in cases])
+    )
+    for i, c in enumerate(cases):
+        ref_lo, ref_hi = kernels.interval_affine(W, b, c[2], c[3])
+        np.testing.assert_allclose(out_lo[i], ref_lo, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out_hi[i], ref_hi, rtol=1e-12, atol=1e-12)
+    # a batch of row sets over one box
+    out_lo, out_hi = kernels.interval_affine(
+        np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases]), lo, hi
+    )
+    for i, c in enumerate(cases):
+        ref_lo, ref_hi = kernels.interval_affine(c[0], c[1], lo, hi)
+        np.testing.assert_allclose(out_lo[i], ref_lo, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out_hi[i], ref_hi, rtol=1e-12, atol=1e-12)

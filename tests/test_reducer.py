@@ -268,6 +268,20 @@ def test_partition_rejects_an_index_past_the_width():
         LayerPartition([0], [3], [1], 3)
 
 
+@pytest.mark.parametrize("activated,unstable", [([1.7], [2.2]), ([1.0], [np.nan]), ([True], [2])])
+def test_partition_rejects_an_index_that_is_not_an_integer(activated, unstable):
+    # a cast would truncate 1.7 to 1 and 2.2 to 2, naming other neurons
+    with pytest.raises(ContractError, match="must be integers"):
+        LayerPartition([0.0], activated, unstable, 3)
+
+
+def test_partition_accepts_integral_floats_and_empty_lists():
+    part = LayerPartition([0.0], [], [2.0, 1.0], 3)
+    assert part.unstable.dtype == np.int64
+    assert part.unstable.tolist() == [2, 1]
+    assert part.activated.shape == (0,)
+
+
 @pytest.mark.parametrize("method", ["crown", "interval"])
 def test_crown_shift_never_rebounds_the_prefix_from_layer_0(method, monkeypatch):
     # every layer merges; each merged row past layer 0 is bounded by one

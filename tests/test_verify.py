@@ -31,7 +31,8 @@ from redkit import (
 )
 from redkit import verify as verify_mod
 from redkit.errors import ContractError
-from redkit.verify import ACTIVE, INACTIVE, TIMED_OUT, UNKNOWN, VERIFIED
+from redkit.bounds import chain_margin_lower_bounds
+from redkit.verify import ACTIVE, INACTIVE, TIMED_OUT, UNKNOWN, VERIFIED, Leaf, LeafBatch
 
 
 def _spec(unit_box, rows, offsets, name="p"):
@@ -105,6 +106,17 @@ def test_zero_timeout_times_out(fig1_net, unit_box):
     v = bab_verify(fig1_net, spec, method="interval", timeout=0.0)
     assert v.status == TIMED_OUT
     assert v.wall_time_s >= 0.0
+
+
+@pytest.mark.parametrize("budget", [
+    {"max_splits": -3}, {"timeout": -1.0}, {"timeout": float("nan")}, {"max_splits": 2.5},
+])
+def test_an_invalid_budget_is_rejected(fig1_net, unit_box, budget):
+    # before: -3 splits gave "split budget exhausted", -1 s a timeout, and a
+    # NaN timeout never fired because elapsed > nan is always false
+    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
+    with pytest.raises(ContractError, match="max_splits|timeout"):
+        bab_verify(fig1_net, spec, method="interval", **budget)
 
 
 def test_bab_is_deterministic(fig1_net, unit_box):
@@ -275,7 +287,10 @@ def test_bab_closes_an_empty_leaf_instead_of_giving_up(monkeypatch):
 
     def counting_split(chain, box, leaf, k, j, sign, *rest):
         child = real_split(chain, box, leaf, k, j, sign, *rest)
-        if child is None:
+        if isinstance(child, LeafBatch):  # a batch flags its empty members
+            for b in np.flatnonzero(child.empty):
+                empty.append((k[b], j[b], sign[b], leaf.signs[1][b][0]))
+        elif child is None:
             empty.append((k, j, sign, leaf.signs[1][0]))
         return child
 
@@ -352,6 +367,160 @@ def test_verified_bab_has_no_grid_counterexample(seed, method, slack):
     v = bab_verify(net, spec, method=method, max_splits=60)
     if v.verified:
         assert find_grid_counterexample(net, spec, budget=4096, seed=1) is None
+
+
+# --- batches of leaves ---
+
+
+def _widest_unstable_loop(leaf):
+    """Reference: the earliest (layer, neuron) of strictly greatest unstable width."""
+    best, best_w = None, 0.0
+    for k, (lo, hi) in enumerate(zip(leaf.lower, leaf.upper)):
+        for j in range(lo.shape[0]):
+            if lo[j] < 0.0 < hi[j] and hi[j] - lo[j] > best_w:
+                best, best_w = (k, j), hi[j] - lo[j]
+    return best
+
+
+def _random_leaf(chain, box, rng, method, alpha_rule, depth):
+    """A leaf reached from the root by depth random pins (fewer when none is left)."""
+    leaf = root_leaf(chain, box, method, alpha_rule)
+    for _ in range(depth):
+        free = [(k, j) for k in range(chain.n_relu)
+                for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
+        if not free:
+            break
+        k, j = free[int(rng.integers(len(free)))]
+        child = split_leaf(chain, box, leaf, k, j, int(rng.choice([ACTIVE, INACTIVE])),
+                           method, alpha_rule)
+        if child is None:
+            break
+        leaf = child
+    return leaf
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    method=st.sampled_from(["interval", "crown"]),
+    alpha_rule=st.sampled_from(["adaptive", "zero", "one"]),
+    size=st.integers(2, 8),
+)
+def test_batched_split_matches_looped_splits(seed, method, alpha_rule, size):
+    rng = np.random.default_rng(seed)
+    net, box = _generated(int(rng.integers(1, 4)), int(rng.integers(3, 9)), 2, 2, seed % 10_000)
+    chain = Chain.of(net)
+    parents, splits = [], []
+    for _ in range(size):
+        leaf = _random_leaf(chain, box, rng, method, alpha_rule, int(rng.integers(0, 4)))
+        free = [(k, j) for k in range(chain.n_relu)
+                for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
+        if free:
+            parents.append(leaf)
+            splits.append(free[int(rng.integers(len(free)))] + (int(rng.choice([ACTIVE, INACTIVE])),))
+    if not parents:
+        return
+    ks, js, signs = zip(*splits)
+    batch = split_leaf(chain, box, LeafBatch.concat([LeafBatch.of(p) for p in parents]),
+                       ks, js, signs, method, alpha_rule)
+    C, d = np.array([[1.0, -1.0]]), np.array([0.0])
+    W, b = chain.layers[-1]
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, method,
+                                        batch.lower, batch.upper, batch.relaxations)
+    xs = np.vstack([box.sample(2000, rng), box.lower, box.upper])
+    pre = _pre_activations(chain, xs)
+    ys = forward_batch(net, xs) @ C.T + d
+    layers, neurons = verify_mod._widest_unstable(batch.lower, batch.upper)
+    for i, (parent, (k, j, sign)) in enumerate(zip(parents, splits)):
+        looped = split_leaf(chain, box, parent, k, j, sign, method, alpha_rule)
+        inside = np.ones(len(xs), dtype=bool)
+        for layer, pins in enumerate(batch.signs):
+            for n in np.flatnonzero(pins[i]):
+                inside &= pre[layer][:, n] * pins[i][n] >= 0.0
+        assert bool(batch.empty[i]) == (looped is None)
+        if looped is None:
+            assert not inside.any(), "an empty leaf holds a sampled point"
+            continue
+        child = batch.leaf(i)
+        for layer in range(chain.n_relu):
+            assert np.array_equal(child.signs[layer], looped.signs[layer])
+            _close(child.lower[layer], looped.lower[layer])
+            _close(child.upper[layer], looped.upper[layer])
+            z = pre[layer][inside]
+            mag = 1e-9 * (1.0 + np.abs(z).max(initial=0.0))
+            assert np.all(z >= child.lower[layer] - mag) and np.all(z <= child.upper[layer] + mag)
+        for got, want in zip(child.relaxations, looped.relaxations):
+            for line in ("slope_lo", "slope_up", "icpt_up"):
+                _close(getattr(got, line), getattr(want, line))
+        want = leaf_margins(chain, box, looped, C, d, method)
+        _close(margins[i], want)
+        if inside.any():
+            assert ys[inside].min() >= margins[i].min() - 1e-9
+        expect = _widest_unstable_loop(child)
+        assert (layers[i], neurons[i]) == (expect if expect else (-1, neurons[i]))
+
+
+def test_widest_unstable_breaks_ties_toward_the_lowest_neuron():
+    # member 0 ties at width 2 on (0, 1), (1, 0) and (1, 2), and the earliest
+    # wins over the stable (0, 0) and the single point (0, 2); member 1 has
+    # nothing unstable; member 2's widest is (1, 2)
+    lower = (np.array([[0.5, -1.0, 0.0, -0.5], [0.0, 0.0, 0.0, 0.0], [-1.0, -1.0, -1.0, -3.0]]),
+             np.array([[-1.0, -0.5, -1.0], [0.0, 0.0, 0.0], [-0.5, -0.5, -1.0]]))
+    upper = (np.array([[2.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, -1.0]]),
+             np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 1.0, 3.0]]))
+    layers, neurons = verify_mod._widest_unstable(lower, upper)
+    for b in range(3):
+        leaf = Leaf(tuple(lo[b] for lo in lower), tuple(hi[b] for hi in upper), (), ())
+        expect = _widest_unstable_loop(leaf)
+        assert (layers[b] >= 0) == (expect is not None)
+        if expect is not None:
+            assert (layers[b], neurons[b]) == expect
+    assert [(int(k), int(j)) for k, j in zip(layers, neurons)][0::2] == [(0, 1), (1, 2)]
+
+
+def _small_net(seed):
+    rng = np.random.default_rng(seed)
+    widths = [2, int(rng.integers(3, 7)), int(rng.integers(2, 5)), 1]
+    wb = [(rng.normal(scale=1.2, size=(o, i)), rng.normal(scale=0.5, size=o))
+          for i, o in zip(widths, widths[1:])]
+    return from_sequential(wb, 2), Box(-np.ones(2), np.ones(2)), rng
+
+
+# (net, method, slack): small random nets whose property BaB verifies after
+# 6 to 106 splits or leaves unknown, and generated chains it leaves unknown
+_CAP_CASES = [
+    (("small", 0), "interval", 0.4), (("small", 9), "crown", 0.25),
+    (("small", 26), "crown", 0.35), (("small", 32), "interval", 0.1),
+    (("small", 59), "interval", 0.7), (("small", 10), "interval", 0.0),
+    (("small", 4), "crown", 0.05), (("gen", 101), "crown", 0.0),
+    (("gen", 104), "crown", -0.01), (("gen", 105), "interval", 0.05),
+]
+
+
+@pytest.mark.parametrize("net_cfg,method,slack", _CAP_CASES)
+def test_batch_cap_keeps_the_verdict(monkeypatch, net_cfg, method, slack):
+    kind, seed = net_cfg
+    if kind == "small":
+        net, box, rng = _small_net(seed)
+    else:
+        net, box = _generated(3, 8, 2, 1, seed)
+        rng = np.random.default_rng(seed)
+    ys = forward_batch(net, box.sample(4000, rng))[:, 0]
+    t = ys.min() - slack * (ys.max() - ys.min())
+    spec = PropertySpec(box, np.array([[1.0]]), np.array([-t]), name="y_ge_t")
+    batched = bab_verify(net, spec, method=method, max_splits=300)
+    monkeypatch.setattr(verify_mod, "BATCH", 1)
+    single = bab_verify(net, spec, method=method, max_splits=300)
+    assert batched.status == single.status
+    if batched.verified:
+        # the whole tree closed either way; the cap only changes the order
+        assert batched.splits == single.splits > 0
+        assert find_grid_counterexample(net, spec, budget=4096, seed=seed) is None
 
 
 # --- grid falsification ---
