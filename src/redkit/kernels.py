@@ -50,6 +50,8 @@ def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
     # A batch splits A into its upper-line and lower-line parts by arithmetic:
     # each entry of a part is exact (A's or zero), so their sum after scaling
     # is the selected product, and it costs a fraction of a masked select.
+    # The lines must be finite (relu_relaxation's are, for finite ranges): a
+    # zero entry times a NaN line would give NaN where the select gives 0.
     up = A * use_up
     const_out = const + (up @ icpt_up[:, :, None])[..., 0]
     out = up * slope_up[:, None, :]
