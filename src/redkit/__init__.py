@@ -64,7 +64,6 @@ from .specio import (
     save_vnnlib,
 )
 from .verify import (
-    Leaf,
     LeafBatch,
     Verdict,
     bab_verify,
@@ -89,7 +88,6 @@ __all__ = [
     "InternalInvariantError",
     "Layer",
     "LayerPartition",
-    "Leaf",
     "LeafBatch",
     "Network",
     "NetworkBuilder",

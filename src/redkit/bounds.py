@@ -80,19 +80,19 @@ class Box:
 class _Compacted:
     """A large hidden layer in backward form: its live neurons only.
 
-    order lists the neurons that are not dead (hi > 0), the n_unstable
-    unstable ones first, then the active ones. weight and bias are the
-    layer's rows in that order; weight's columns follow below, the order of
-    the compacted layer underneath, or the natural order when that layer is
-    not compacted (below is None). slope_lo, slope_up and icpt_up are the
-    relaxation lines of the unstable neurons; the active ones pass through.
+    Built once, in the root pass, from the root's ranges, and shared by
+    every leaf below it. order lists the neurons that are not dead at the
+    root (hi > 0), the n_unstable unstable ones first, then the active ones.
+    weight and bias are the layer's rows in that order; weight's columns
+    follow below, the order of the compacted layer underneath, or the
+    natural order when that layer is not compacted (below is None). A leaf
+    relaxes the unstable slice with its own lines; the active neurons pass
+    through, exact in every leaf, since the root proves them active on the
+    whole box.
     """
 
     order: np.ndarray
     n_unstable: int
-    slope_lo: np.ndarray
-    slope_up: np.ndarray
-    icpt_up: np.ndarray
     weight: np.ndarray
     bias: np.ndarray
     below: np.ndarray | None
@@ -105,7 +105,7 @@ class _ReluRelaxation:
     Upper line passes through (l, 0) and (u, u) when unstable; lower line has
     slope alpha in {0, 1} and intercept 0. Stable neurons use the exact
     identity/zero lines. compact is the layer in backward form when it is
-    large (see relax_layer), else None.
+    large (see relax_layer), else None; a batch of leaves shares its root's.
     """
 
     slope_lo: np.ndarray
@@ -145,14 +145,16 @@ def relax_layer(
 ) -> _ReluRelaxation:
     """ReLU lines of hidden layer k over [lo, hi], plus its backward form when large.
 
-    relaxations holds the lines of layers 0..k-1. A layer with at least
-    COMPACT_MIN_ENTRIES weights gets a _Compacted form, built once here:
-    dead neurons contribute nothing to a backward pass and active ones pass
-    their coefficients through unchanged, so only the unstable slice needs
-    relu_backward and only live rows and columns take part in the product.
+    relaxations holds the lines of layers 0..k-1. In the root pass (one
+    leaf, (n,) ranges) a layer with at least COMPACT_MIN_ENTRIES weights
+    gets a _Compacted form: dead neurons contribute nothing to a backward
+    pass and active ones pass their coefficients through unchanged, so only
+    the unstable slice needs relu_backward and only live rows and columns
+    take part in the product. A batch of leaves ((B, n) ranges) gets lines
+    only; its leaves keep the root's compacted forms.
     """
     r = relu_relaxation(lo, hi, alpha_rule)
-    if not _is_large(chain, k):
+    if lo.ndim != 1 or not _is_large(chain, k):
         return r
     W, b = chain.layers[k]
     dead = hi <= 0.0
@@ -160,13 +162,9 @@ def relax_layer(
     order = np.concatenate([np.flatnonzero(unstable), np.flatnonzero(~dead & ~unstable)])
     prev = relaxations[k - 1].compact if k > 0 else None
     below = None if prev is None else prev.order
-    u = order[: int(unstable.sum())]
     r.compact = _Compacted(
         order,
-        u.shape[0],
-        r.slope_lo[u],
-        r.slope_up[u],
-        r.icpt_up[u],
+        int(unstable.sum()),
         W[order] if below is None else W[np.ix_(order, below)],
         b[order],
         below,
@@ -227,15 +225,6 @@ def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
     return lo, np.where(signs < 0, np.minimum(hi, 0.0), hi), empty
 
 
-def has_large_layer(chain: Chain) -> bool:
-    """Whether a hidden layer has COMPACT_MIN_ENTRIES weights or more.
-
-    Such a layer is bounded in compacted form (relax_layer), which exists
-    for one leaf at a time only, so its chain is never bounded in a batch.
-    """
-    return any(_is_large(chain, k) for k in range(chain.n_relu))
-
-
 def bound_layers(
     chain: Chain,
     box: Box,
@@ -257,10 +246,10 @@ def bound_layers(
     the ReLU of the previous range otherwise. interval stops at that forward
     step; crown also runs the backward pass and intersects the two, since
     the backward pass alone can lose to plain intervals in correlated
-    corners. On a large hidden layer (at least COMPACT_MIN_ENTRIES weights)
-    the rows that the forward step proves dead (hi <= 0) skip the backward
-    pass and keep their interval range, and the layer's relaxation carries
-    its compacted backward form (relax_layer).
+    corners. In the root pass, on a large hidden layer (at least
+    COMPACT_MIN_ENTRIES weights), the rows that the forward step proves dead
+    (hi <= 0) skip the backward pass and keep their interval range, and the
+    layer's relaxation carries its compacted backward form (relax_layer).
 
     signs, one int8 array per hidden layer, restricts the bounds to a sign
     region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent is
@@ -274,16 +263,15 @@ def bound_layers(
     A batch of B sign regions over the same box bounds them all in one pass:
     every array then has a leading batch axis ((B, n) ranges, relaxation
     lines, signs and parent ranges), and member b of each meets member b of
-    the others. The box is shared, so a batch starts at start >= 1, and a
-    chain with a large hidden layer is never batched (has_large_layer). A
-    batch returns one flag per member and stops only when every member is
-    empty.
+    the others. The box is shared, so a batch starts at start >= 1. The
+    relaxations of a batch's prefix keep the root's compacted forms, and
+    the rows dead at the root stay dead in its parents, so they are never
+    bounded again. A batch returns one flag per member and stops only when
+    every member is empty.
     """
     if method not in ("interval", "crown"):
         raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
     batched = start > 0 and lower[start - 1].ndim == 2
-    if batched and has_large_layer(chain):
-        raise ContractError("a chain with a large hidden layer is bounded one leaf at a time")
     stop = len(chain.layers) if stop is None else stop
     ok = np.ones(lower[start - 1].shape[0], bool) if batched else True
     for k in range(start, stop):
@@ -302,7 +290,7 @@ def bound_layers(
         lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
         if method == "crown":
             live = None  # rows the backward pass bounds, when not all of them
-            if _is_large(chain, k) and (hi <= 0.0).any():
+            if not batched and _is_large(chain, k) and (hi <= 0.0).any():
                 live = np.flatnonzero(hi > 0.0)
                 W, b = W[live], b[live]
             c_lo = _backward_from(chain, k, W, b, relaxations, box, upper_pass=False)
@@ -354,8 +342,8 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
     A layer with a compacted form takes its step on the live neurons only:
     A's columns are gathered onto them (once, when the layer above was not
     compacted: its compacted weights already produce them), relu_backward
-    runs on the leading unstable slice and the compacted weights do the
-    rest. Neither A nor const is written to.
+    runs on the leading unstable slice with the leaves' own lines, and the
+    compacted weights do the rest. Neither A nor const is written to.
 
     With batched relaxations ((B, n) lines) the row set, shared or (B, m, n),
     is pushed through each member's lines, and the result is (B, m).
@@ -370,13 +358,13 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
             A, const = kernels.relu_backward(A, const, r.slope_lo, r.slope_up, r.icpt_up, upper_pass)
             W, b = chain.layers[j]
         else:
-            if cols is None:
-                A = A[:, c.order]
+            if cols is None:  # shared rows become one row set per leaf
+                A = np.broadcast_to(A, r.slope_lo.shape[:-1] + A.shape[-2:])[..., c.order]
             u = c.n_unstable
             if u:
-                A[:, :u], const = kernels.relu_backward(
-                    A[:, :u], const, c.slope_lo, c.slope_up, c.icpt_up, upper_pass
-                )
+                iu = c.order[:u]
+                lines = r.slope_lo[..., iu], r.slope_up[..., iu], r.icpt_up[..., iu]
+                A[..., :u], const = kernels.relu_backward(A[..., :u], const, *lines, upper_pass)
             W, b = c.weight, c.bias
         cols = None if c is None else c.below
         const = const + A @ b

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success / property verified / equivalent; 1 unknown, timed out
-or inequivalent; 2 usage or malformed input; 3 unsupported model; 4 internal
-invariant breach.
+or inequivalent; 2 usage, malformed input or a file that cannot be read or
+written; 3 unsupported model; 4 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNKNOWN,
+    EXIT_USAGE,
     ContractError,
     RedkitError,
     StructuralError,
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
     except RedkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # a missing or unwritable file named on the command line
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports, not crashes
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

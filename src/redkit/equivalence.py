@@ -48,6 +48,8 @@ def sample_equivalence(
         raise ContractError("networks have different input widths")
     if box.dim != a.input_layer.width:
         raise ContractError("box dimension does not match the networks")
+    if n < 0:
+        raise ContractError(f"the sample count must be nonnegative, got {n}")
     rng = np.random.default_rng(seed)
     xs = box.sample(n, rng)
     corners = box.corners(CORNER_CAP, rng)

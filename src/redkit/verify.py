@@ -17,12 +17,12 @@ A re-bound that puts a pinned neuron strictly on the wrong side of zero
 shows that no box point has the pinned signs, and that leaf closes without
 a margin.
 
-The search bounds up to BATCH leaves per step: their arrays are stacked
-along a leading batch axis (LeafBatch), so one numpy call serves every
-leaf, and each still re-bounds only the layers after its own split. A
-chain with a large hidden layer (bounds.has_large_layer) is searched one
-leaf at a time, and a step that pops a single leaf runs the plain
-arithmetic.
+Every leaf is a member of a LeafBatch, whose arrays carry a leading batch
+axis; the root is a batch of one over the plain, unbatched root pass. The
+search bounds up to BATCH leaves per step as one batch, so one numpy call
+serves every leaf, and each still re-bounds only the layers after its own
+split. A large hidden layer enters every leaf's backward passes in the
+compacted form built at the root (bounds.relax_layer).
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from .bounds import (
     bound_layers,
     chain_margin_lower_bounds,
     clamp_to_signs,
-    has_large_layer,
     relax_layer,
 )
 from .equivalence import sample_equivalence
@@ -80,30 +79,17 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    """One sign region of the box and the bounds of every hidden layer on it.
-
-    signs[k] holds hidden layer k's pins (-1 inactive, 0 free, +1 active);
-    lower[k], upper[k] and, for crown, relaxations[k] are that layer's
-    pre-activation range and ReLU lines, sound for every box point whose
-    pre-activations have the pinned signs.
-    """
-
-    lower: tuple[np.ndarray, ...]
-    upper: tuple[np.ndarray, ...]
-    relaxations: tuple
-    signs: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class LeafBatch:
-    """B leaves held together: Leaf's fields with a leading batch axis.
+    """B sign regions of the box and the bounds of every hidden layer on them.
 
-    lower[k][b], upper[k][b] and signs[k][b] are member b's arrays for hidden
-    layer k, and relaxations[k] holds (B, n) lines. empty[b] is True when
-    member b's sign region turned out empty; its arrays then mean nothing.
-    Only a batch that wraps one leaf (of) keeps its compacted backward
-    forms: a chain with a large hidden layer is never bounded in a batch.
+    The leaf of branch and bound, the root included (a batch of one).
+    signs[k][b] holds member b's pins in hidden layer k (-1 inactive, 0
+    free, +1 active); lower[k][b], upper[k][b] and, for crown, the (B, n)
+    lines of relaxations[k] are that layer's pre-activation range and ReLU
+    lines, sound for every box point whose pre-activations have member b's
+    pinned signs. A large layer's compacted backward form is the root's,
+    shared by every batch split from it. empty[b] is True when member b's
+    sign region turned out empty; its arrays then mean nothing.
     """
 
     lower: tuple[np.ndarray, ...]
@@ -112,36 +98,27 @@ class LeafBatch:
     signs: tuple[np.ndarray, ...]
     empty: np.ndarray
 
-    @classmethod
-    def of(cls, leaf: Leaf) -> LeafBatch:
-        """One leaf as a batch of one, its arrays views of the leaf's."""
-        return cls(
-            tuple(a[None] for a in leaf.lower),
-            tuple(a[None] for a in leaf.upper),
-            tuple(
-                _ReluRelaxation(r.slope_lo[None], r.slope_up[None], r.icpt_up[None], r.compact)
-                for r in leaf.relaxations
-            ),
-            tuple(a[None] for a in leaf.signs),
-            np.zeros(1, bool),
-        )
-
     @staticmethod
     def concat(batches) -> LeafBatch:
-        """The members of batches, in order, copied into one batch."""
+        """The members of batches, in order, copied into one batch.
+
+        The batches must share their compacted backward forms, which holds
+        for batches split from one root.
+        """
 
         def cat(field):
             return tuple(np.concatenate(arrays) for arrays in zip(*(getattr(b, field) for b in batches)))
 
-        relaxations = tuple(
-            _ReluRelaxation(*(
-                np.concatenate([getattr(r, line) for r in rs])
-                for line in ("slope_lo", "slope_up", "icpt_up")
-            ))
-            for rs in zip(*(b.relaxations for b in batches))
-        )
+        relaxations = []
+        for rs in zip(*(b.relaxations for b in batches)):
+            if any(r.compact is not rs[0].compact for r in rs):
+                raise ContractError("batches split from different roots cannot be concatenated")
+            lines = [np.concatenate([getattr(r, line) for r in rs])
+                     for line in ("slope_lo", "slope_up", "icpt_up")]
+            relaxations.append(_ReluRelaxation(*lines, rs[0].compact))
         return LeafBatch(
-            cat("lower"), cat("upper"), relaxations, cat("signs"), np.concatenate([b.empty for b in batches])
+            cat("lower"), cat("upper"), tuple(relaxations), cat("signs"),
+            np.concatenate([b.empty for b in batches]),
         )
 
     def take(self, rows) -> LeafBatch:
@@ -157,28 +134,30 @@ class LeafBatch:
     def __len__(self) -> int:
         return self.empty.shape[0]
 
-    def leaf(self, b: int) -> Leaf:
-        """Member b as a Leaf, its arrays views of the batch's."""
-        return Leaf(
-            tuple(a[b] for a in self.lower),
-            tuple(a[b] for a in self.upper),
-            tuple(
-                _ReluRelaxation(r.slope_lo[b], r.slope_up[b], r.icpt_up[b], r.compact)
-                for r in self.relaxations
-            ),
-            tuple(a[b] for a in self.signs),
-        )
 
-
-def root_leaf(chain: Chain, box: Box, method: str = "crown", alpha_rule: str = "adaptive") -> Leaf:
-    """The whole box, nothing pinned."""
+def _root_pass(chain: Chain, box: Box, method: str, alpha_rule: str) -> tuple[list, list, list]:
+    """The hidden layers' ranges and lines over the whole box, unbatched."""
     chain.check_box(box)
     lower: list = []
     upper: list = []
     relaxations: list = []
     bound_layers(chain, box, method, alpha_rule, lower, upper, relaxations, stop=chain.n_relu)
-    signs = tuple(np.zeros(lo.shape[0], np.int8) for lo in lower)
-    return Leaf(tuple(lower), tuple(upper), tuple(relaxations), signs)
+    return lower, upper, relaxations
+
+
+def root_leaf(chain: Chain, box: Box, method: str = "crown", alpha_rule: str = "adaptive") -> LeafBatch:
+    """The whole box, nothing pinned: a batch of one over the unbatched root pass."""
+    lower, upper, relaxations = _root_pass(chain, box, method, alpha_rule)
+    return LeafBatch(
+        tuple(a[None] for a in lower),
+        tuple(a[None] for a in upper),
+        tuple(
+            _ReluRelaxation(r.slope_lo[None], r.slope_up[None], r.icpt_up[None], r.compact)
+            for r in relaxations
+        ),
+        tuple(np.zeros((1, lo.shape[0]), np.int8) for lo in lower),
+        np.zeros(1, bool),
+    )
 
 
 def _check_split(chain: Chain, lower: tuple, k: int, j: int, sign: int) -> None:
@@ -191,60 +170,32 @@ def _check_split(chain: Chain, lower: tuple, k: int, j: int, sign: int) -> None:
         raise ContractError(f"sign must be {ACTIVE} (active) or {INACTIVE} (inactive), got {sign!r}")
 
 
-def split_leaf(
-    chain: Chain,
-    box: Box,
-    leaf,
-    k,
-    j,
-    sign,
-    method: str = "crown",
-    alpha_rule: str = "adaptive",
-):
-    """Pin neuron j of hidden layer k to ACTIVE or INACTIVE and re-bound.
-
-    Layers before k are shared with the parent, layer k is the parent's with
-    neuron j clamped, and layers after k are bounded again with every pin
-    re-applied. Returns None when the pinned sign region is empty.
-
-    Given a LeafBatch of B parents and length-B sequences k, j and sign
-    (one split per parent), splits them in one batched pass and returns the
-    B children as a LeafBatch in the same order, empty sign regions flagged
-    in its empty mask. A chain with a large hidden layer (see
-    bounds.has_large_layer) cannot be split in a batch.
-    """
-    if isinstance(leaf, LeafBatch):
-        return _split_batch(chain, box, leaf, k, j, sign, method, alpha_rule)
-    _check_split(chain, leaf.lower, k, j, sign)
-    pins = leaf.signs[k].copy()
-    pins[j] = sign
-    lo, hi, empty = clamp_to_signs(leaf.lower[k], leaf.upper[k], pins)
-    if empty:
-        return None
-    signs = leaf.signs[:k] + (pins,) + leaf.signs[k + 1 :]
-    lower = list(leaf.lower[:k]) + [lo]
-    upper = list(leaf.upper[:k]) + [hi]
-    relaxations = list(leaf.relaxations[:k])
-    if method == "crown":
-        relaxations.append(relax_layer(chain, k, lo, hi, alpha_rule, relaxations))
-    if not bound_layers(
-        chain, box, method, alpha_rule, lower, upper, relaxations,
-        start=k + 1, stop=chain.n_relu, signs=signs, parent=(leaf.lower, leaf.upper),
-    ):
-        return None
-    return Leaf(tuple(lower), tuple(upper), tuple(relaxations), signs)
-
-
 def _rows(r: _ReluRelaxation, rows) -> _ReluRelaxation:
-    return _ReluRelaxation(r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows])
+    return _ReluRelaxation(r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows], r.compact)
 
 
 def _set_rows(r: _ReluRelaxation, rows, new: _ReluRelaxation) -> None:
     r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows] = new.slope_lo, new.slope_up, new.icpt_up
 
 
-def _split_batch(chain, box, parents: LeafBatch, ks, js, signs, method, alpha_rule) -> LeafBatch:
-    """split_leaf on a batch: pin every member, then re-bound layer by layer.
+def split_leaf(
+    chain: Chain,
+    box: Box,
+    parents: LeafBatch,
+    ks,
+    js,
+    signs,
+    method: str = "crown",
+    alpha_rule: str = "adaptive",
+) -> LeafBatch:
+    """Pin neuron js[b] of hidden layer ks[b] of each parent b to signs[b] and re-bound.
+
+    ks, js and signs hold one split per parent, each sign ACTIVE or
+    INACTIVE. A child shares its parent's layers before its split, takes
+    layer k as the parent's with neuron j clamped, and bounds the layers
+    after k again with every pin re-applied. Returns the children as a
+    LeafBatch in the parents' order, empty sign regions flagged in its
+    empty mask.
 
     The members are bounded in order of their split layer, so at layer l the
     ones split above it (k < l), which re-bound l, are a leading slice of
@@ -253,8 +204,6 @@ def _split_batch(chain, box, parents: LeafBatch, ks, js, signs, method, alpha_ru
     """
     if not len(parents) == len(ks) == len(js) == len(signs) > 0:
         raise ContractError("a batch split needs one layer, neuron and sign per parent leaf")
-    if has_large_layer(chain):
-        raise ContractError("a chain with a large hidden layer is split one leaf at a time")
     for k, j, sign in zip(ks, js, signs):
         _check_split(chain, parents.lower, k, j, sign)
     order = np.argsort(ks, kind="stable")
@@ -324,17 +273,15 @@ def verify_incomplete(
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
-    leaf = root_leaf(chain, spec.box, method, alpha_rule)
-    lo = chain_margin_lower_bounds(
-        chain, spec.box, A, const, method, leaf.lower, leaf.upper, leaf.relaxations
-    )
+    lower, upper, relaxations = _root_pass(chain, spec.box, method, alpha_rule)
+    lo = chain_margin_lower_bounds(chain, spec.box, A, const, method, lower, upper, relaxations)
     bound = float(lo.min())
     status = VERIFIED if bound >= 0.0 else UNKNOWN
     return Verdict(status, bound, 0, time.monotonic() - t0)
 
 
-def _exact_affine_margin(chain: Chain, leaf: Leaf, A, const, box: Box) -> float:
-    """Exact margin minimum over the box for a leaf with every neuron stable.
+def _exact_affine_margin(chain: Chain, batch: LeafBatch, member: int, A, const, box: Box) -> float:
+    """Exact margin minimum over the box for a member of batch with every neuron stable.
 
     With all signs fixed the network is affine, so composing the margin rows
     through sign masks and taking the interval minimum of the resulting
@@ -342,7 +289,7 @@ def _exact_affine_margin(chain: Chain, leaf: Leaf, A, const, box: Box) -> float:
     produced the leaf's bounds.
     """
     for k in range(chain.n_relu - 1, -1, -1):
-        lo, hi = leaf.lower[k], leaf.upper[k]
+        lo, hi = batch.lower[k][member], batch.upper[k][member]
         passthrough = (lo >= 0.0) & (hi > 0.0)  # deactivated wins the l = u = 0 tie
         A = A * passthrough[None, :].astype(np.float64)
         W, b = chain.layers[k]
@@ -380,28 +327,14 @@ def _widest_unstable(lower, upper):
 
 
 def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str, alpha_rule: str):
-    """Bound the leaves that stack items name: several as one batch, one alone.
+    """Split the leaves that stack items name, as one batch, and bound their margins.
 
-    An item is None for the root, or (batch, b, layer, neuron, sign): split
-    member b of batch there. Returns the children as a LeafBatch, the
-    minimum of each child's margin lower bounds, and the child of each item
-    in item order (its position in the batch); or (None, None, None) for a
-    single child whose sign region is empty. A batch is gathered in order
-    of split layer, the order split_leaf bounds it in.
+    An item is (batch, b, layer, neuron, sign): split member b of batch
+    there. Returns the children as a LeafBatch, the minimum of each child's
+    margin lower bounds, and the child of each item in item order (its
+    position in the batch). A batch is gathered in order of split layer,
+    the order split_leaf bounds it in.
     """
-    if len(items) == 1:  # the plain 2-D arithmetic, compacted layers included
-        item = items[0]
-        if item is None:
-            leaf = root_leaf(chain, box, method, alpha_rule)
-        else:
-            batch, b, k, j, sign = item
-            leaf = split_leaf(chain, box, batch.leaf(b), k, j, sign, method, alpha_rule)
-        if leaf is None:
-            return None, None, None
-        lo = chain_margin_lower_bounds(
-            chain, box, A, const, method, leaf.lower, leaf.upper, leaf.relaxations
-        )
-        return LeafBatch.of(leaf), lo[None].min(axis=1), [0]
     order = sorted(range(len(items)), key=lambda i: items[i][2])
     runs: list = []  # consecutive members from one batch: (batch, members)
     for i in order:
@@ -414,10 +347,15 @@ def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str, alph
     parents = parts[0] if len(parts) == 1 else LeafBatch.concat(parts)
     ks, js, signs = zip(*(items[i][2:] for i in order))
     children = split_leaf(chain, box, parents, ks, js, signs, method, alpha_rule)
+    return children, _margins(chain, box, children, A, const, method), np.argsort(order)
+
+
+def _margins(chain: Chain, box: Box, batch: LeafBatch, A, const, method: str) -> np.ndarray:
+    """Each member's minimum margin lower bound."""
     lo = chain_margin_lower_bounds(
-        chain, box, A, const, method, children.lower, children.upper, children.relaxations
+        chain, box, A, const, method, batch.lower, batch.upper, batch.relaxations
     )
-    return children, lo.min(axis=1), np.argsort(order)
+    return lo.min(axis=1)
 
 
 def check_budget(timeout, max_splits) -> None:
@@ -455,9 +393,11 @@ def bab_verify(
     over the box before giving up; a negative exact bound ends the search
     with unknown (the minimum may lie outside the leaf's sign region, so no
     counterexample is claimed). The search also stops at the first leaf that
-    would exceed max_splits, and at the first timeout check, once per step,
-    past timeout seconds. The reported bound is the worst bound among closed
-    leaves, plus the failing leaf's for non-verified outcomes.
+    would exceed max_splits, and at the first timeout check past timeout
+    seconds; each step checks once, after its bound pass and before it
+    handles its leaves, which then count as open. The reported bound is the
+    worst bound among closed leaves, plus the failing leaf's for
+    non-verified outcomes.
     """
     check_budget(timeout, max_splits)
     t0 = time.monotonic()
@@ -466,23 +406,18 @@ def bab_verify(
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
     box = spec.box
-    cap = 1 if has_large_layer(chain) else BATCH
-    stack: list = [None]  # None is the root; a child is (batch, member, layer, neuron, sign)
+    batch = root_leaf(chain, box, method, alpha_rule)
+    margins, members = _margins(chain, box, batch, A, const, method), [0]
+    stack: list = []  # open leaves: (batch, member, layer, neuron, sign)
     splits = 0
     worst = np.inf
 
     def done(status: str, bound: float, note: str = "") -> Verdict:
         return Verdict(status, float(bound), splits, time.monotonic() - t0, note)
 
-    while stack:
-        if time.monotonic() - t0 > timeout:
-            return done(TIMED_OUT, worst, f"{len(stack)} open branches")
-        # a leaf popped past max_splits - splits + 1 would be bounded in vain
-        # when every leaf before it needs a split: the search stops there
-        items = [stack.pop() for _ in range(min(cap, len(stack), max_splits - splits + 1))]
-        batch, margins, members = _bound_step(chain, box, items, A, const, method, alpha_rule)
-        if batch is None:  # no box point has these signs
-            continue
+    while True:
+        if time.monotonic() - t0 > timeout:  # the leaves just bounded are still open
+            return done(TIMED_OUT, worst, f"{len(stack) + len(members)} open branches")
         layers, neurons = _widest_unstable(batch.lower, batch.upper)
         opened = []
         for b in members:  # in the order popped
@@ -493,7 +428,7 @@ def bab_verify(
                 worst = min(worst, m)
                 continue
             if layers[b] < 0:
-                exact = _exact_affine_margin(chain, batch.leaf(b), A, const, box)
+                exact = _exact_affine_margin(chain, batch, b, A, const, box)
                 if exact >= 0.0:
                     worst = min(worst, exact)
                     continue
@@ -505,7 +440,12 @@ def bab_verify(
         for b, k, j in reversed(opened):
             stack.append((batch, b, k, j, ACTIVE))
             stack.append((batch, b, k, j, INACTIVE))
-    return done(VERIFIED, worst)
+        if not stack:
+            return done(VERIFIED, worst)
+        # a leaf popped past max_splits - splits + 1 would be bounded in vain
+        # when every leaf before it needs a split: the search stops there
+        items = [stack.pop() for _ in range(min(BATCH, len(stack), max_splits - splits + 1))]
+        batch, margins, members = _bound_step(chain, box, items, A, const, method, alpha_rule)
 
 
 def find_grid_counterexample(

@@ -7,11 +7,13 @@ are frozen so regressions surface as value diffs, not re-derivations.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from redkit import Box, Chain, NetworkBuilder, conv_to_matrix, root_leaf
-from redkit.bounds import chain_margin_lower_bounds
+from redkit import Box, Chain, NetworkBuilder, conv_to_matrix, root_leaf, split_leaf
+from redkit.bounds import _ReluRelaxation, chain_margin_lower_bounds
 
 # original example network
 FIG1_W1 = np.array(
@@ -118,7 +120,35 @@ def leaf_margins(chain, box, leaf, C, d, method):
     )
 
 
+def member(batch, b=0):
+    """Member b of a LeafBatch as one leaf: its arrays without the batch axis.
+
+    batch is the member alone as a batch of one, the form split_leaf takes.
+    """
+    return SimpleNamespace(
+        lower=tuple(a[b] for a in batch.lower),
+        upper=tuple(a[b] for a in batch.upper),
+        relaxations=tuple(
+            _ReluRelaxation(r.slope_lo[b], r.slope_up[b], r.icpt_up[b], r.compact)
+            for r in batch.relaxations
+        ),
+        signs=tuple(a[b] for a in batch.signs),
+        batch=batch.take([b]),
+    )
+
+
+def root_one(chain, box, method="crown", alpha_rule="adaptive"):
+    """The root leaf as one leaf (see member)."""
+    return member(root_leaf(chain, box, method, alpha_rule))
+
+
+def split_one(chain, box, leaf, k, j, sign, method="crown", alpha_rule="adaptive"):
+    """Split one leaf (see member): the child, or None when its sign region is empty."""
+    child = split_leaf(chain, box, leaf.batch, [k], [j], [sign], method, alpha_rule)
+    return None if child.empty[0] else member(child)
+
+
 def root_margins(net, box, C, d=0.0, method="crown", alpha_rule="adaptive"):
     """Lower bounds of the margins C y + d over the whole box."""
     chain = Chain.of(net)
-    return leaf_margins(chain, box, root_leaf(chain, box, method, alpha_rule), C, d, method)
+    return leaf_margins(chain, box, root_one(chain, box, method, alpha_rule), C, d, method)

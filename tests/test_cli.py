@@ -366,6 +366,32 @@ def test_not_an_onnx_file_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "{missing}.onnx", "--vnnlib", "{prop}"],
+    ["reduce", "--model", "{fig1}", "--center", "{center}", "--eps", "1.0",
+     "--out", "{missing}/x.onnx"],
+    ["reduce", "--model", "{fig1}", "--center", "{missing}.txt", "--eps", "1.0",
+     "--out", "{tmp}/x.onnx"],
+], ids=["missing_model", "unwritable_out", "missing_center"])
+def test_a_missing_or_unwritable_file_exits_2(ws, tmp_path, capsys, argv):
+    # before: FileNotFoundError reached the catch-all and exited 4
+    names = {"missing": str(tmp_path / "missing"), "center": ws["center"], "fig1": ws["fig1"],
+             "prop": ws["prop_true"], "tmp": str(tmp_path)}
+    rc = main([a.format(**names) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert "internal error" not in err
+
+
+def test_equiv_rejects_a_negative_sample_count(ws, capsys):
+    # before: numpy's ValueError reached the catch-all and exited 4
+    rc = main(["equiv", "--model", ws["fig1"], "--other", ws["fig1"],
+               "--center", ws["center"], "--eps", "1.0", "--samples", "-1"])
+    assert rc == 2
+    assert "sample count" in capsys.readouterr().err
+
+
 def test_malformed_vnnlib_exit_code(ws, tmp_path, capsys):
     prop = tmp_path / "broken.vnnlib"
     prop.write_text("(assert (>= X_0")

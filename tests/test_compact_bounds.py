@@ -8,10 +8,10 @@ arithmetic, so each test bounds the same chain both ways and compares.
 import numpy as np
 import pytest
 
-from redkit import Box, Chain, PropertySpec, forward_batch, from_sequential, root_leaf, split_leaf
+from conftest import member, root_one, split_one
+from redkit import Box, Chain, PropertySpec, compute_bounds, forward_batch, from_sequential
 from redkit import bounds, verify
 from redkit.bounds import _backward_from, bound_layers, chain_margin_lower_bounds
-from redkit.errors import ContractError
 from redkit.verify import ACTIVE, INACTIVE
 
 PLAIN = 1 << 62  # no layer is that large
@@ -145,7 +145,7 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
     leaves = {}
     for mode, value in (("plain", PLAIN), ("compact", threshold)):
         monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", value)
-        leaf = root_leaf(chain, box)
+        leaf = root_one(chain, box)
         path = []
         for step in range(4):
             free = [(k, j) for k in range(chain.n_relu)
@@ -156,7 +156,7 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
             k, j = free[int(np.random.default_rng(step).integers(len(free)))]
             sign = ACTIVE if pre[k][0, j] >= 0.0 else INACTIVE
             path.append((k, j, sign))
-            child = split_leaf(chain, box, leaf, k, j, sign)
+            child = split_one(chain, box, leaf, k, j, sign)
             assert child is not None
             leaf = child
         leaves[mode] = (leaf, path)
@@ -209,32 +209,104 @@ def test_backward_pass_never_writes_into_its_rows():
             assert not np.shares_memory(r.compact.weight, chain.layers[k][0])
 
 
-def test_a_chain_with_a_large_layer_is_split_one_leaf_at_a_time(monkeypatch):
-    # compacted forms exist per leaf only, so such a chain never runs a batch
-    net, chain, box = _planted_chain(3, [8, 64, 64, 3])
-    monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", 1)
-    root = root_leaf(chain, box)
-    assert all(r.compact is not None for r in root.relaxations)
-    k = 0
-    j = int(np.flatnonzero((root.lower[k] < 0) & (root.upper[k] > 0))[0])
-    pair = verify.LeafBatch.concat([verify.LeafBatch.of(root)] * 2)
-    with pytest.raises(ContractError, match="one leaf at a time"):
-        split_leaf(chain, box, pair, [k, k], [j, j], [ACTIVE, INACTIVE])
-    with pytest.raises(ContractError, match="one leaf at a time"):
-        bound_layers(chain, box, "crown", "adaptive", [pair.lower[0]], [pair.upper[0]],
-                     [pair.relaxations[0]], start=1)
+def _free(leaf):
+    """The unstable (layer, neuron) pairs of a leaf."""
+    return [(k, j) for k in range(len(leaf.lower))
+            for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
 
-    calls = []
+
+@pytest.mark.parametrize("threshold", [bounds.COMPACT_MIN_ENTRIES, 1])
+def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
+    # parents of depths 0 to 3, each split both ways in one batch, against
+    # the same splits made one parent at a time on the plain arithmetic
+    net, chain, box = _planted_chain(5, [8, 300, 256, 256, 3])
+    W, b = chain.layers[-1]
+    C = np.array([[1.0, -1.0, 0.0]])
+    pre = _pre_activations(chain, box.sample(1, np.random.default_rng(5)))
+    runs = {}
+    for mode, value in (("plain", PLAIN), ("compact", threshold)):
+        monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", value)
+        parents = [root_one(chain, box)]
+        for step in range(3):
+            free = _free(parents[-1])
+            # each pin on the side the sample takes, so that no parent is empty
+            k, j = free[int(np.random.default_rng(step).integers(len(free)))]
+            sign = ACTIVE if pre[k][0, j] >= 0 else INACTIVE
+            parents.append(split_one(chain, box, parents[-1], k, j, sign))
+        splits = []
+        for depth, parent in enumerate(parents):
+            free = _free(parent)
+            k, j = free[int(np.random.default_rng(10 + depth).integers(len(free)))]
+            splits += [(parent, k, j, ACTIVE), (parent, k, j, INACTIVE)]
+        runs[mode] = splits
+    assert [s[1:] for s in runs["plain"]] == [s[1:] for s in runs["compact"]]
+    assert len({k for _, k, _, _ in runs["compact"]}) > 1
+
+    parents, ks, js, signs = zip(*runs["compact"])
+    batch = verify.LeafBatch.concat([p.batch for p in parents])
+    children = verify.split_leaf(chain, box, batch, ks, js, signs)
+    root = parents[0].batch
+    for r, shared in zip(children.relaxations, root.relaxations):
+        assert r.compact is shared.compact
+    assert any(r.compact is not None for r in children.relaxations)
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b, "crown",
+                                        children.lower, children.upper, children.relaxations)
+    monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
+    for i, (parent, k, j, sign) in enumerate(runs["plain"]):
+        want = split_one(chain, box, parent, k, j, sign)
+        assert bool(children.empty[i]) == (want is None)
+        if want is None:
+            continue
+        got = member(children, i)
+        for layer in range(chain.n_relu):
+            assert np.array_equal(got.signs[layer], want.signs[layer])
+            _assert_same_live_bounds(got.lower[layer], got.upper[layer],
+                                     want.lower[layer], want.upper[layer], True)
+        want_m = chain_margin_lower_bounds(chain, box, C @ W, C @ b, "crown",
+                                           want.lower, want.upper, want.relaxations)
+        np.testing.assert_allclose(margins[i], want_m, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(want_m).max()))
+
+    monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", threshold)
+    sizes = []
     real_split = verify.split_leaf
 
-    def recording_split(chain, box, leaf, *rest):
-        calls.append(type(leaf))
-        return real_split(chain, box, leaf, *rest)
+    def recording_split(chain, box, parents, *rest):
+        sizes.append(len(parents))
+        return real_split(chain, box, parents, *rest)
 
     monkeypatch.setattr(verify, "split_leaf", recording_split)
-    C = np.array([[1.0, -1.0, 0.0]])
-    ys = forward_batch(net, box.sample(2000, np.random.default_rng(0))) @ C.T
+    xs = box.sample(2000, np.random.default_rng(0))
+    ys = forward_batch(net, xs) @ C.T
     spec = PropertySpec(box, C, -ys.min(axis=0), name="y0_minus_y1")
     v = verify.bab_verify(net, spec, max_splits=6)
     assert v.splits > 0
-    assert calls and set(calls) == {verify.Leaf}
+    assert max(sizes) > 1
+
+
+@pytest.mark.parametrize("case", ["fig1", "wide"])
+def test_the_root_stays_unbatched(case, fig1_net, unit_box):
+    # member 0 of root_leaf is the plain root pass, and verify_incomplete
+    # bounds the margins on that pass, not on a batch of one
+    if case == "fig1":
+        net, chain, box = fig1_net, Chain.of(fig1_net), unit_box
+        C, d = np.array([[1.0, 0.0], [1.0, -1.0]]), np.array([3.0, 0.0])
+    else:
+        net, chain, box = _planted_chain(5, [8, 300, 256, 256, 3])
+        C, d = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]), np.array([0.5, 0.0])
+    table = compute_bounds(net, box, "crown")
+    root = verify.root_leaf(chain, box)
+    n = chain.n_relu
+    for k in range(n):
+        lo, hi = table.pre_activation(k)
+        assert np.array_equal(root.lower[k][0], lo) and np.array_equal(root.upper[k][0], hi)
+        for line in ("slope_lo", "slope_up", "icpt_up"):
+            want = getattr(table.relaxations[k], line)
+            assert np.array_equal(getattr(root.relaxations[k], line)[0], want)
+    W, b = chain.layers[-1]
+    lower = [table.pre_activation(k)[0] for k in range(n)]
+    upper = [table.pre_activation(k)[1] for k in range(n)]
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, "crown",
+                                        lower, upper, table.relaxations)
+    v = verify.verify_incomplete(net, PropertySpec(box, C, d, name="margins"))
+    assert np.array_equal(v.bound, margins.min())

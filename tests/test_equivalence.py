@@ -118,3 +118,9 @@ def test_grid_width_guard():
     net = b.build(b.add_linear(i, np.eye(5), np.zeros(5)))
     with pytest.raises(ContractError):
         grid_equivalence(net, net, Box(-np.ones(5), np.ones(5)), points_per_dim=3)
+
+
+def test_a_negative_sample_count_is_rejected(fig1_net, unit_box):
+    with pytest.raises(ContractError, match="sample count"):
+        sample_equivalence(fig1_net, fig1_net, unit_box, n=-1)
+    assert sample_equivalence(fig1_net, fig1_net, unit_box, n=0).samples == 4  # the corners

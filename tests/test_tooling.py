@@ -3,12 +3,16 @@
 The benchmark scripts reach redkit only through `rk.<name>`; every such name
 must exist. A public name deleted from redkit would otherwise surface only
 when the benchmark runs, so this scan fails first. redkit.__all__ must list
-every public name the package imports, each once, and each must resolve. scripts/bench_pairs.py
-summarizes paired runs; its direction-aware win count is checked on fixed
-records.
+every public name the package imports, each once, and each must resolve.
+Every backticked dotted redkit name in README.md (`redkit.verify`,
+`bounds.COMPACT_MIN_ENTRIES`) must resolve too, so a deleted name cannot
+linger in the docs. scripts/bench_pairs.py summarizes paired runs; its
+direction-aware win count is checked on fixed records.
 """
 import ast
+import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
@@ -45,6 +49,33 @@ def test_all_names_resolve():
     assert imported, "no imports found in redkit/__init__.py"
     unlisted = sorted(imported - set(listed))
     assert not unlisted, f"imported by redkit/__init__.py but not in __all__: {unlisted}"
+
+
+_MODULES = {m.name for m in pkgutil.iter_modules(redkit.__path__)}
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted redkit name (redkit.<name>..., or <module>.<name>...) names something."""
+    first, *rest = dotted.removeprefix("redkit.").split(".")
+    if first in _MODULES:
+        obj = importlib.import_module(f"redkit.{first}")
+    elif hasattr(redkit, first):
+        obj = getattr(redkit, first)
+    else:
+        return False
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_dotted_names_resolve():
+    refs = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", (ROOT / "README.md").read_text()))
+    names = {r for r in refs if r.startswith("redkit.") or r.split(".")[0] in _MODULES}
+    assert {"bounds.COMPACT_MIN_ENTRIES", "redkit.verify"} <= names, "README names not found"
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, f"README.md names absent from redkit: {missing}"
 
 
 def _bench_pairs():

@@ -6,12 +6,14 @@ neuron makes both branches stable-affine and exactly nonnegative; crown
 already closes the root. All numbers are exact in binary floating point.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_samples, leaf_margins, root_margins
+from conftest import box_samples, leaf_margins, member, root_margins, root_one, split_one
 from redkit import (
     Box,
     Chain,
@@ -26,13 +28,12 @@ from redkit import (
     from_sequential,
     generate_network,
     reduce_layer,
-    root_leaf,
     split_leaf,
 )
 from redkit import verify as verify_mod
 from redkit.errors import ContractError
 from redkit.bounds import chain_margin_lower_bounds
-from redkit.verify import ACTIVE, INACTIVE, TIMED_OUT, UNKNOWN, VERIFIED, Leaf, LeafBatch
+from redkit.verify import ACTIVE, INACTIVE, TIMED_OUT, UNKNOWN, VERIFIED, LeafBatch
 
 
 def _spec(unit_box, rows, offsets, name="p"):
@@ -150,11 +151,11 @@ def _pre_activations(chain, xs):
 
 def test_sign_split_removes_the_instability(fig1_net, unit_box):
     chain = Chain.of(fig1_net)
-    root = root_leaf(chain, unit_box, "interval")
+    root = root_one(chain, unit_box, "interval")
     base = _unstable_count(root)
     assert base > 0
     for sign in (INACTIVE, ACTIVE):
-        child = split_leaf(chain, unit_box, root, 0, 4, sign, "interval")
+        child = split_one(chain, unit_box, root, 0, 4, sign, "interval")
         assert _unstable_count(child) < base
         assert child.signs[0][4] == sign
         assert root.signs[0][4] == 0  # the parent keeps its own state
@@ -164,8 +165,8 @@ def test_sign_split_branches_partition_the_behavior(fig1_net, unit_box):
     # on the half-box where neuron 4 is active the active branch's ranges and
     # margin bound hold, and similarly for the inactive branch
     chain = Chain.of(fig1_net)
-    root = root_leaf(chain, unit_box, "interval")
-    kids = {s: split_leaf(chain, unit_box, root, 0, 4, s, "interval") for s in (ACTIVE, INACTIVE)}
+    root = root_one(chain, unit_box, "interval")
+    kids = {s: split_one(chain, unit_box, root, 0, 4, s, "interval") for s in (ACTIVE, INACTIVE)}
     bound = {s: leaf_margins(chain, unit_box, kid, [[1.0, 0.0]], [3.0], "interval")[0]
              for s, kid in kids.items()}
     for x in box_samples(unit_box, 200, seed=11):
@@ -178,14 +179,14 @@ def test_sign_split_branches_partition_the_behavior(fig1_net, unit_box):
 
 def test_sign_split_rejects_bad_layer_neuron_and_sign(fig1_net, unit_box):
     chain = Chain.of(fig1_net)
-    root = root_leaf(chain, unit_box, "interval")
+    root = root_one(chain, unit_box, "interval")
     with pytest.raises(ContractError, match="no hidden layer"):
-        split_leaf(chain, unit_box, root, 5, 0, ACTIVE)
+        split_one(chain, unit_box, root, 5, 0, ACTIVE)
     with pytest.raises(ContractError, match="no neuron"):
-        split_leaf(chain, unit_box, root, 0, 5, ACTIVE)
+        split_one(chain, unit_box, root, 0, 5, ACTIVE)
     for sign in (0, 2, "sideways"):
         with pytest.raises(ContractError, match="sign"):
-            split_leaf(chain, unit_box, root, 0, 0, sign)
+            split_one(chain, unit_box, root, 0, 0, sign)
 
 
 def _surgery_child(net, k, j, sign, table, box):
@@ -233,12 +234,12 @@ def test_sign_split_child_is_no_looser_than_the_surgery_child(
         C, d = np.vstack([np.eye(n_out)[:1], np.eye(n_out)[:1] - np.eye(n_out)[-1:]]), np.zeros(2)
     chain = Chain.of(net)
     table = compute_bounds(net, box, method, alpha_rule)
-    root = root_leaf(chain, box, method, alpha_rule)
+    root = root_one(chain, box, method, alpha_rule)
     checked = 0
     for k in range(chain.n_relu):
         for j in np.flatnonzero((root.lower[k] < 0) & (root.upper[k] > 0))[:6]:
             for sign in (ACTIVE, INACTIVE):
-                child = split_leaf(chain, box, root, k, j, sign, method, alpha_rule)
+                child = split_one(chain, box, root, k, j, sign, method, alpha_rule)
                 surgery = _surgery_child(net, k, j, sign, table, box)
                 old = root_margins(surgery, box, C, d, method, alpha_rule)
                 if child is None:  # an empty region needs no bound
@@ -262,11 +263,11 @@ _EMPTY_WB = [
 def test_contradictory_pins_close_the_leaf(method):
     chain = Chain.of(from_sequential(_EMPTY_WB, 1))
     box = Box(np.array([-1.0]), np.array([1.0]))
-    root = root_leaf(chain, box, method)
-    b_active = split_leaf(chain, box, root, 1, 0, ACTIVE, method)
+    root = root_one(chain, box, method)
+    b_active = split_one(chain, box, root, 1, 0, ACTIVE, method)
     assert b_active is not None
-    assert split_leaf(chain, box, b_active, 0, 0, INACTIVE, method) is None
-    assert split_leaf(chain, box, b_active, 0, 0, ACTIVE, method) is not None
+    assert split_one(chain, box, b_active, 0, 0, INACTIVE, method) is None
+    assert split_one(chain, box, b_active, 0, 0, ACTIVE, method) is not None
 
 
 def test_bab_closes_an_empty_leaf_instead_of_giving_up(monkeypatch):
@@ -287,11 +288,8 @@ def test_bab_closes_an_empty_leaf_instead_of_giving_up(monkeypatch):
 
     def counting_split(chain, box, leaf, k, j, sign, *rest):
         child = real_split(chain, box, leaf, k, j, sign, *rest)
-        if isinstance(child, LeafBatch):  # a batch flags its empty members
-            for b in np.flatnonzero(child.empty):
-                empty.append((k[b], j[b], sign[b], leaf.signs[1][b][0]))
-        elif child is None:
-            empty.append((k, j, sign, leaf.signs[1][0]))
+        for b in np.flatnonzero(child.empty):
+            empty.append((k[b], j[b], sign[b], leaf.signs[1][b][0]))
         return child
 
     monkeypatch.setattr(verify_mod, "split_leaf", counting_split)
@@ -316,7 +314,7 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, alpha_rule, 
           for i, o in zip(widths, widths[1:])]
     chain = Chain.of(from_sequential(wb, widths[0]))
     box = Box(-np.ones(2), np.ones(2))
-    leaf = root_leaf(chain, box, method, alpha_rule)
+    leaf = root_one(chain, box, method, alpha_rule)
     pins = []
     for _ in range(n_pins):
         free = [(k, j) for k in range(chain.n_relu)
@@ -326,7 +324,7 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, alpha_rule, 
         k, j = free[int(rng.integers(len(free)))]
         sign = int(rng.choice([ACTIVE, INACTIVE]))
         pins.append((k, j, sign))
-        leaf = split_leaf(chain, box, leaf, k, j, sign, method, alpha_rule)
+        leaf = split_one(chain, box, leaf, k, j, sign, method, alpha_rule)
         if leaf is None:
             break
     xs = box.sample(3000, rng)
@@ -384,14 +382,14 @@ def _widest_unstable_loop(leaf):
 
 def _random_leaf(chain, box, rng, method, alpha_rule, depth):
     """A leaf reached from the root by depth random pins (fewer when none is left)."""
-    leaf = root_leaf(chain, box, method, alpha_rule)
+    leaf = root_one(chain, box, method, alpha_rule)
     for _ in range(depth):
         free = [(k, j) for k in range(chain.n_relu)
                 for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
         if not free:
             break
         k, j = free[int(rng.integers(len(free)))]
-        child = split_leaf(chain, box, leaf, k, j, int(rng.choice([ACTIVE, INACTIVE])),
+        child = split_one(chain, box, leaf, k, j, int(rng.choice([ACTIVE, INACTIVE])),
                            method, alpha_rule)
         if child is None:
             break
@@ -426,7 +424,7 @@ def test_batched_split_matches_looped_splits(seed, method, alpha_rule, size):
     if not parents:
         return
     ks, js, signs = zip(*splits)
-    batch = split_leaf(chain, box, LeafBatch.concat([LeafBatch.of(p) for p in parents]),
+    batch = split_leaf(chain, box, LeafBatch.concat([p.batch for p in parents]),
                        ks, js, signs, method, alpha_rule)
     C, d = np.array([[1.0, -1.0]]), np.array([0.0])
     W, b = chain.layers[-1]
@@ -437,7 +435,7 @@ def test_batched_split_matches_looped_splits(seed, method, alpha_rule, size):
     ys = forward_batch(net, xs) @ C.T + d
     layers, neurons = verify_mod._widest_unstable(batch.lower, batch.upper)
     for i, (parent, (k, j, sign)) in enumerate(zip(parents, splits)):
-        looped = split_leaf(chain, box, parent, k, j, sign, method, alpha_rule)
+        looped = split_one(chain, box, parent, k, j, sign, method, alpha_rule)
         inside = np.ones(len(xs), dtype=bool)
         for layer, pins in enumerate(batch.signs):
             for n in np.flatnonzero(pins[i]):
@@ -446,7 +444,7 @@ def test_batched_split_matches_looped_splits(seed, method, alpha_rule, size):
         if looped is None:
             assert not inside.any(), "an empty leaf holds a sampled point"
             continue
-        child = batch.leaf(i)
+        child = member(batch, i)
         for layer in range(chain.n_relu):
             assert np.array_equal(child.signs[layer], looped.signs[layer])
             _close(child.lower[layer], looped.lower[layer])
@@ -475,7 +473,7 @@ def test_widest_unstable_breaks_ties_toward_the_lowest_neuron():
              np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 1.0, 3.0]]))
     layers, neurons = verify_mod._widest_unstable(lower, upper)
     for b in range(3):
-        leaf = Leaf(tuple(lo[b] for lo in lower), tuple(hi[b] for hi in upper), (), ())
+        leaf = SimpleNamespace(lower=tuple(lo[b] for lo in lower), upper=tuple(hi[b] for hi in upper))
         expect = _widest_unstable_loop(leaf)
         assert (layers[b] >= 0) == (expect is not None)
         if expect is not None:
