@@ -9,7 +9,6 @@ effect end to end.
 """
 
 from .bounds import (
-    ALPHA_RULES,
     BoundsTable,
     Box,
     compute_bounds,
@@ -77,7 +76,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_RULES",
     "BoundsTable",
     "Box",
     "Chain",

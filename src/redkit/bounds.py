@@ -17,8 +17,6 @@ from . import kernels
 from .errors import ContractError, InternalInvariantError
 from .netir import Chain, Network, as_sequential
 
-ALPHA_RULES = ("adaptive", "zero", "one")
-
 # A hidden layer whose weight matrix has at least this many entries is bounded
 # without its interval-dead rows and enters backward passes in compacted form
 # (see relax_layer). Below it, the per-call numpy overhead of compacting
@@ -103,9 +101,10 @@ class _ReluRelaxation:
     """Per-neuron bounding lines over a pre-activation range [l, u].
 
     Upper line passes through (l, 0) and (u, u) when unstable; lower line has
-    slope alpha in {0, 1} and intercept 0. Stable neurons use the exact
-    identity/zero lines. compact is the layer in backward form when it is
-    large (see relax_layer), else None; a batch of leaves shares its root's.
+    intercept 0 and CROWN's adaptive slope: 1 when u >= -l, else 0, whichever
+    leaves the smaller area between line and ReLU. Stable neurons use the
+    exact identity/zero lines. compact is the layer in backward form when it
+    is large (see relax_layer), else None; a batch of leaves shares its root's.
     """
 
     slope_lo: np.ndarray
@@ -114,8 +113,11 @@ class _ReluRelaxation:
     compact: _Compacted | None = None
 
 
-def relu_relaxation(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRelaxation:
-    """The ReLU lines over [lo, hi], neuron by neuron; (B, n) ranges give (B, n) lines."""
+def relu_relaxation(lo: np.ndarray, hi: np.ndarray) -> _ReluRelaxation:
+    """The ReLU lines over [lo, hi], neuron by neuron; (B, n) ranges give (B, n) lines.
+
+    The lower line of an unstable neuron is the adaptive one (see _ReluRelaxation).
+    """
     deact = hi <= 0.0  # includes the degenerate l == u == 0 case
     act = (~deact) & (lo >= 0.0)
     unstable = ~(deact | act)
@@ -124,14 +126,7 @@ def relu_relaxation(lo: np.ndarray, hi: np.ndarray, alpha_rule: str) -> _ReluRel
     denom = np.where(unstable, hi - lo, 1.0)
     slope_up = np.where(unstable, hi / denom, slope_up)
     icpt_up = np.where(unstable, -lo * hi / denom, 0.0)
-    if alpha_rule == "adaptive":
-        alpha = (hi >= -lo).astype(np.float64)
-    elif alpha_rule == "zero":
-        alpha = np.zeros_like(lo)
-    elif alpha_rule == "one":
-        alpha = np.ones_like(lo)
-    else:
-        raise ContractError(f"alpha_rule must be one of {ALPHA_RULES}, got {alpha_rule!r}")
+    alpha = (hi >= -lo).astype(np.float64)
     slope_lo = np.where(unstable, alpha, np.where(act, 1.0, 0.0))
     return _ReluRelaxation(slope_lo, slope_up, icpt_up)
 
@@ -141,7 +136,7 @@ def _is_large(chain: Chain, k: int) -> bool:
 
 
 def relax_layer(
-    chain: Chain, k: int, lo: np.ndarray, hi: np.ndarray, alpha_rule: str, relaxations: list
+    chain: Chain, k: int, lo: np.ndarray, hi: np.ndarray, relaxations: list
 ) -> _ReluRelaxation:
     """ReLU lines of hidden layer k over [lo, hi], plus its backward form when large.
 
@@ -153,7 +148,7 @@ def relax_layer(
     take part in the product. A batch of leaves ((B, n) ranges) gets lines
     only; its leaves keep the root's compacted forms.
     """
-    r = relu_relaxation(lo, hi, alpha_rule)
+    r = relu_relaxation(lo, hi)
     if lo.ndim != 1 or not _is_large(chain, k):
         return r
     W, b = chain.layers[k]
@@ -229,7 +224,6 @@ def bound_layers(
     chain: Chain,
     box: Box,
     method: str,
-    alpha_rule: str,
     lower: list,
     upper: list,
     relaxations: list,
@@ -315,25 +309,13 @@ def bound_layers(
         lower.append(lo)
         upper.append(hi)
         if hidden and method == "crown":
-            relaxations.append(relax_layer(chain, k, lo, hi, alpha_rule, relaxations))
+            relaxations.append(relax_layer(chain, k, lo, hi, relaxations))
     return ok if batched else True
-
-
-def _table(net: Network, box: Box, method: str, alpha_rule: str) -> BoundsTable:
-    seq = as_sequential(net)
-    chain = Chain.of_view(seq)
-    chain.check_box(box)
-    lower: list = []
-    upper: list = []
-    relaxations: list = []
-    bound_layers(chain, box, method, alpha_rule, lower, upper, relaxations)
-    ids = [l.id for l in seq.linears]
-    return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)), relaxations)
 
 
 def interval_forward(net: Network, box: Box) -> BoundsTable:
     """Forward interval propagation; exact for the first linear layer."""
-    return _table(net, box, "interval", "adaptive")
+    return compute_bounds(net, box, "interval")
 
 
 def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_pass: bool):
@@ -373,13 +355,22 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
     return hi if upper_pass else lo
 
 
-def compute_bounds(net: Network, box: Box, method: str, alpha_rule: str = "adaptive") -> BoundsTable:
+def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     """Pre-activation bounds of every linear layer of a sequential network.
 
-    method is 'interval' or 'crown' (see bound_layers); alpha_rule picks the
-    lower ReLU line of crown. Crown's first-layer bounds equal interval's.
+    method is 'interval' or 'crown' (see bound_layers); crown's lower ReLU
+    line is the adaptive one (see _ReluRelaxation). Crown's first-layer
+    bounds equal interval's.
     """
-    return _table(net, box, method, alpha_rule)
+    seq = as_sequential(net)
+    chain = Chain.of_view(seq)
+    chain.check_box(box)
+    lower: list = []
+    upper: list = []
+    relaxations: list = []
+    bound_layers(chain, box, method, lower, upper, relaxations)
+    ids = [l.id for l in seq.linears]
+    return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)), relaxations)
 
 
 def chain_margin_lower_bounds(

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bounds import ALPHA_RULES, Box, compute_bounds
+from .bounds import Box, compute_bounds
 from .equivalence import grid_equivalence, sample_equivalence
 from .errors import (
     EXIT_INTERNAL,
@@ -57,8 +57,8 @@ def _sidecar_path(model_path) -> str:
     return str(model_path) + ".json"
 
 
-def _resolve_box(args, input_dim: int) -> Box:
-    """Input region from --vnnlib, --center/--eps, or the generator sidecar."""
+def _region(args, input_dim: int) -> Box | None:
+    """Input region from --vnnlib, --center/--eps, or the generator sidecar; None if none is given."""
     if getattr(args, "vnnlib", None):
         box = load_vnnlib(args.vnnlib).box
     elif getattr(args, "center", None) is not None:
@@ -69,12 +69,19 @@ def _resolve_box(args, input_dim: int) -> Box:
     elif os.path.exists(_sidecar_path(args.model)):
         box, _ = load_sidecar(_sidecar_path(args.model))
     else:
+        return None
+    if box.dim != input_dim:
+        raise ContractError(f"region has dimension {box.dim}, model expects {input_dim}")
+    return box
+
+
+def _resolve_box(args, input_dim: int) -> Box:
+    box = _region(args, input_dim)
+    if box is None:
         raise ContractError(
             "no input region: pass --vnnlib or --center/--eps, or keep the "
             "generator sidecar json next to the model"
         )
-    if box.dim != input_dim:
-        raise ContractError(f"region has dimension {box.dim}, model expects {input_dim}")
     return box
 
 
@@ -132,10 +139,7 @@ def cmd_reduce(args) -> int:
     net = _read_model(args.model)
     box = _resolve_box(args, net.input_layer.width)
     net = _ensure_sequential(net, box)
-    reduced, report = reduce_network(
-        net, box, method=args.method, alpha_rule=args.alpha,
-        shift_method=args.shift_method,
-    )
+    reduced, report = reduce_network(net, box, method=args.method)
     _print_reduction(report)
     if args.report:
         with open(args.report, "w") as fh:
@@ -194,7 +198,7 @@ def cmd_bounds(args) -> int:
     net = _read_model(args.model)
     box = _resolve_box(args, net.input_layer.width)
     net = _ensure_sequential(net, box)
-    table = compute_bounds(net, box, args.method, args.alpha)
+    table = compute_bounds(net, box, args.method)
     lines = ["layer,neuron,lower,upper,method"]
     for layer, neuron, lo, hi, method in table.rows():
         lines.append(f"{layer},{neuron},{lo!r},{hi!r},{method}")
@@ -231,12 +235,11 @@ def cmd_verify(args) -> int:
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)
-    v = verify_incomplete(net, spec, method=args.method, alpha_rule=args.alpha)
+    v = verify_incomplete(net, spec, method=args.method)
     print(f"incomplete: {v.status} (bound {v.bound:.6g}, {v.wall_time_s:.3f} s)")
     if not v.verified and not args.no_bab:
         v = bab_verify(
-            net, spec, method=args.method, alpha_rule=args.alpha,
-            timeout=args.timeout, max_splits=args.max_splits,
+            net, spec, method=args.method, timeout=args.timeout, max_splits=args.max_splits
         )
         print(
             f"branch and bound: {v.status} (bound {v.bound:.6g}, "
@@ -254,10 +257,10 @@ def cmd_bench(args) -> int:
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)
-    reduced, report = reduce_network(net, spec.box, method=args.method, alpha_rule=args.alpha)
+    reduced, report = reduce_network(net, spec.box, method=args.method)
     _print_reduction(report)
     result = bench_pair(
-        net, reduced, spec, method=args.method, alpha_rule=args.alpha,
+        net, reduced, spec, method=args.method,
         timeout=args.timeout, max_splits=args.max_splits, repeats=args.repeats,
     )
     print(f"{'variant':<10} {'status':<10} {'median_s':>10} {'splits':>7} {'bound':>12}")
@@ -290,12 +293,8 @@ def cmd_bench(args) -> int:
 
 def cmd_simplify(args) -> int:
     net = _read_model(args.model)
-    box = None
-    try:
-        box = _resolve_box(args, net.input_layer.width)
-    except ContractError:
-        pass  # only needed when an input value skips past a junction
-    chain, stats = simplify(net, box)
+    # a region is only needed when an input value skips past a junction
+    chain, stats = simplify(net, _region(args, net.input_layer.width))
     print(
         f"rewrites: {stats.normalization_rewrites} merges, {stats.constructions} layer "
         f"constructions, {stats.linearizations} linearizations (budget {stats.layer_budget})"
@@ -328,16 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analysis = argparse.ArgumentParser(add_help=False)
     analysis.add_argument("--method", choices=("interval", "crown"), default="crown")
-    analysis.add_argument("--alpha", choices=ALPHA_RULES, default="adaptive")
 
     p = sub.add_parser("reduce", parents=[region, analysis], help="drop provably stable neurons")
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="path for the reduced model")
     p.add_argument("--report", help="path for the per-layer CSV report")
-    p.add_argument(
-        "--shift-method", choices=("interval", "crown"), default="interval",
-        help="how merged-row shifts are lower bounded",
-    )
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a network with planted stable neurons")

@@ -257,11 +257,7 @@ def validate(net: Network) -> ValidationReport:
         if i in reach_fwd:
             for s in net.succs[i]:
                 reach_fwd.add(s)
-    reach_bwd = {net.output_id}
-    for i in reversed(order):
-        if i in reach_bwd:
-            for q in net.preds[i]:
-                reach_bwd.add(q)
+    reach_bwd = feeds_output(net)
     for l in net.layers:
         if l.id not in reach_fwd:
             rep.add(f"layer {l.id}: unreachable from input")
@@ -288,6 +284,15 @@ def topo_order(net: Network) -> list[int]:
         arc = next((a, b) for a, b in net.arcs if a in left and b in left)
         raise StructuralError(f"cycle detected: arc {arc[0]} -> {arc[1]} is on a cycle")
     return order
+
+
+def feeds_output(net: Network) -> set[int]:
+    """Ids of the layers with a path to the output layer, the output included."""
+    feeds = {net.output_id}
+    for i in reversed(topo_order(net)):
+        if i in feeds:
+            feeds.update(net.preds[i])
+    return feeds
 
 
 def forward(net: Network, x) -> np.ndarray:

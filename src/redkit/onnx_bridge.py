@@ -15,7 +15,7 @@ import numpy as np
 
 from . import onnx_codec as oc
 from .errors import UnsupportedModelError
-from .netir import KIND_LINEAR, Network, NetworkBuilder, as_sequential
+from .netir import KIND_LINEAR, Network, NetworkBuilder, as_sequential, feeds_output
 
 # the fewest inputs each supported op reads by position; every op writes an output
 _MIN_INPUTS = {
@@ -239,6 +239,13 @@ class _Importer:
         if out_name not in self.vals:
             raise UnsupportedModelError(f"graph output {out_name!r} is constant or undefined")
         net = self.b.build(output_id=self.vals[out_name].lid)
+        feeds = feeds_output(net)
+        if len(feeds) < len(net.layers):
+            self.notes.append(
+                f"dropped {len(net.layers) - len(feeds)} layer(s) that cannot reach the graph output"
+            )
+            layers = [l for l in net.layers if l.id in feeds]
+            net = Network(layers, [a for a in net.arcs if a[1] in feeds], net.input_id, net.output_id)
         for layer in net.layers:
             if layer.kind == KIND_LINEAR and not (
                 np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()

@@ -15,7 +15,6 @@ chain.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import time
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .bounds import BoundsTable, Box, bound_layers, compute_bounds
+from .bounds import BoundsTable, Box, compute_bounds
 from .errors import ContractError, InternalInvariantError
 from .netir import Chain, Network, as_sequential
 
@@ -85,17 +84,16 @@ def reduce_layer(
     part: LayerPartition,
     v_range: tuple[np.ndarray, np.ndarray],
     pre_lb: np.ndarray,
-    merge_lower=None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
     """Rewrite the block V -> X -> ReLU -> Z, given the (W, b) pairs of X and Z.
 
-    v_range bounds V's output (the box, or clamped bounds for a ReLU V);
-    pre_lb is X's known pre-activation lower bound vector, used for in-place
-    stabilization shifts when merging is skipped. merge_lower(W, b), when
-    given, returns a tighter lower bound of the merged rows than the interval
-    one over v_range. Returns (pairs, merged): pairs replaces [X, Z] and is
-    [X', Z'], or the single pair [Z'] of a constant map when the hidden layer
-    vanished; merged tells whether the activated block was folded into Z.
+    v_range bounds V's output (the box, or clamped bounds for a ReLU V); the
+    shift of merged rows is their interval lower bound over it. pre_lb is X's
+    known pre-activation lower bound vector, used for in-place stabilization
+    shifts when merging is skipped. Returns (pairs, merged): pairs replaces
+    [X, Z] and is [X', Z'], or the single pair [Z'] of a constant map when the
+    hidden layer vanished; merged tells whether the activated block was
+    folded into Z.
     """
     (Wx, bx), (Wz, bz) = x, z
     if part.width != Wx.shape[0]:
@@ -106,10 +104,7 @@ def reduce_layer(
     if merged:
         merge_w = Wz[:, A] @ Wx[A, :]
         merge_b = Wz[:, A] @ bx[A]
-        if merge_lower is not None:
-            lo = merge_lower(merge_w, merge_b)
-        else:
-            lo, _ = kernels.interval_affine(merge_w, merge_b, *v_range)
+        lo, _ = kernels.interval_affine(merge_w, merge_b, *v_range)
         shift = np.maximum(0.0, -lo)
         new_w = np.vstack([merge_w, Wx[U, :]])
         new_b = np.concatenate([merge_b + shift, bx[U]])
@@ -184,30 +179,22 @@ def reduce_network(
     net: Network,
     box: Box,
     method: str = "crown",
-    alpha_rule: str = "adaptive",
-    shift_method: str = "interval",
     partitions: list[LayerPartition] | None = None,
 ) -> tuple[Network, ReductionReport]:
     """Drop/merge every provably stable neuron; returns (network, report).
 
-    The root table is compute_bounds(net, box, method, alpha_rule); the
-    partitions default to its classification. Layers are processed from the
-    last hidden layer backwards, each rewrite splicing reduce_layer's pairs
-    into the list of (W, b) pairs, so it only touches the already-rewritten
-    suffix and earlier layers' bounds stay valid. shift_method 'interval'
-    bounds merged rows over the predecessor range; 'crown' bounds them with
-    one more crown layer on top of the unchanged prefix's crown bounds and
-    lines. Those are the root table's when method is 'crown'; otherwise one
-    crown pass over the prefix computes them at the first merged layer past
-    layer 0, and every smaller layer reuses them.
+    The root table is compute_bounds(net, box, method); the partitions
+    default to its classification. Layers are processed from the last hidden
+    layer backwards, each rewrite splicing reduce_layer's pairs into the list
+    of (W, b) pairs, so it only touches the already-rewritten suffix and
+    earlier layers' bounds stay valid. A merged block's bias shift is its
+    interval lower bound over the predecessor's range in the root table.
     """
-    if shift_method not in ("interval", "crown"):
-        raise ContractError(f"shift_method must be 'interval' or 'crown', got {shift_method!r}")
     t0 = time.perf_counter()
     seq = as_sequential(net)
     if seq.ends_with_relu:
         raise ContractError("reduce_network expects an affine-ended sequential network")
-    table = compute_bounds(net, box, method, alpha_rule)
+    table = compute_bounds(net, box, method)
     if partitions is None:
         partitions = classify(table)
     n_hidden = len(seq.linears) - 1
@@ -218,35 +205,14 @@ def reduce_network(
     report.relu_before = sum(l.width for l in seq.relus)
 
     # (W, b) of every linear layer; a ReLU sits between each two neighbours
-    original = Chain.of_view(seq).layers
-    pairs = list(original)
-    # crown lower, upper and lines of the original hidden layers, as far as bounded
-    crown = None
-    if method == "crown":
-        ranges = [table.pre_activation(j) for j in range(n_hidden)]
-        crown = ([lo for lo, _ in ranges], [hi for _, hi in ranges], table.relaxations)
-
-    def crown_lower(W, b, k):
-        """Crown lower bound of rows (W, b) placed after the original layers 0..k-1."""
-        nonlocal crown
-        if crown is None:  # bounded once, at the largest k, and sliced for smaller ones
-            crown = ([], [], [])
-            bound_layers(Chain(original, n_hidden), box, "crown", alpha_rule, *crown, stop=k)
-        lower, upper, lines = (c[:k] for c in crown)
-        chain = Chain(original[:k] + ((W, b),), k)
-        bound_layers(chain, box, "crown", alpha_rule, lower, upper, lines, start=k)
-        return lower[-1]
-
+    pairs = list(Chain.of_view(seq).layers)
     for k in range(n_hidden - 1, -1, -1):
         if k == 0:
             v_range = (box.lower, box.upper)
         else:
             v_range = table.post_activation(k - 1)
         pre_lb = table.pre_activation(k)[0]
-        merge_lower = None
-        if shift_method == "crown" and k > 0:
-            merge_lower = functools.partial(crown_lower, k=k)
-        new, merged = reduce_layer(pairs[k], pairs[k + 1], partitions[k], v_range, pre_lb, merge_lower)
+        new, merged = reduce_layer(pairs[k], pairs[k + 1], partitions[k], v_range, pre_lb)
         report.add_layer(k, partitions[k], merged, new[0][0].shape[0] if len(new) == 2 else 0)
         pairs[k : k + 2] = new
 

@@ -377,13 +377,21 @@ def save_vnnlib(spec: PropertySpec, path):
 
 
 def epsilon_ball(center, eps: float, clip=None) -> Box:
-    """Axis-aligned eps-ball around a point, optionally clipped to a range."""
+    """Axis-aligned eps-ball around a point, optionally clipped to a range [lo, hi].
+
+    The clip range must meet the ball in every dimension; a range that
+    misses it would leave a box outside the ball.
+    """
     c = np.asarray(center, dtype=np.float64).ravel()
     if eps < 0:
         raise ContractError("eps must be nonnegative")
     lo, hi = c - eps, c + eps
     if clip is not None:
         a, b = float(clip[0]), float(clip[1])
+        if not a <= b:
+            raise ContractError(f"clip range [{a}, {b}] is empty")
+        if ((hi < a) | (lo > b)).any():
+            raise ContractError(f"clip range [{a}, {b}] misses the eps-ball in some dimension")
         lo, hi = np.clip(lo, a, b), np.clip(hi, a, b)
     return Box(lo, hi)
 

@@ -135,19 +135,19 @@ class LeafBatch:
         return self.empty.shape[0]
 
 
-def _root_pass(chain: Chain, box: Box, method: str, alpha_rule: str) -> tuple[list, list, list]:
+def _root_pass(chain: Chain, box: Box, method: str) -> tuple[list, list, list]:
     """The hidden layers' ranges and lines over the whole box, unbatched."""
     chain.check_box(box)
     lower: list = []
     upper: list = []
     relaxations: list = []
-    bound_layers(chain, box, method, alpha_rule, lower, upper, relaxations, stop=chain.n_relu)
+    bound_layers(chain, box, method, lower, upper, relaxations, stop=chain.n_relu)
     return lower, upper, relaxations
 
 
-def root_leaf(chain: Chain, box: Box, method: str = "crown", alpha_rule: str = "adaptive") -> LeafBatch:
+def root_leaf(chain: Chain, box: Box, method: str = "crown") -> LeafBatch:
     """The whole box, nothing pinned: a batch of one over the unbatched root pass."""
-    lower, upper, relaxations = _root_pass(chain, box, method, alpha_rule)
+    lower, upper, relaxations = _root_pass(chain, box, method)
     return LeafBatch(
         tuple(a[None] for a in lower),
         tuple(a[None] for a in upper),
@@ -186,7 +186,6 @@ def split_leaf(
     js,
     signs,
     method: str = "crown",
-    alpha_rule: str = "adaptive",
 ) -> LeafBatch:
     """Pin neuron js[b] of hidden layer ks[b] of each parent b to signs[b] and re-bound.
 
@@ -227,7 +226,7 @@ def split_leaf(
             prefix_lo, prefix_hi = lo_c[:l], hi_c[:l]
             prefix_relax = [_rows(r, slice(c)) for r in relax[:l]]
             ok = bound_layers(
-                chain, box, method, alpha_rule, prefix_lo, prefix_hi, prefix_relax,
+                chain, box, method, prefix_lo, prefix_hi, prefix_relax,
                 start=l, stop=l + 1, signs=[a[:c] for a in pins], parent=(lo_c, hi_c),
             )
             empty[:c] |= ~ok
@@ -242,7 +241,7 @@ def split_leaf(
             empty[g] |= e
             lower[l][g], upper[l][g] = lo, hi
             if method == "crown":
-                _set_rows(relax[l], g, relax_layer(chain, l, lo, hi, alpha_rule, relax))
+                _set_rows(relax[l], g, relax_layer(chain, l, lo, hi, relax))
     children = LeafBatch(tuple(lower), tuple(upper), tuple(relax), tuple(pins), empty)
     if in_order:
         return children
@@ -265,7 +264,6 @@ def verify_incomplete(
     net: Network,
     spec: PropertySpec,
     method: str = "crown",
-    alpha_rule: str = "adaptive",
 ) -> Verdict:
     """Single bounding pass; verified iff every margin bound is >= 0."""
     t0 = time.monotonic()
@@ -273,7 +271,7 @@ def verify_incomplete(
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
-    lower, upper, relaxations = _root_pass(chain, spec.box, method, alpha_rule)
+    lower, upper, relaxations = _root_pass(chain, spec.box, method)
     lo = chain_margin_lower_bounds(chain, spec.box, A, const, method, lower, upper, relaxations)
     bound = float(lo.min())
     status = VERIFIED if bound >= 0.0 else UNKNOWN
@@ -326,7 +324,7 @@ def _widest_unstable(lower, upper):
     return np.where(found, layer, -1), neuron
 
 
-def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str, alpha_rule: str):
+def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str):
     """Split the leaves that stack items name, as one batch, and bound their margins.
 
     An item is (batch, b, layer, neuron, sign): split member b of batch
@@ -346,7 +344,7 @@ def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str, alph
     parts = [batch.take(rows) for batch, rows in runs]
     parents = parts[0] if len(parts) == 1 else LeafBatch.concat(parts)
     ks, js, signs = zip(*(items[i][2:] for i in order))
-    children = split_leaf(chain, box, parents, ks, js, signs, method, alpha_rule)
+    children = split_leaf(chain, box, parents, ks, js, signs, method)
     return children, _margins(chain, box, children, A, const, method), np.argsort(order)
 
 
@@ -375,7 +373,6 @@ def bab_verify(
     net: Network,
     spec: PropertySpec,
     method: str = "crown",
-    alpha_rule: str = "adaptive",
     timeout: float = 60.0,
     max_splits: int = 100_000,
 ) -> Verdict:
@@ -406,7 +403,7 @@ def bab_verify(
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
     box = spec.box
-    batch = root_leaf(chain, box, method, alpha_rule)
+    batch = root_leaf(chain, box, method)
     margins, members = _margins(chain, box, batch, A, const, method), [0]
     stack: list = []  # open leaves: (batch, member, layer, neuron, sign)
     splits = 0
@@ -445,7 +442,7 @@ def bab_verify(
         # a leaf popped past max_splits - splits + 1 would be bounded in vain
         # when every leaf before it needs a split: the search stops there
         items = [stack.pop() for _ in range(min(BATCH, len(stack), max_splits - splits + 1))]
-        batch, margins, members = _bound_step(chain, box, items, A, const, method, alpha_rule)
+        batch, margins, members = _bound_step(chain, box, items, A, const, method)
 
 
 def find_grid_counterexample(
@@ -489,7 +486,6 @@ def bench_pair(
     reduced: Network,
     spec: PropertySpec,
     method: str = "crown",
-    alpha_rule: str = "adaptive",
     timeout: float = 60.0,
     max_splits: int = 100_000,
     repeats: int = 3,
@@ -513,7 +509,7 @@ def bench_pair(
         times = []
         verdict = None
         for _ in range(max(repeats, 1)):
-            verdict = bab_verify(net, spec, method, alpha_rule, timeout, max_splits)
+            verdict = bab_verify(net, spec, method, timeout, max_splits)
             times.append(verdict.wall_time_s)
         verdicts[label] = verdict
         rows.append(

@@ -137,18 +137,18 @@ def member(batch, b=0):
     )
 
 
-def root_one(chain, box, method="crown", alpha_rule="adaptive"):
+def root_one(chain, box, method="crown"):
     """The root leaf as one leaf (see member)."""
-    return member(root_leaf(chain, box, method, alpha_rule))
+    return member(root_leaf(chain, box, method))
 
 
-def split_one(chain, box, leaf, k, j, sign, method="crown", alpha_rule="adaptive"):
+def split_one(chain, box, leaf, k, j, sign, method="crown"):
     """Split one leaf (see member): the child, or None when its sign region is empty."""
-    child = split_leaf(chain, box, leaf.batch, [k], [j], [sign], method, alpha_rule)
+    child = split_leaf(chain, box, leaf.batch, [k], [j], [sign], method)
     return None if child.empty[0] else member(child)
 
 
-def root_margins(net, box, C, d=0.0, method="crown", alpha_rule="adaptive"):
+def root_margins(net, box, C, d=0.0, method="crown"):
     """Lower bounds of the margins C y + d over the whole box."""
     chain = Chain.of(net)
-    return leaf_margins(chain, box, root_one(chain, box, method, alpha_rule), C, d, method)
+    return leaf_margins(chain, box, root_one(chain, box, method), C, d, method)

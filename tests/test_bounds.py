@@ -212,19 +212,13 @@ def test_interval_monotone_in_box():
         assert np.all(ls >= lb) and np.all(us <= ub)
 
 
-@pytest.mark.parametrize("alpha_rule", ["adaptive", "zero", "one"])
-def test_alpha_rules_all_sound(fig1_net, unit_box, alpha_rule):
-    t = compute_bounds(fig1_net, unit_box, "crown", alpha_rule)
+def test_crown_output_bounds_are_sound(fig1_net, unit_box):
+    t = compute_bounds(fig1_net, unit_box, "crown")
     xs = box_samples(unit_box, 500, seed=9)
     lo, hi = t.output_bounds()
     for x in xs:
         y = forward(fig1_net, x)
         assert np.all(y >= lo - 1e-9) and np.all(y <= hi + 1e-9)
-
-
-def test_alpha_rule_rejected(fig1_net, unit_box):
-    with pytest.raises(ContractError):
-        compute_bounds(fig1_net, unit_box, "crown", "half")
 
 
 @settings(max_examples=30, deadline=None)

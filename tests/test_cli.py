@@ -118,12 +118,6 @@ def test_reduce_without_region_is_usage_error(ws, tmp_path, capsys):
     assert "no input region" in capsys.readouterr().err
 
 
-def test_reduce_crown_shift_method(ws, capsys):
-    rc = main(["reduce", "--model", ws["gen"], "--shift-method", "crown"])
-    assert rc == 0
-    assert "relu neurons: 48 ->" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -273,15 +267,15 @@ def test_bench_reports_speedup_and_csv(ws, tmp_path, capsys):
 # --- simplify ---
 
 
+def _t(name, arr):
+    a32 = np.ascontiguousarray(arr, dtype="<f4")
+    return oc.TensorP(name=name, dims=list(a32.shape), data_type=oc.DT_FLOAT,
+                      raw_data=a32.tobytes())
+
+
 def _residual_model_bytes() -> bytes:
     rng = np.random.default_rng(5)
     w = rng.normal(size=(3, 3))
-
-    def t(name, arr):
-        a32 = np.ascontiguousarray(arr, dtype="<f4")
-        return oc.TensorP(name=name, dims=list(a32.shape), data_type=oc.DT_FLOAT,
-                          raw_data=a32.tobytes())
-
     g1 = oc.NodeP(op_type="Gemm", name="g1", inputs=["x", "w1"], outputs=["h"])
     g1.attributes["transB"] = oc.AttrP("transB", oc.AT_INT, i=1)
     r = oc.NodeP(op_type="Relu", name="r", inputs=["h"], outputs=["hr"])
@@ -290,7 +284,7 @@ def _residual_model_bytes() -> bytes:
     add = oc.NodeP(op_type="Add", name="skip", inputs=["h2", "x"], outputs=["y"])
     graph = oc.GraphP(
         name="res", nodes=[g1, r, g2, add],
-        initializers=[t("w1", w), t("w2", rng.normal(size=(3, 3)))],
+        initializers=[_t("w1", w), _t("w2", rng.normal(size=(3, 3)))],
         inputs=[oc.ValueInfoP("x", oc.DT_FLOAT, [1, 3])],
         outputs=[oc.ValueInfoP("y", oc.DT_FLOAT, [1, 3])],
     )
@@ -315,6 +309,24 @@ def test_simplify_rewrites_residual_to_chain(tmp_path, capsys):
         assert np.abs(forward(chain, x) - forward(orig, x)).max() <= 1e-5
 
 
+@pytest.mark.parametrize("model,region,message", [
+    ("res", ["--center", "{c3}"], "--center needs --eps"),
+    ("res", ["--center", "{c4}", "--eps", "1.0"], "region has dimension 4"),
+    ("fig1", ["--center", "{c3}", "--eps", "1.0"], "region has dimension 3"),
+], ids=["center_without_eps", "wrong_dimension", "wrong_dimension_on_a_chain"])
+def test_simplify_reports_a_bad_region(ws, tmp_path, capsys, model, region, message):
+    (tmp_path / "res.onnx").write_bytes(_residual_model_bytes())
+    (tmp_path / "c3.txt").write_text("0 0 0\n")
+    (tmp_path / "c4.txt").write_text("0 0 0 0\n")
+    names = {"c3": str(tmp_path / "c3.txt"), "c4": str(tmp_path / "c4.txt")}
+    path = ws["fig1"] if model == "fig1" else str(tmp_path / "res.onnx")
+    rc = main(["simplify", "--model", path, *(a.format(**names) for a in region),
+               "--out", str(tmp_path / "out.onnx")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.onnx").exists()
+
+
 def test_verify_simplifies_branching_models(tmp_path, capsys):
     model = tmp_path / "res.onnx"
     model.write_bytes(_residual_model_bytes())
@@ -332,6 +344,34 @@ def test_verify_simplifies_branching_models(tmp_path, capsys):
     rc = main(["verify", "--model", str(model), "--vnnlib", str(prop)])
     assert rc == 0
     assert "not a chain" in capsys.readouterr().err
+
+
+def test_a_node_that_does_not_feed_the_output_is_dropped(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    g1 = oc.NodeP(op_type="Gemm", name="g1", inputs=["x", "w1"], outputs=["h"])
+    g1.attributes["transB"] = oc.AttrP("transB", oc.AT_INT, i=1)
+    r = oc.NodeP(op_type="Relu", name="r", inputs=["h"], outputs=["hr"])
+    debug = oc.NodeP(op_type="Relu", name="debug", inputs=["h"], outputs=["dbg"])
+    g2 = oc.NodeP(op_type="Gemm", name="g2", inputs=["hr", "w2"], outputs=["y"])
+    g2.attributes["transB"] = oc.AttrP("transB", oc.AT_INT, i=1)
+    graph = oc.GraphP(
+        name="debug", nodes=[g1, r, debug, g2],
+        initializers=[_t("w1", rng.normal(size=(4, 3))), _t("w2", rng.normal(size=(1, 4)))],
+        inputs=[oc.ValueInfoP("x", oc.DT_FLOAT, [1, 3])],
+        outputs=[oc.ValueInfoP("y", oc.DT_FLOAT, [1, 1])],
+    )
+    model = tmp_path / "debug.onnx"
+    model.write_bytes(oc.encode_model(oc.ModelP(graph=graph, opset_imports=[("", 13)])))
+    prop = tmp_path / "p.vnnlib"
+    decls = "\n".join(f"(declare-const {v} Real)" for v in ("X_0", "X_1", "X_2", "Y_0"))
+    box = "".join(f"(assert (>= X_{i} -1.0)) (assert (<= X_{i} 1.0))\n" for i in range(3))
+    prop.write_text(f"{decls}\n{box}(assert (<= Y_0 -1000.0))\n")
+    assert main(["stats", "--model", str(model)]) == 0
+    out, err = capsys.readouterr()
+    assert "shape: sequential chain" in out
+    assert "dropped 1 layer(s) that cannot reach the graph output" in err
+    assert main(["verify", "--model", str(model), "--vnnlib", str(prop)]) == 0
+    assert "not a chain" not in capsys.readouterr().err
 
 
 # --- error surfaces ---
@@ -382,6 +422,14 @@ def test_a_missing_or_unwritable_file_exits_2(ws, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("clip", [["1", "-1"], ["2", "3"]], ids=["reversed", "off_the_ball"])
+def test_reduce_rejects_a_clip_range_off_the_ball(ws, capsys, clip):
+    rc = main(["reduce", "--model", ws["fig1"], "--center", ws["center"], "--eps", "0.1",
+               "--clip", *clip])
+    assert rc == 2
+    assert "clip range" in capsys.readouterr().err
 
 
 def test_equiv_rejects_a_negative_sample_count(ws, capsys):

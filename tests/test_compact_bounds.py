@@ -44,7 +44,7 @@ def _planted_chain(seed, widths, dead=0.4, active=0.3):
 
 def _crown(chain, box):
     lower, upper, relaxations = [], [], []
-    bound_layers(chain, box, "crown", "adaptive", lower, upper, relaxations)
+    bound_layers(chain, box, "crown", lower, upper, relaxations)
     return lower, upper, relaxations
 
 

@@ -19,7 +19,7 @@ from redkit import (
 )
 from conftest import box_samples
 from redkit.errors import StructuralError, UnsupportedModelError
-from redkit.netir import KIND_LINEAR, KIND_RELU, KIND_SUM, validate
+from redkit.netir import KIND_LINEAR, KIND_RELU, KIND_SUM, as_sequential, validate
 
 rng = np.random.default_rng(20240817)
 
@@ -303,6 +303,20 @@ def test_split_feeds_two_branches():
     add = oc.NodeP(op_type="Add", name="j", inputs=["p", "q"], outputs=["y"])
     g = _graph([sp, n0, n1, add], i0 + i1, [1, 4], "y")
     _assert_agrees(g, 4)
+
+
+def test_a_branch_that_does_not_feed_the_output_is_dropped():
+    n0, i0 = _gemm("a", "x", rng.normal(size=(4, 3)), rng.normal(size=4), "h")
+    r = oc.NodeP(op_type="Relu", name="r", inputs=["h"], outputs=["hr"])
+    n1, i1 = _gemm("b", "hr", rng.normal(size=(2, 4)), rng.normal(size=2), "y")
+    debug = oc.NodeP(op_type="Relu", name="debug", inputs=["h"], outputs=["dbg"])
+    n2, i2 = _gemm("c", "dbg", rng.normal(size=(2, 4)), None, "dbg2")
+    g = _graph([n0, r, debug, n1, n2], i0 + i1 + i2, [1, 3], "y")
+    net = _assert_agrees(g, 3)
+    assert [l.kind for l in net.layers] == ["input", KIND_LINEAR, KIND_RELU, KIND_LINEAR]
+    assert as_sequential(net).linears
+    _, report = import_onnx(_bytes(g))
+    assert report.notes == ["dropped 2 layer(s) that cannot reach the graph output"]
 
 
 def test_identity_and_constant_nodes():

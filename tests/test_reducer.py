@@ -22,7 +22,6 @@ from redkit import (
     reduce_network,
     sample_equivalence,
 )
-from redkit import reducer
 from conftest import (
     FIG4_B1,
     FIG4_B2,
@@ -282,55 +281,6 @@ def test_partition_accepts_integral_floats_and_empty_lists():
     assert part.activated.shape == (0,)
 
 
-@pytest.mark.parametrize("method", ["crown", "interval"])
-def test_crown_shift_never_rebounds_the_prefix_from_layer_0(method, monkeypatch):
-    # every layer merges; each merged row past layer 0 is bounded by one
-    # crown layer on top of the prefix, which is bounded at most once
-    net, _ = generate_network(3, 12, 3, 1, 1.0, seed=1)
-    box = Box(np.zeros(3), np.ones(3))
-    calls = []
-    real = reducer.bound_layers
-
-    def recording(chain, box, method, alpha_rule, lower, upper, relaxations, start=0, stop=None):
-        calls.append((start, stop))
-        return real(chain, box, method, alpha_rule, lower, upper, relaxations, start, stop)
-
-    monkeypatch.setattr(reducer, "bound_layers", recording)
-    reduced, report = reduce_network(net, box, method=method, shift_method="crown")
-    merged = sorted(r["layer"] for r in report.rows if r["merged"] and r["layer"] > 0)
-    assert len(merged) >= 2
-    assert sorted(start for start, stop in calls if stop is None) == merged
-    assert [stop for start, stop in calls if stop is not None] == (
-        [] if method == "crown" else [merged[-1]]
-    )
-    xs = np.vstack([box.sample(500, np.random.default_rng(0)), box.corners(8)])
-    np.testing.assert_allclose(forward_batch(reduced, xs), forward_batch(net, xs), atol=1e-9)
-
-
-@pytest.mark.parametrize("method", ["crown", "interval"])
-def test_crown_shift_is_the_crown_bound_of_the_merged_rows(method):
-    # the last hidden layer merges into a 1-wide output; its shift must be
-    # the crown lower bound of the merged rows over the unchanged prefix
-    # (layer 0 is kept whole, so it leaves the merged bias alone), whichever
-    # method bounded the root table
-    net, _ = generate_network(2, 12, 3, 1, 1.0, seed=1)
-    box = Box(np.zeros(3), np.ones(3))
-    part = classify(compute_bounds(net, box, "crown"))[1]
-    keep = LayerPartition(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(12), 12)
-    reduced, report = reduce_network(
-        net, box, method=method, shift_method="crown", partitions=[keep, part]
-    )
-    assert next(r for r in report.rows if r["layer"] == 1)["merged"]
-    (Wx, bx), (Wz, bz) = Chain.of(net).layers[1:]
-    A = part.activated
-    mw, mb = Wz[:, A] @ Wx[A, :], Wz[:, A] @ bx[A]
-    prefix = from_sequential([Chain.of(net).layers[0], (mw, mb)], 3)
-    lo = compute_bounds(prefix, box, "crown").output_bounds()[0]
-    assert lo[0] < 0.0  # the shift is not zero
-    merged_bias = Chain.of(reduced).layers[1][1][:1]
-    np.testing.assert_array_equal(merged_bias, mb + np.maximum(0.0, -lo))
-
-
 def _demote(part: LayerPartition, rng, frac: float) -> LayerPartition:
     """The partition with a random share of its stable neurons moved to unstable."""
     stable = np.concatenate([part.deactivated, part.activated])
@@ -343,7 +293,7 @@ def _demote(part: LayerPartition, rng, frac: float) -> LayerPartition:
     )
 
 
-@pytest.mark.parametrize("shift_method", ["interval", "crown"])
+@pytest.mark.parametrize("method", ["interval", "crown"])
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -352,19 +302,16 @@ def _demote(part: LayerPartition, rng, frac: float) -> LayerPartition:
     output_dim=st.integers(1, 2),
     stable_fraction=st.floats(0.0, 1.0),
     demote=st.floats(0.0, 1.0),
-    method=st.sampled_from(["interval", "crown"]),
 )
 def test_reduce_network_matches_original_on_box(
-    shift_method, seed, n_hidden, width, output_dim, stable_fraction, demote, method
+    method, seed, n_hidden, width, output_dim, stable_fraction, demote
 ):
     net, _ = generate_network(n_hidden, width, 3, output_dim, stable_fraction, seed=seed)
     box = Box(np.zeros(3), np.ones(3))
     table = compute_bounds(net, box, method)
     rng = np.random.default_rng(seed)
     parts = [_demote(p, rng, demote) for p in classify(table)]
-    reduced, report = reduce_network(
-        net, box, method=method, shift_method=shift_method, partitions=parts
-    )
+    reduced, report = reduce_network(net, box, method=method, partitions=parts)
     relus = [l.width for l in as_sequential(reduced).relus]
     assert sum(relus) == report.relu_after <= report.relu_before
     xs = np.vstack([box.sample(500, rng), box.corners(64)])

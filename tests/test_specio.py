@@ -251,6 +251,16 @@ def test_epsilon_ball_negative_eps_rejected():
         epsilon_ball([0.0], -0.1)
 
 
+@pytest.mark.parametrize("clip,match", [
+    ((1.0, -1.0), "is empty"),
+    ((0.0, 1.0), "misses the eps-ball"),  # dimension 1, [2.4, 2.6], lies above it
+    ((float("nan"), 1.0), "is empty"),
+], ids=["reversed", "off_the_ball", "nan"])
+def test_epsilon_ball_rejects_a_clip_range_off_the_ball(clip, match):
+    with pytest.raises(ContractError, match=match):
+        epsilon_ball([0.5, 2.5], 0.1, clip=clip)
+
+
 def test_load_center(tmp_path):
     p = tmp_path / "center.txt"
     p.write_text("0.5, -1.25\n2.0\n")

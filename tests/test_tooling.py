@@ -6,9 +6,12 @@ when the benchmark runs, so this scan fails first. redkit.__all__ must list
 every public name the package imports, each once, and each must resolve.
 Every backticked dotted redkit name in README.md (`redkit.verify`,
 `bounds.COMPACT_MIN_ENTRIES`) must resolve too, so a deleted name cannot
-linger in the docs. scripts/bench_pairs.py summarizes paired runs; its
-direction-aware win count is checked on fixed records.
+linger in the docs. So must every --flag on a `redkit <subcommand>` line of
+README.md, against that subcommand's parser. scripts/bench_pairs.py
+summarizes paired runs; its direction-aware win count is checked on fixed
+records.
 """
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -17,6 +20,7 @@ import re
 from pathlib import Path
 
 import redkit
+from redkit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -76,6 +80,21 @@ def test_readme_dotted_names_resolve():
     assert {"bounds.COMPACT_MIN_ENTRIES", "redkit.verify"} <= names, "README names not found"
     missing = sorted(name for name in names if not _resolves(name))
     assert not missing, f"README.md names absent from redkit: {missing}"
+
+
+def test_readme_redkit_flags_exist():
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    commands = re.findall(r"^\s*(?:\$\s+)?redkit\s+(\w+)(.*)$", text, re.M)
+    assert len(commands) >= 5, "no redkit command lines found in README.md"
+    top = cli._build_parser()
+    subs = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
+    unknown = sorted(
+        (sub, flag)
+        for sub, rest in commands
+        for flag in re.findall(r"(?<!\S)--[\w-]+", rest)
+        if sub not in subs or flag not in subs[sub]._option_string_actions
+    )
+    assert not unknown, f"README.md redkit flags the CLI does not accept: {unknown}"
 
 
 def _bench_pairs():
