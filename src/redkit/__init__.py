@@ -66,7 +66,6 @@ from .verify import (
     LeafBatch,
     Verdict,
     bab_verify,
-    bench_pair,
     find_grid_counterexample,
     root_leaf,
     split_leaf,
@@ -99,7 +98,6 @@ __all__ = [
     "Verdict",
     "as_sequential",
     "bab_verify",
-    "bench_pair",
     "classify",
     "compute_bounds",
     "conv_to_matrix",

@@ -373,19 +373,12 @@ def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)), relaxations)
 
 
-def chain_margin_lower_bounds(
-    chain: Chain, box: Box, A, const, method: str, lower: list, upper: list, relaxations: list
-) -> np.ndarray:
-    """Lower bounds of A h + const, h the last hidden layer's post-ReLU values.
+def chain_margin_lower_bounds(chain: Chain, box: Box, A, const, relaxations: list) -> np.ndarray:
+    """CROWN lower bounds of A h + const, h the last hidden layer's post-ReLU values.
 
-    lower/upper/relaxations are the hidden layers' bounds of the same method,
-    as bound_layers fills them; A and const already fold in the readout layer.
-    For a batch of leaves (each array with a leading batch axis) the result
-    is (B, m), one row of margin bounds per member.
+    relaxations are the hidden layers' ReLU lines, as bound_layers fills
+    them for crown; A and const already fold in the readout layer. For a
+    batch of leaves (lines with a leading batch axis) the result is (B, m),
+    one row of margin bounds per member.
     """
-    n = chain.n_relu
-    if method == "crown" or n == 0:
-        return _backward_from(chain, n, A, const, relaxations, box, upper_pass=False)
-    v_lo, v_hi = np.maximum(lower[n - 1], 0.0), np.maximum(upper[n - 1], 0.0)
-    lo, _ = kernels.interval_affine(A, const, v_lo, v_hi)
-    return lo
+    return _backward_from(chain, chain.n_relu, A, const, relaxations, box, upper_pass=False)

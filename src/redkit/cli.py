@@ -29,13 +29,7 @@ from .onnx_bridge import export_onnx, import_onnx
 from .reducer import reduce_network
 from .simplifier import simplify
 from .specio import PropertySpec, epsilon_ball, load_center, load_vnnlib
-from .verify import (
-    bab_verify,
-    bench_pair,
-    check_budget,
-    find_grid_counterexample,
-    verify_incomplete,
-)
+from .verify import bab_verify, check_budget, find_grid_counterexample, verify_incomplete
 
 
 def _read_model(path) -> Network:
@@ -58,10 +52,18 @@ def _sidecar_path(model_path) -> str:
 
 
 def _region(args, input_dim: int) -> Box | None:
-    """Input region from --vnnlib, --center/--eps, or the generator sidecar; None if none is given."""
-    if getattr(args, "vnnlib", None):
+    """Input region from --vnnlib, --center/--eps, or the generator sidecar; None if none is given.
+
+    A region flag that the chosen source does not read is an error, not ignored.
+    """
+    ball = [f for f in ("center", "eps", "clip") if getattr(args, f) is not None]
+    if args.vnnlib and ball:
+        raise ContractError(f"--vnnlib gives the region; drop --{ball[0]}")
+    if ball and args.center is None:
+        raise ContractError(f"--{ball[0]} needs --center")
+    if args.vnnlib:
         box = load_vnnlib(args.vnnlib).box
-    elif getattr(args, "center", None) is not None:
+    elif args.center is not None:
         if args.eps is None:
             raise ContractError("--center needs --eps")
         center = load_center(args.center)
@@ -235,12 +237,10 @@ def cmd_verify(args) -> int:
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)
-    v = verify_incomplete(net, spec, method=args.method)
+    v = verify_incomplete(net, spec)
     print(f"incomplete: {v.status} (bound {v.bound:.6g}, {v.wall_time_s:.3f} s)")
     if not v.verified and not args.no_bab:
-        v = bab_verify(
-            net, spec, method=args.method, timeout=args.timeout, max_splits=args.max_splits
-        )
+        v = bab_verify(net, spec, timeout=args.timeout, max_splits=args.max_splits)
         print(
             f"branch and bound: {v.status} (bound {v.bound:.6g}, "
             f"{v.splits} splits, {v.wall_time_s:.3f} s)"
@@ -250,45 +250,6 @@ def cmd_verify(args) -> int:
         if x is not None:
             print(f"counterexample: {np.array2string(x, max_line_width=200)}")
     return EXIT_OK if v.verified else EXIT_UNKNOWN
-
-
-def cmd_bench(args) -> int:
-    check_budget(args.timeout, args.max_splits)
-    net = _read_model(args.model)
-    spec = _load_property(args, net)
-    net = _ensure_sequential(net, spec.box)
-    reduced, report = reduce_network(net, spec.box, method=args.method)
-    _print_reduction(report)
-    result = bench_pair(
-        net, reduced, spec, method=args.method,
-        timeout=args.timeout, max_splits=args.max_splits, repeats=args.repeats,
-    )
-    print(f"{'variant':<10} {'status':<10} {'median_s':>10} {'splits':>7} {'bound':>12}")
-    for r in result["rows"]:
-        print(
-            f"{r['variant']:<10} {r['status']:<10} {r['median_time_s']:>10.4f} "
-            f"{r['splits']:>7} {r['bound']:>12.5g}"
-        )
-    t_orig = result["rows"][0]["median_time_s"]
-    t_red = result["rows"][1]["median_time_s"]
-    if t_red > 0:
-        print(f"speedup: {t_orig / t_red:.2f}x")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("property,variant,status,median_time_s,splits,bound\n")
-            for r in result["rows"]:
-                fh.write(
-                    f"{r['property']},{r['variant']},{r['status']},"
-                    f"{r['median_time_s']!r},{r['splits']},{r['bound']!r}\n"
-                )
-        print(f"wrote benchmark rows to {args.out}")
-    if not result["agreement"]:
-        print(
-            "invariant breach: the reduced network lost a verdict the original achieved",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    return EXIT_OK
 
 
 def cmd_simplify(args) -> int:
@@ -363,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_equiv)
 
-    p = sub.add_parser("verify", parents=[analysis], help="prove a property or give up")
+    p = sub.add_parser("verify", help="prove a property or give up")
     p.add_argument("--model", required=True)
     p.add_argument("--vnnlib", required=True)
     p.add_argument("--timeout", type=float, default=60.0)
@@ -375,17 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "bench", parents=[analysis], help="verify a property on a model and its reduction"
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument("--vnnlib", required=True)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-splits", type=int, default=100_000)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--out", help="CSV path for the result rows")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "simplify", parents=[region], help="rewrite a branching graph into a chain"

@@ -36,7 +36,7 @@ class UnsupportedModelError(RedkitError):
 
 
 class ParseError(RedkitError):
-    """A property file could not be parsed; message carries the line number."""
+    """A property, center or sidecar file could not be parsed; the message says where."""
 
     exit_code = EXIT_USAGE
 

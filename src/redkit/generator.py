@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .bounds import Box
-from .errors import GenerationError
+from .errors import GenerationError, ParseError
 from .kernels import interval_affine
 from .netir import Network, from_sequential
 from .onnx_bridge import export_onnx
@@ -115,7 +115,12 @@ def save_model(net: Network, sidecar: dict, model_path, sidecar_path=None) -> st
 
 
 def load_sidecar(path) -> tuple[Box, dict]:
-    with open(path) as fh:
-        sidecar = json.load(fh)
-    box = Box(np.array(sidecar["box"]["lower"]), np.array(sidecar["box"]["upper"]))
-    return box, sidecar
+    """The box and metadata that save_model wrote; ParseError naming a malformed file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        sidecar = json.loads(data.decode("utf-8"))
+        lower, upper = (np.array(sidecar["box"][k], dtype=np.float64) for k in ("lower", "upper"))
+    except (ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"{path}: no numeric box in sidecar ({type(e).__name__}: {e})") from None
+    return Box(lower, upper), sidecar

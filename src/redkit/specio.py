@@ -308,10 +308,18 @@ def _atoms_to_rows(atoms: list, n_out: int):
     return rows, offsets
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; ParseError naming the file when it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def load_vnnlib(path, name: str | None = None) -> PropertySpec:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_vnnlib(text, name=name or str(path))
+    return parse_vnnlib(_read_text(path), name=name or str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +406,7 @@ def epsilon_ball(center, eps: float, clip=None) -> Box:
 
 def load_center(path) -> np.ndarray:
     """Point from a text file: one value per line, or comma separated."""
-    with open(path) as fh:
-        text = fh.read()
-    vals = [tok for tok in text.replace(",", " ").split() if tok]
+    vals = [tok for tok in _read_text(path).replace(",", " ").split() if tok]
     if not vals:
         raise ParseError(f"{path}: no values found")
     try:

@@ -1,6 +1,7 @@
-"""Margin verification: one-shot bounding and branch-and-bound on ReLU signs.
+"""Margin verification: one CROWN pass, then branch and bound on ReLU signs.
 
-A property holds when every margin row stays nonnegative over the box. The
+Every bound here is CROWN's (bounds.bound_layers with method "crown"). A
+property holds when every margin row stays nonnegative over the box. The
 certificate threshold is nonnegative rather than strictly positive, so a
 margin that attains exactly zero still counts as proved; counterexamples are
 points with a strictly negative margin.
@@ -41,7 +42,6 @@ from .bounds import (
     clamp_to_signs,
     relax_layer,
 )
-from .equivalence import sample_equivalence
 from .errors import ContractError
 from .netir import Network, forward_batch
 from .specio import MODE_ANY, PropertySpec
@@ -84,8 +84,8 @@ class LeafBatch:
 
     The leaf of branch and bound, the root included (a batch of one).
     signs[k][b] holds member b's pins in hidden layer k (-1 inactive, 0
-    free, +1 active); lower[k][b], upper[k][b] and, for crown, the (B, n)
-    lines of relaxations[k] are that layer's pre-activation range and ReLU
+    free, +1 active); lower[k][b], upper[k][b] and the (B, n) lines of
+    relaxations[k] are that layer's pre-activation range and ReLU
     lines, sound for every box point whose pre-activations have member b's
     pinned signs. A large layer's compacted backward form is the root's,
     shared by every batch split from it. empty[b] is True when member b's
@@ -135,19 +135,19 @@ class LeafBatch:
         return self.empty.shape[0]
 
 
-def _root_pass(chain: Chain, box: Box, method: str) -> tuple[list, list, list]:
+def _root_pass(chain: Chain, box: Box) -> tuple[list, list, list]:
     """The hidden layers' ranges and lines over the whole box, unbatched."""
     chain.check_box(box)
     lower: list = []
     upper: list = []
     relaxations: list = []
-    bound_layers(chain, box, method, lower, upper, relaxations, stop=chain.n_relu)
+    bound_layers(chain, box, "crown", lower, upper, relaxations, stop=chain.n_relu)
     return lower, upper, relaxations
 
 
-def root_leaf(chain: Chain, box: Box, method: str = "crown") -> LeafBatch:
+def root_leaf(chain: Chain, box: Box) -> LeafBatch:
     """The whole box, nothing pinned: a batch of one over the unbatched root pass."""
-    lower, upper, relaxations = _root_pass(chain, box, method)
+    lower, upper, relaxations = _root_pass(chain, box)
     return LeafBatch(
         tuple(a[None] for a in lower),
         tuple(a[None] for a in upper),
@@ -185,7 +185,6 @@ def split_leaf(
     ks,
     js,
     signs,
-    method: str = "crown",
 ) -> LeafBatch:
     """Pin neuron js[b] of hidden layer ks[b] of each parent b to signs[b] and re-bound.
 
@@ -226,22 +225,20 @@ def split_leaf(
             prefix_lo, prefix_hi = lo_c[:l], hi_c[:l]
             prefix_relax = [_rows(r, slice(c)) for r in relax[:l]]
             ok = bound_layers(
-                chain, box, method, prefix_lo, prefix_hi, prefix_relax,
+                chain, box, "crown", prefix_lo, prefix_hi, prefix_relax,
                 start=l, stop=l + 1, signs=[a[:c] for a in pins], parent=(lo_c, hi_c),
             )
             empty[:c] |= ~ok
             if ok.any():
                 lower[l][:c], upper[l][:c] = prefix_lo[l], prefix_hi[l]
-                if method == "crown":
-                    _set_rows(relax[l], slice(c), prefix_relax[l])
+                _set_rows(relax[l], slice(c), prefix_relax[l])
         if d > c:  # members c..d-1 pin a neuron of layer l
             g = slice(c, d)
             pins[l][np.arange(c, d), js[g]] = signs[g]
             lo, hi, e = clamp_to_signs(lower[l][g], upper[l][g], pins[l][g])
             empty[g] |= e
             lower[l][g], upper[l][g] = lo, hi
-            if method == "crown":
-                _set_rows(relax[l], g, relax_layer(chain, l, lo, hi, relax))
+            _set_rows(relax[l], g, relax_layer(chain, l, lo, hi, relax))
     children = LeafBatch(tuple(lower), tuple(upper), tuple(relax), tuple(pins), empty)
     if in_order:
         return children
@@ -260,42 +257,18 @@ def _margin_rows(chain: Chain, spec: PropertySpec) -> tuple[np.ndarray, np.ndarr
     return spec.rows @ W, spec.rows @ b + spec.offsets
 
 
-def verify_incomplete(
-    net: Network,
-    spec: PropertySpec,
-    method: str = "crown",
-) -> Verdict:
-    """Single bounding pass; verified iff every margin bound is >= 0."""
+def verify_incomplete(net: Network, spec: PropertySpec) -> Verdict:
+    """Single CROWN pass; verified iff every margin bound is >= 0."""
     t0 = time.monotonic()
     if spec.rows.shape[0] == 0:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
-    lower, upper, relaxations = _root_pass(chain, spec.box, method)
-    lo = chain_margin_lower_bounds(chain, spec.box, A, const, method, lower, upper, relaxations)
+    _, _, relaxations = _root_pass(chain, spec.box)
+    lo = chain_margin_lower_bounds(chain, spec.box, A, const, relaxations)
     bound = float(lo.min())
     status = VERIFIED if bound >= 0.0 else UNKNOWN
     return Verdict(status, bound, 0, time.monotonic() - t0)
-
-
-def _exact_affine_margin(chain: Chain, batch: LeafBatch, member: int, A, const, box: Box) -> float:
-    """Exact margin minimum over the box for a member of batch with every neuron stable.
-
-    With all signs fixed the network is affine, so composing the margin rows
-    through sign masks and taking the interval minimum of the resulting
-    affine map is exact, regardless of which (possibly loose) method
-    produced the leaf's bounds.
-    """
-    for k in range(chain.n_relu - 1, -1, -1):
-        lo, hi = batch.lower[k][member], batch.upper[k][member]
-        passthrough = (lo >= 0.0) & (hi > 0.0)  # deactivated wins the l = u = 0 tie
-        A = A * passthrough[None, :].astype(np.float64)
-        W, b = chain.layers[k]
-        const = const + A @ b
-        A = A @ W
-    Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
-    lows = Ap @ box.lower + An @ box.upper + const
-    return float(lows.min())
 
 
 def _widest_unstable(lower, upper):
@@ -324,7 +297,7 @@ def _widest_unstable(lower, upper):
     return np.where(found, layer, -1), neuron
 
 
-def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str):
+def _bound_step(chain: Chain, box: Box, items: list, A, const):
     """Split the leaves that stack items name, as one batch, and bound their margins.
 
     An item is (batch, b, layer, neuron, sign): split member b of batch
@@ -344,16 +317,13 @@ def _bound_step(chain: Chain, box: Box, items: list, A, const, method: str):
     parts = [batch.take(rows) for batch, rows in runs]
     parents = parts[0] if len(parts) == 1 else LeafBatch.concat(parts)
     ks, js, signs = zip(*(items[i][2:] for i in order))
-    children = split_leaf(chain, box, parents, ks, js, signs, method)
-    return children, _margins(chain, box, children, A, const, method), np.argsort(order)
+    children = split_leaf(chain, box, parents, ks, js, signs)
+    return children, _margins(chain, box, children, A, const), np.argsort(order)
 
 
-def _margins(chain: Chain, box: Box, batch: LeafBatch, A, const, method: str) -> np.ndarray:
+def _margins(chain: Chain, box: Box, batch: LeafBatch, A, const) -> np.ndarray:
     """Each member's minimum margin lower bound."""
-    lo = chain_margin_lower_bounds(
-        chain, box, A, const, method, batch.lower, batch.upper, batch.relaxations
-    )
-    return lo.min(axis=1)
+    return chain_margin_lower_bounds(chain, box, A, const, batch.relaxations).min(axis=1)
 
 
 def check_budget(timeout, max_splits) -> None:
@@ -372,7 +342,6 @@ def check_budget(timeout, max_splits) -> None:
 def bab_verify(
     net: Network,
     spec: PropertySpec,
-    method: str = "crown",
     timeout: float = 60.0,
     max_splits: int = 100_000,
 ) -> Verdict:
@@ -386,10 +355,10 @@ def bab_verify(
     first leaf's inactive child is popped next. splits
     counts branch events; each adds two leaves. A leaf whose sign region
     turns out empty closes without touching the bound. A leaf with no
-    unstable neuron left is affine, so its margins are re-bounded exactly
-    over the box before giving up; a negative exact bound ends the search
-    with unknown (the minimum may lie outside the leaf's sign region, so no
-    counterexample is claimed). The search also stops at the first leaf that
+    unstable neuron left is affine and its CROWN lines are exact, so its
+    margin bound is the affine minimum over the box; a negative one ends the
+    search with unknown (the minimum may lie outside the leaf's sign region,
+    so no counterexample is claimed). The search also stops at the first leaf that
     would exceed max_splits, and at the first timeout check past timeout
     seconds; each step checks once, after its bound pass and before it
     handles its leaves, which then count as open. The reported bound is the
@@ -403,8 +372,8 @@ def bab_verify(
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
     box = spec.box
-    batch = root_leaf(chain, box, method)
-    margins, members = _margins(chain, box, batch, A, const, method), [0]
+    batch = root_leaf(chain, box)
+    margins, members = _margins(chain, box, batch, A, const), [0]
     stack: list = []  # open leaves: (batch, member, layer, neuron, sign)
     splits = 0
     worst = np.inf
@@ -424,12 +393,8 @@ def bab_verify(
             if m >= 0.0:
                 worst = min(worst, m)
                 continue
-            if layers[b] < 0:
-                exact = _exact_affine_margin(chain, batch, b, A, const, box)
-                if exact >= 0.0:
-                    worst = min(worst, exact)
-                    continue
-                return done(UNKNOWN, min(worst, exact), "affine leaf bound is negative")
+            if layers[b] < 0:  # every neuron stable: m is the exact minimum over the box
+                return done(UNKNOWN, min(worst, m), "affine leaf bound is negative")
             if splits >= max_splits:
                 return done(UNKNOWN, min(worst, m), "split budget exhausted")
             splits += 1
@@ -442,7 +407,7 @@ def bab_verify(
         # a leaf popped past max_splits - splits + 1 would be bounded in vain
         # when every leaf before it needs a split: the search stops there
         items = [stack.pop() for _ in range(min(BATCH, len(stack), max_splits - splits + 1))]
-        batch, margins, members = _bound_step(chain, box, items, A, const, method)
+        batch, margins, members = _bound_step(chain, box, items, A, const)
 
 
 def find_grid_counterexample(
@@ -480,47 +445,3 @@ def find_grid_counterexample(
             return batch[hits[0]].copy()
     return None
 
-
-def bench_pair(
-    original: Network,
-    reduced: Network,
-    spec: PropertySpec,
-    method: str = "crown",
-    timeout: float = 60.0,
-    max_splits: int = 100_000,
-    repeats: int = 3,
-    equiv_tol: float = 1e-3,
-) -> dict:
-    """Time identical verification runs on a network and its reduced twin.
-
-    Refuses to compare networks that disagree on sampled points (the timing
-    would be meaningless). Returns per-variant rows with median wall time and
-    an agreement flag: the reduced variant must never lose a verdict the
-    original achieved.
-    """
-    eq = sample_equivalence(original, reduced, spec.box, n=200, seed=7)
-    if not eq.within(equiv_tol):
-        raise ContractError(
-            f"networks differ by {eq.max_abs_diff:.3g} on the box; refusing to benchmark"
-        )
-    rows = []
-    verdicts = {}
-    for label, net in (("original", original), ("reduced", reduced)):
-        times = []
-        verdict = None
-        for _ in range(max(repeats, 1)):
-            verdict = bab_verify(net, spec, method, timeout, max_splits)
-            times.append(verdict.wall_time_s)
-        verdicts[label] = verdict
-        rows.append(
-            {
-                "property": spec.name,
-                "variant": label,
-                "status": verdict.status,
-                "median_time_s": float(np.median(times)),
-                "splits": verdict.splits,
-                "bound": verdict.bound,
-            }
-        )
-    agreement = not (verdicts["original"].verified and not verdicts["reduced"].verified)
-    return {"rows": rows, "agreement": agreement, "equiv_max_diff": eq.max_abs_diff}

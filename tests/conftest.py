@@ -110,13 +110,12 @@ def box_samples(box: Box, n: int, seed: int = 0) -> np.ndarray:
     return rng.uniform(box.lower, box.upper, size=(n, box.lower.shape[0]))
 
 
-def leaf_margins(chain, box, leaf, C, d, method):
+def leaf_margins(chain, box, leaf, C, d):
     """Lower bounds of the margins C y + d over a leaf's sign region."""
     W, b = chain.layers[-1]
     C = np.atleast_2d(np.asarray(C, dtype=float))
     return chain_margin_lower_bounds(
-        chain, box, C @ W, C @ b + np.asarray(d, dtype=float), method,
-        leaf.lower, leaf.upper, leaf.relaxations,
+        chain, box, C @ W, C @ b + np.asarray(d, dtype=float), leaf.relaxations
     )
 
 
@@ -137,18 +136,18 @@ def member(batch, b=0):
     )
 
 
-def root_one(chain, box, method="crown"):
+def root_one(chain, box):
     """The root leaf as one leaf (see member)."""
-    return member(root_leaf(chain, box, method))
+    return member(root_leaf(chain, box))
 
 
-def split_one(chain, box, leaf, k, j, sign, method="crown"):
+def split_one(chain, box, leaf, k, j, sign):
     """Split one leaf (see member): the child, or None when its sign region is empty."""
-    child = split_leaf(chain, box, leaf.batch, [k], [j], [sign], method)
+    child = split_leaf(chain, box, leaf.batch, [k], [j], [sign])
     return None if child.empty[0] else member(child)
 
 
-def root_margins(net, box, C, d=0.0, method="crown"):
+def root_margins(net, box, C, d=0.0):
     """Lower bounds of the margins C y + d over the whole box."""
     chain = Chain.of(net)
-    return leaf_margins(chain, box, root_one(chain, box, method), C, d, method)
+    return leaf_margins(chain, box, root_one(chain, box), C, d)

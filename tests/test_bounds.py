@@ -117,28 +117,19 @@ def test_post_activation_clamps(fig1_net, unit_box):
 # margin bounds
 
 
-def test_margin_fig1_y2_minus_y1_interval(fig1_net, unit_box):
-    got = root_margins(fig1_net, unit_box, np.array([-1.0, 1.0]), method="interval")[0]
-    assert got == 2.0
-
-
 def test_margin_fig1_y1_minus_y2_falsifiable(fig1_net, unit_box):
-    for method in ("interval", "crown"):
-        got = root_margins(fig1_net, unit_box, np.array([1.0, -1.0]), method=method)[0]
-        assert got <= -2.0
-    frozen = root_margins(fig1_net, unit_box, np.array([1.0, -1.0]), method="interval")[0]
-    assert frozen == -14.0
+    got = root_margins(fig1_net, unit_box, np.array([1.0, -1.0]))[0]
+    assert got <= -2.0
 
 
 def test_margin_zero_vector_is_zero(fig1_net, unit_box):
-    assert root_margins(fig1_net, unit_box, np.zeros(2), method="interval")[0] == 0.0
-    assert root_margins(fig1_net, unit_box, np.zeros(2), method="crown")[0] == 0.0
+    assert root_margins(fig1_net, unit_box, np.zeros(2))[0] == 0.0
 
 
 def test_margin_rows_with_offsets(fig1_net, unit_box):
     C = np.array([[1.0, 0.0], [-1.0, 1.0]])
     d = np.array([3.0, 0.0])
-    lo = root_margins(fig1_net, unit_box, C, d, method="crown")
+    lo = root_margins(fig1_net, unit_box, C, d)
     assert lo.shape == (2,)
     assert lo[0] == 0.0  # y1 + 3, crown lower is exact here
     assert lo[1] >= 2.0 - 1e-12
@@ -146,11 +137,10 @@ def test_margin_rows_with_offsets(fig1_net, unit_box):
 
 def test_margin_sound_vs_samples(fig1_net, unit_box):
     c = np.array([0.7, -0.3])
-    for method in ("interval", "crown"):
-        bound = root_margins(fig1_net, unit_box, c, method=method)[0]
-        xs = box_samples(unit_box, 2000, seed=3)
-        vals = np.array([c @ forward(fig1_net, x) for x in xs])
-        assert vals.min() >= bound - 1e-9
+    bound = root_margins(fig1_net, unit_box, c)[0]
+    xs = box_samples(unit_box, 2000, seed=3)
+    vals = np.array([c @ forward(fig1_net, x) for x in xs])
+    assert vals.min() >= bound - 1e-9
 
 
 # soundness and structure properties

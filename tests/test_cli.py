@@ -23,6 +23,7 @@ def ws(tmp_path_factory):
         "center": str(root / "center.txt"),
         "prop_true": str(root / "true.vnnlib"),
         "prop_false": str(root / "false.vnnlib"),
+        "prop_one_split": str(root / "one_split.vnnlib"),
         "gen": str(root / "gen.onnx"),
         "root": root,
     }
@@ -41,6 +42,8 @@ def ws(tmp_path_factory):
         fh.write(f"{decls}\n{box}(assert (<= Y_0 -3.0))\n")
     with open(paths["prop_false"], "w") as fh:
         fh.write(f"{decls}\n{box}(assert (<= Y_0 1.0))\n")
+    with open(paths["prop_one_split"], "w") as fh:  # Y_1 <= 11: CROWN needs one split
+        fh.write(f"{decls}\n{box}(assert (>= Y_1 11.0))\n")
     rc = main(["gen", "--layers", "3", "--width", "16", "--input-dim", "4",
                "--stable-frac", "0.5", "--seed", "3", "--out", paths["gen"]])
     assert rc == 0
@@ -204,8 +207,7 @@ def test_verify_true_property(ws, capsys):
 
 
 def test_verify_interval_needs_bab(ws, capsys):
-    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_true"],
-               "--method", "interval"])
+    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_one_split"]])
     assert rc == 0
     out = capsys.readouterr().out
     assert "incomplete: unknown" in out
@@ -223,45 +225,39 @@ def test_verify_false_property_finds_counterexample(ws, capsys):
 
 
 def test_verify_no_bab_stops_early(ws, capsys):
-    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_true"],
-               "--method", "interval", "--no-bab", "--falsify", "0"])
+    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_one_split"],
+               "--no-bab", "--falsify", "0"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "incomplete: unknown" in out
     assert "branch and bound" not in out
 
 
-@pytest.mark.parametrize("command", ["verify", "bench"])
 @pytest.mark.parametrize("flag,value", [
     ("--max-splits", "-3"), ("--timeout", "-1"), ("--timeout", "nan"),
 ])
-def test_an_invalid_budget_exits_2_before_any_bounding(ws, capsys, monkeypatch, command, flag, value):
+def test_an_invalid_budget_exits_2_before_any_bounding(ws, capsys, monkeypatch, flag, value):
     def no_bounding(*args, **kwargs):
         raise AssertionError("bounded before rejecting the budget")
 
-    for name in ("verify_incomplete", "reduce_network"):
-        monkeypatch.setattr(cli, name, no_bounding)
-    rc = main([command, "--model", ws["fig1"], "--vnnlib", ws["prop_true"], flag, value])
+    monkeypatch.setattr(cli, "verify_incomplete", no_bounding)
+    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_true"], flag, value])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and flag[2:].replace("-", "_") in err
 
 
-# --- bench ---
-
-
-def test_bench_reports_speedup_and_csv(ws, tmp_path, capsys):
-    out_csv = tmp_path / "bench.csv"
-    rc = main(["bench", "--model", ws["fig1"], "--vnnlib", ws["prop_true"],
-               "--repeats", "2", "--out", str(out_csv)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "original   verified" in out
-    assert "reduced    verified" in out
-    assert "speedup:" in out
-    rows = out_csv.read_text().strip().splitlines()
-    assert rows[0] == "property,variant,status,median_time_s,splits,bound"
-    assert len(rows) == 3
+@pytest.mark.parametrize("argv,message", [
+    (["bench"], "invalid choice: 'bench'"),
+    (["verify", "--method", "crown"], "unrecognized arguments: --method crown"),
+], ids=["bench", "verify_method"])
+def test_the_removed_bench_and_verify_method_are_usage_errors(ws, capsys, argv, message):
+    # verify is CROWN-only; compare a model with its reduction by running
+    # reduce, then verify on each
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", ws["fig1"], "--vnnlib", ws["prop_true"]])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # --- simplify ---
@@ -313,12 +309,20 @@ def test_simplify_rewrites_residual_to_chain(tmp_path, capsys):
     ("res", ["--center", "{c3}"], "--center needs --eps"),
     ("res", ["--center", "{c4}", "--eps", "1.0"], "region has dimension 4"),
     ("fig1", ["--center", "{c3}", "--eps", "1.0"], "region has dimension 3"),
-], ids=["center_without_eps", "wrong_dimension", "wrong_dimension_on_a_chain"])
+    ("res", ["--eps", "1.0"], "--eps needs --center"),
+    ("res", ["--clip", "0", "1"], "--clip needs --center"),
+    ("fig1", ["--vnnlib", "{prop}", "--center", "{c3}", "--eps", "1.0"],
+     "--vnnlib gives the region; drop --center"),
+    ("fig1", ["--vnnlib", "{prop}", "--clip", "0", "1"], "--vnnlib gives the region; drop --clip"),
+], ids=["center_without_eps", "wrong_dimension", "wrong_dimension_on_a_chain", "eps_without_center",
+        "clip_without_center", "center_next_to_vnnlib", "clip_next_to_vnnlib"])
 def test_simplify_reports_a_bad_region(ws, tmp_path, capsys, model, region, message):
+    # before: --eps or --clip without --center, and any ball flag next to
+    # --vnnlib, were ignored without a word
     (tmp_path / "res.onnx").write_bytes(_residual_model_bytes())
     (tmp_path / "c3.txt").write_text("0 0 0\n")
     (tmp_path / "c4.txt").write_text("0 0 0 0\n")
-    names = {"c3": str(tmp_path / "c3.txt"), "c4": str(tmp_path / "c4.txt")}
+    names = {"c3": str(tmp_path / "c3.txt"), "c4": str(tmp_path / "c4.txt"), "prop": ws["prop_true"]}
     path = ws["fig1"] if model == "fig1" else str(tmp_path / "res.onnx")
     rc = main(["simplify", "--model", path, *(a.format(**names) for a in region),
                "--out", str(tmp_path / "out.onnx")])
@@ -438,6 +442,18 @@ def test_equiv_rejects_a_negative_sample_count(ws, capsys):
                "--center", ws["center"], "--eps", "1.0", "--samples", "-1"])
     assert rc == 2
     assert "sample count" in capsys.readouterr().err
+
+
+def test_a_malformed_sidecar_exits_2(ws, tmp_path, capsys):
+    # every region command reads the sidecar next to the model; before, a
+    # sidecar that is not JSON raised JSONDecodeError and exited 4
+    model = tmp_path / "gen.onnx"
+    model.write_bytes(open(ws["gen"], "rb").read())
+    (tmp_path / "gen.onnx.json").write_text("{not json")
+    rc = main(["reduce", "--model", str(model)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gen.onnx.json" in err
 
 
 def test_malformed_vnnlib_exit_code(ws, tmp_path, capsys):

@@ -114,13 +114,8 @@ def test_compacted_pass_matches_the_plain_one(monkeypatch, widths, threshold, se
 
     W, b = chain.layers[-1]
     C = np.eye(W.shape[0])[:2] - np.eye(W.shape[0])[[1, 2]]
-    n = chain.n_relu
-    m_p = chain_margin_lower_bounds(
-        chain, box, C @ W, C @ b, "crown", lower_p[:n], upper_p[:n], relax_p
-    )
-    m_c = chain_margin_lower_bounds(
-        chain, box, C @ W, C @ b, "crown", lower_c[:n], upper_c[:n], relax_c
-    )
+    m_p = chain_margin_lower_bounds(chain, box, C @ W, C @ b, relax_p)
+    m_c = chain_margin_lower_bounds(chain, box, C @ W, C @ b, relax_c)
     np.testing.assert_allclose(m_c, m_p, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(m_p).max()))
 
 
@@ -178,9 +173,7 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
         mag = 1e-9 * (1.0 + np.abs(z).max())
         assert np.all(z >= compact.lower[k] - mag) and np.all(z <= compact.upper[k] + mag)
     margins = {
-        mode: chain_margin_lower_bounds(
-            chain, box, C @ W, C @ b, "crown", leaf.lower, leaf.upper, leaf.relaxations
-        )
+        mode: chain_margin_lower_bounds(chain, box, C @ W, C @ b, leaf.relaxations)
         for mode, (leaf, _) in leaves.items()
     }
     np.testing.assert_allclose(margins["compact"], margins["plain"], rtol=1e-12, atol=1e-12)
@@ -249,8 +242,7 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
     for r, shared in zip(children.relaxations, root.relaxations):
         assert r.compact is shared.compact
     assert any(r.compact is not None for r in children.relaxations)
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b, "crown",
-                                        children.lower, children.upper, children.relaxations)
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b, children.relaxations)
     monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
     for i, (parent, k, j, sign) in enumerate(runs["plain"]):
         want = split_one(chain, box, parent, k, j, sign)
@@ -262,8 +254,7 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
             assert np.array_equal(got.signs[layer], want.signs[layer])
             _assert_same_live_bounds(got.lower[layer], got.upper[layer],
                                      want.lower[layer], want.upper[layer], True)
-        want_m = chain_margin_lower_bounds(chain, box, C @ W, C @ b, "crown",
-                                           want.lower, want.upper, want.relaxations)
+        want_m = chain_margin_lower_bounds(chain, box, C @ W, C @ b, want.relaxations)
         np.testing.assert_allclose(margins[i], want_m, rtol=1e-12,
                                    atol=1e-12 * max(1.0, np.abs(want_m).max()))
 
@@ -296,17 +287,13 @@ def test_the_root_stays_unbatched(case, fig1_net, unit_box):
         C, d = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]), np.array([0.5, 0.0])
     table = compute_bounds(net, box, "crown")
     root = verify.root_leaf(chain, box)
-    n = chain.n_relu
-    for k in range(n):
+    for k in range(chain.n_relu):
         lo, hi = table.pre_activation(k)
         assert np.array_equal(root.lower[k][0], lo) and np.array_equal(root.upper[k][0], hi)
         for line in ("slope_lo", "slope_up", "icpt_up"):
             want = getattr(table.relaxations[k], line)
             assert np.array_equal(getattr(root.relaxations[k], line)[0], want)
     W, b = chain.layers[-1]
-    lower = [table.pre_activation(k)[0] for k in range(n)]
-    upper = [table.pre_activation(k)[1] for k in range(n)]
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, "crown",
-                                        lower, upper, table.relaxations)
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, table.relaxations)
     v = verify.verify_incomplete(net, PropertySpec(box, C, d, name="margins"))
     assert np.array_equal(v.bound, margins.min())

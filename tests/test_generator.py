@@ -12,7 +12,7 @@ import pytest
 
 from redkit import forward, generate_network, import_onnx, load_sidecar, save_model
 from redkit.bounds import Box, compute_bounds
-from redkit.errors import GenerationError
+from redkit.errors import GenerationError, ParseError
 from redkit.netir import as_sequential
 
 
@@ -171,3 +171,18 @@ def test_save_model_bytes_are_deterministic(tmp_path):
     save_model(net, sidecar, p1)
     save_model(net, sidecar, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", '{"seed": 1}', '{"box": {"lower": ["a"], "upper": [1.0]}}', '{"box": [0, 1]}',
+    '[1, 2]', b"\xff\xfe",
+], ids=["not_json", "no_box", "non_numeric", "box_not_a_map", "not_a_map", "not_utf8"])
+def test_a_malformed_sidecar_raises_a_parse_error(tmp_path, text):
+    # before: JSONDecodeError, KeyError, ValueError or TypeError escaped
+    p = tmp_path / "net.onnx.json"
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
+    with pytest.raises(ParseError, match="net.onnx.json: no numeric box"):
+        load_sidecar(p)

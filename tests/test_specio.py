@@ -273,3 +273,12 @@ def test_load_center(tmp_path):
     empty.write_text("")
     with pytest.raises(ParseError, match="no values"):
         load_center(empty)
+
+
+@pytest.mark.parametrize("loader", [load_vnnlib, load_center], ids=["vnnlib", "center"])
+def test_a_file_that_is_not_utf8_raises_a_parse_error(tmp_path, loader):
+    # before: UnicodeDecodeError escaped, and the command line exited 4
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("; café\n0.5\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="latin1.txt: not UTF-8"):
+        loader(p)

@@ -7,7 +7,8 @@ every public name the package imports, each once, and each must resolve.
 Every backticked dotted redkit name in README.md (`redkit.verify`,
 `bounds.COMPACT_MIN_ENTRIES`) must resolve too, so a deleted name cannot
 linger in the docs. So must every --flag on a `redkit <subcommand>` line of
-README.md, against that subcommand's parser. scripts/bench_pairs.py
+README.md, against that subcommand's parser, and README's subcommand table
+must list exactly the parser's subcommands. scripts/bench_pairs.py
 summarizes paired runs; its direction-aware win count is checked on fixed
 records.
 """
@@ -82,12 +83,16 @@ def test_readme_dotted_names_resolve():
     assert not missing, f"README.md names absent from redkit: {missing}"
 
 
+def _subcommands() -> dict:
+    top = cli._build_parser()
+    return next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_readme_redkit_flags_exist():
     text = (ROOT / "README.md").read_text().replace("\\\n", " ")
     commands = re.findall(r"^\s*(?:\$\s+)?redkit\s+(\w+)(.*)$", text, re.M)
     assert len(commands) >= 5, "no redkit command lines found in README.md"
-    top = cli._build_parser()
-    subs = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
+    subs = _subcommands()
     unknown = sorted(
         (sub, flag)
         for sub, rest in commands
@@ -95,6 +100,14 @@ def test_readme_redkit_flags_exist():
         if sub not in subs or flag not in subs[sub]._option_string_actions
     )
     assert not unknown, f"README.md redkit flags the CLI does not accept: {unknown}"
+
+
+def test_readme_subcommand_table_lists_the_parser_subcommands():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| command "):].split("\n\n")[0]
+    listed = re.findall(r"^\|\s*`(\w+)`\s*\|", table, re.M)
+    assert len(listed) == len(set(listed)), f"README.md lists a subcommand twice: {listed}"
+    assert sorted(listed) == sorted(_subcommands()), "README.md subcommand table is out of date"
 
 
 def _bench_pairs():

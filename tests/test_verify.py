@@ -1,9 +1,9 @@
-"""Branch-and-bound verifier, falsification, and the benchmark harness.
+"""Branch-and-bound verifier and falsification.
 
-The worked example frozen here: proving y_0 >= -3 on the unit box. Interval
-arithmetic at the root gives margin -4, one split on the widest unstable
-neuron makes both branches stable-affine and exactly nonnegative; crown
-already closes the root. All numbers are exact in binary floating point.
+The worked example frozen here: proving y_1 <= 11 on the unit box. CROWN at
+the root gives margin -1, and one split on the widest unstable neuron
+closes both branches with margin 0. CROWN closes y_0 >= -3 at the root. All
+numbers are exact in binary floating point.
 """
 
 from types import SimpleNamespace
@@ -20,7 +20,6 @@ from redkit import (
     LayerPartition,
     PropertySpec,
     bab_verify,
-    bench_pair,
     compute_bounds,
     find_grid_counterexample,
     forward,
@@ -44,33 +43,35 @@ def _spec(unit_box, rows, offsets, name="p"):
 # --- the frozen worked example ---
 
 
-def test_interval_bab_needs_exactly_one_split(fig1_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0], name="y0_ge_m3")
-    v = bab_verify(fig1_net, spec, method="interval")
+def _y1_le_11(unit_box):
+    """The worked example: unknown at the root, verified after one split."""
+    return _spec(unit_box, [[0.0, -1.0]], [11.0], name="y1_le_11")
+
+
+def test_bab_needs_exactly_one_split(fig1_net, unit_box):
+    v = bab_verify(fig1_net, _y1_le_11(unit_box))
     assert v.status == VERIFIED
     assert v.splits == 1
     assert v.bound == 0.0
 
 
 def test_crown_closes_the_same_property_at_the_root(fig1_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
-    v = bab_verify(fig1_net, spec, method="crown")
+    spec = _spec(unit_box, [[1.0, 0.0]], [3.0], name="y0_ge_m3")
+    v = bab_verify(fig1_net, spec)
     assert v.status == VERIFIED
     assert v.splits == 0
     assert v.bound == 0.0
 
 
 def test_root_margins_behind_the_example(fig1_net, unit_box):
-    c = np.array([[1.0, 0.0]])
-    d = np.array([3.0])
-    assert root_margins(fig1_net, unit_box, c, d, method="interval")[0] == -4.0
-    assert root_margins(fig1_net, unit_box, c, d, method="crown")[0] == 0.0
+    assert root_margins(fig1_net, unit_box, [[0.0, -1.0]], [11.0])[0] == -1.0
+    assert root_margins(fig1_net, unit_box, [[1.0, 0.0]], [3.0])[0] == 0.0
 
 
-def test_difference_property_verified_by_interval(fig1_net, unit_box):
-    # y_1 - y_0 = 2 x9 + 2 x12 >= 0, and interval sees exactly 2 at the root
+def test_difference_property_verified_at_the_root(fig1_net, unit_box):
+    # y_1 - y_0 = 2 x9 + 2 x12 >= 0, and CROWN sees exactly 2 at the root
     spec = _spec(unit_box, [[-1.0, 1.0]], [0.0])
-    v = bab_verify(fig1_net, spec, method="interval")
+    v = bab_verify(fig1_net, spec)
     assert v.status == VERIFIED
     assert v.splits == 0
     assert v.bound == 2.0
@@ -79,7 +80,7 @@ def test_difference_property_verified_by_interval(fig1_net, unit_box):
 def test_false_property_comes_back_unknown(fig1_net, unit_box):
     # y_0 - y_1 <= -2 everywhere, so this can never verify
     spec = _spec(unit_box, [[1.0, -1.0]], [0.0])
-    v = bab_verify(fig1_net, spec, method="crown")
+    v = bab_verify(fig1_net, spec)
     assert v.status == UNKNOWN
     assert v.bound <= -2.0
     assert v.note != ""
@@ -95,16 +96,14 @@ def test_vacuous_spec_is_verified_for_free(fig1_net, unit_box):
 
 
 def test_split_budget_zero_gives_unknown(fig1_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
-    v = bab_verify(fig1_net, spec, method="interval", max_splits=0)
+    v = bab_verify(fig1_net, _y1_le_11(unit_box), max_splits=0)
     assert v.status == UNKNOWN
     assert v.splits == 0
     assert "budget" in v.note
 
 
 def test_zero_timeout_times_out(fig1_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
-    v = bab_verify(fig1_net, spec, method="interval", timeout=0.0)
+    v = bab_verify(fig1_net, _y1_le_11(unit_box), timeout=0.0)
     assert v.status == TIMED_OUT
     assert v.wall_time_s >= 0.0
 
@@ -115,21 +114,19 @@ def test_zero_timeout_times_out(fig1_net, unit_box):
 def test_an_invalid_budget_is_rejected(fig1_net, unit_box, budget):
     # before: -3 splits gave "split budget exhausted", -1 s a timeout, and a
     # NaN timeout never fired because elapsed > nan is always false
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
     with pytest.raises(ContractError, match="max_splits|timeout"):
-        bab_verify(fig1_net, spec, method="interval", **budget)
+        bab_verify(fig1_net, _y1_le_11(unit_box), **budget)
 
 
 def test_bab_is_deterministic(fig1_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
-    runs = [bab_verify(fig1_net, spec, method="interval") for _ in range(3)]
+    runs = [bab_verify(fig1_net, _y1_le_11(unit_box)) for _ in range(3)]
     assert len({(v.status, v.bound, v.splits, v.note) for v in runs}) == 1
 
 
 def test_verdict_verified_flag(fig1_net, unit_box):
-    spec = _spec(unit_box, [[-1.0, 1.0]], [0.0])
-    assert bab_verify(fig1_net, spec, method="interval").verified
-    assert not bab_verify(fig1_net, spec, method="interval", timeout=0.0).verified
+    spec = _y1_le_11(unit_box)
+    assert bab_verify(fig1_net, spec).verified
+    assert not bab_verify(fig1_net, spec, timeout=0.0).verified
 
 
 # --- splitting ---
@@ -151,11 +148,11 @@ def _pre_activations(chain, xs):
 
 def test_sign_split_removes_the_instability(fig1_net, unit_box):
     chain = Chain.of(fig1_net)
-    root = root_one(chain, unit_box, "interval")
+    root = root_one(chain, unit_box)
     base = _unstable_count(root)
     assert base > 0
     for sign in (INACTIVE, ACTIVE):
-        child = split_one(chain, unit_box, root, 0, 4, sign, "interval")
+        child = split_one(chain, unit_box, root, 0, 4, sign)
         assert _unstable_count(child) < base
         assert child.signs[0][4] == sign
         assert root.signs[0][4] == 0  # the parent keeps its own state
@@ -165,9 +162,9 @@ def test_sign_split_branches_partition_the_behavior(fig1_net, unit_box):
     # on the half-box where neuron 4 is active the active branch's ranges and
     # margin bound hold, and similarly for the inactive branch
     chain = Chain.of(fig1_net)
-    root = root_one(chain, unit_box, "interval")
-    kids = {s: split_one(chain, unit_box, root, 0, 4, s, "interval") for s in (ACTIVE, INACTIVE)}
-    bound = {s: leaf_margins(chain, unit_box, kid, [[1.0, 0.0]], [3.0], "interval")[0]
+    root = root_one(chain, unit_box)
+    kids = {s: split_one(chain, unit_box, root, 0, 4, s) for s in (ACTIVE, INACTIVE)}
+    bound = {s: leaf_margins(chain, unit_box, kid, [[1.0, 0.0]], [3.0])[0]
              for s, kid in kids.items()}
     for x in box_samples(unit_box, 200, seed=11):
         pre = -x[0] + x[1]  # neuron 4 pre-activation in the worked network
@@ -179,7 +176,7 @@ def test_sign_split_branches_partition_the_behavior(fig1_net, unit_box):
 
 def test_sign_split_rejects_bad_layer_neuron_and_sign(fig1_net, unit_box):
     chain = Chain.of(fig1_net)
-    root = root_one(chain, unit_box, "interval")
+    root = root_one(chain, unit_box)
     with pytest.raises(ContractError, match="no hidden layer"):
         split_one(chain, unit_box, root, 5, 0, ACTIVE)
     with pytest.raises(ContractError, match="no neuron"):
@@ -209,22 +206,15 @@ def _generated(n_hidden, width, n_in, n_out, seed):
     return net, Box(np.asarray(sidecar["box"]["lower"]), np.asarray(sidecar["box"]["upper"]))
 
 
-# For crown the comparison holds on these nets but is no theorem: a pin that
-# tightens a range can flip the adaptive lower line of a neuron below it, so
-# on (4, 8, 3, 3, 3) the split child comes out looser than the surgery child.
-_SURGERY_CASES = [
-    ("fig1", "interval"),
-    ("fig1", "crown"),
-    ((2, 12, 3, 3, 0), "interval"),
-    ((3, 10, 4, 3, 1), "interval"),
-    ((3, 16, 6, 3, 4), "crown"),
-    ((3, 48, 8, 1, 5), "crown"),
-    ((4, 32, 8, 1, 6), "crown"),
-]
+# The comparison holds on these nets but is no theorem: a pin that tightens a
+# range can flip CROWN's adaptive lower line of a neuron below it, so on
+# (4, 8, 3, 3, 3) and (2, 12, 3, 3, 0) the split child comes out looser than
+# the surgery child.
+_SURGERY_CASES = ["fig1", (3, 10, 4, 3, 1), (3, 16, 6, 3, 4), (3, 48, 8, 1, 5), (4, 32, 8, 1, 6)]
 
 
-@pytest.mark.parametrize("net_cfg,method", _SURGERY_CASES)
-def test_sign_split_child_is_no_looser_than_the_surgery_child(net_cfg, method, fig1_net, unit_box):
+@pytest.mark.parametrize("net_cfg", _SURGERY_CASES)
+def test_sign_split_child_is_no_looser_than_the_surgery_child(net_cfg, fig1_net, unit_box):
     if net_cfg == "fig1":
         net, box = fig1_net, unit_box
         C, d = np.array([[1.0, 0.0], [1.0, -1.0]]), np.array([3.0, 0.0])
@@ -233,18 +223,18 @@ def test_sign_split_child_is_no_looser_than_the_surgery_child(net_cfg, method, f
         n_out = net_cfg[3]
         C, d = np.vstack([np.eye(n_out)[:1], np.eye(n_out)[:1] - np.eye(n_out)[-1:]]), np.zeros(2)
     chain = Chain.of(net)
-    table = compute_bounds(net, box, method)
-    root = root_one(chain, box, method)
+    table = compute_bounds(net, box, "crown")
+    root = root_one(chain, box)
     checked = 0
     for k in range(chain.n_relu):
         for j in np.flatnonzero((root.lower[k] < 0) & (root.upper[k] > 0))[:6]:
             for sign in (ACTIVE, INACTIVE):
-                child = split_one(chain, box, root, k, j, sign, method)
+                child = split_one(chain, box, root, k, j, sign)
                 surgery = _surgery_child(net, k, j, sign, table, box)
-                old = root_margins(surgery, box, C, d, method)
+                old = root_margins(surgery, box, C, d)
                 if child is None:  # an empty region needs no bound
                     continue
-                new = leaf_margins(chain, box, child, C, d, method)
+                new = leaf_margins(chain, box, child, C, d)
                 assert np.all(new >= old - 1e-9), (k, j, sign, new, old)
                 checked += 1
     assert checked >= 2
@@ -259,30 +249,29 @@ _EMPTY_WB = [
 ]
 
 
-@pytest.mark.parametrize("method", ["interval", "crown"])
-def test_contradictory_pins_close_the_leaf(method):
+def test_contradictory_pins_close_the_leaf():
     chain = Chain.of(from_sequential(_EMPTY_WB, 1))
     box = Box(np.array([-1.0]), np.array([1.0]))
-    root = root_one(chain, box, method)
-    b_active = split_one(chain, box, root, 1, 0, ACTIVE, method)
+    root = root_one(chain, box)
+    b_active = split_one(chain, box, root, 1, 0, ACTIVE)
     assert b_active is not None
-    assert split_one(chain, box, b_active, 0, 0, INACTIVE, method) is None
-    assert split_one(chain, box, b_active, 0, 0, ACTIVE, method) is not None
+    assert split_one(chain, box, b_active, 0, 0, INACTIVE) is None
+    assert split_one(chain, box, b_active, 0, 0, ACTIVE) is not None
 
 
 def test_bab_closes_an_empty_leaf_instead_of_giving_up(monkeypatch):
-    # b = 3 relu(a) - 0.5 is wider than a, so BaB pins b first; its active
-    # branch then pins a, and the inactive side of a is empty. Rewriting
-    # that leaf as a network over the whole box gave y = -0.5 there and an
-    # "affine leaf bound is negative" unknown; the property holds (min -0.375).
+    # b0 = relu(3 a1 - 1) can only be active when a1 is. b0 is the widest
+    # unstable neuron ([-1, 14]), so BaB pins it first, then a1 in both
+    # children; in b0's active branch the inactive side of a1 is empty. The
+    # property y = b1 / 2 - 1 >= -1 holds with equality where b1 = 0.
     wb = [
-        (np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.0, 1.5])),
-        (np.array([[3.0, 0.0], [0.5, 1.5]]), np.array([-0.5, -0.5])),
-        (np.array([[-0.5, 0.5]]), np.array([0.5])),
+        (np.array([[2.0, -1.0], [1.5, -2.0]]), np.array([2.0, 1.5])),
+        (np.array([[0.0, 3.0], [-1.5, 1.0]]), np.array([-1.0, 1.5])),
+        (np.array([[0.0, 0.5]]), np.array([-1.0])),
     ]
     net = from_sequential(wb, 2)
     box = Box(-np.ones(2), np.ones(2))
-    spec = PropertySpec(box, np.array([[1.0]]), np.array([0.5]), name="y_ge_m0.5")
+    spec = PropertySpec(box, np.array([[1.0]]), np.array([1.0]), name="y_ge_m1")
     empty = []
     real_split = verify_mod.split_leaf
 
@@ -293,27 +282,27 @@ def test_bab_closes_an_empty_leaf_instead_of_giving_up(monkeypatch):
         return child
 
     monkeypatch.setattr(verify_mod, "split_leaf", counting_split)
-    v = bab_verify(net, spec, method="interval")
+    v = bab_verify(net, spec)
     assert v.status == VERIFIED
-    assert v.splits == 2
-    assert empty == [(0, 0, INACTIVE, ACTIVE)]
+    assert v.splits == 3
+    assert v.bound == 0.0
+    assert empty == [(0, 1, INACTIVE, ACTIVE)]
     assert find_grid_counterexample(net, spec, budget=10_000) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    method=st.sampled_from(["interval", "crown"]),
     n_pins=st.integers(1, 4),
 )
-def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, n_pins):
+def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, n_pins):
     rng = np.random.default_rng(seed)
     widths = [2, int(rng.integers(3, 7)), int(rng.integers(3, 7)), 2]
     wb = [(rng.normal(scale=1.2, size=(o, i)), rng.normal(scale=0.5, size=o))
           for i, o in zip(widths, widths[1:])]
     chain = Chain.of(from_sequential(wb, widths[0]))
     box = Box(-np.ones(2), np.ones(2))
-    leaf = root_one(chain, box, method)
+    leaf = root_one(chain, box)
     pins = []
     for _ in range(n_pins):
         free = [(k, j) for k in range(chain.n_relu)
@@ -323,7 +312,7 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, n_pins):
         k, j = free[int(rng.integers(len(free)))]
         sign = int(rng.choice([ACTIVE, INACTIVE]))
         pins.append((k, j, sign))
-        leaf = split_one(chain, box, leaf, k, j, sign, method)
+        leaf = split_one(chain, box, leaf, k, j, sign)
         if leaf is None:
             break
     xs = box.sample(3000, rng)
@@ -339,7 +328,7 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, n_pins):
         mag = 1e-9 * (1.0 + np.abs(z).max(initial=0.0))
         assert np.all(z >= leaf.lower[k] - mag) and np.all(z <= leaf.upper[k] + mag)
     C, d = np.array([[1.0, -1.0]]), np.array([0.0])
-    bound = leaf_margins(chain, box, leaf, C, d, method)[0]
+    bound = leaf_margins(chain, box, leaf, C, d)[0]
     ys = forward_batch(from_sequential(wb, widths[0]), xs[inside])
     if len(ys):
         assert (ys @ C.T + d).min() >= bound - 1e-9
@@ -348,10 +337,9 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, method, n_pins):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    method=st.sampled_from(["interval", "crown"]),
     slack=st.floats(-0.1, 0.3),
 )
-def test_verified_bab_has_no_grid_counterexample(seed, method, slack):
+def test_verified_bab_has_no_grid_counterexample(seed, slack):
     rng = np.random.default_rng(seed)
     widths = [2, int(rng.integers(3, 7)), int(rng.integers(3, 7)), 1]
     wb = [(rng.normal(scale=1.2, size=(o, i)), rng.normal(scale=0.5, size=o))
@@ -361,7 +349,7 @@ def test_verified_bab_has_no_grid_counterexample(seed, method, slack):
     ys = forward_batch(net, box.sample(2000, rng))[:, 0]
     t = ys.min() - slack * (ys.max() - ys.min())
     spec = PropertySpec(box, np.array([[1.0]]), np.array([-t]), name="y_ge_t")
-    v = bab_verify(net, spec, method=method, max_splits=60)
+    v = bab_verify(net, spec, max_splits=60)
     if v.verified:
         assert find_grid_counterexample(net, spec, budget=4096, seed=1) is None
 
@@ -379,16 +367,16 @@ def _widest_unstable_loop(leaf):
     return best
 
 
-def _random_leaf(chain, box, rng, method, depth):
+def _random_leaf(chain, box, rng, depth):
     """A leaf reached from the root by depth random pins (fewer when none is left)."""
-    leaf = root_one(chain, box, method)
+    leaf = root_one(chain, box)
     for _ in range(depth):
         free = [(k, j) for k in range(chain.n_relu)
                 for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
         if not free:
             break
         k, j = free[int(rng.integers(len(free)))]
-        child = split_one(chain, box, leaf, k, j, int(rng.choice([ACTIVE, INACTIVE])), method)
+        child = split_one(chain, box, leaf, k, j, int(rng.choice([ACTIVE, INACTIVE])))
         if child is None:
             break
         leaf = child
@@ -403,16 +391,15 @@ def _close(got, want):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    method=st.sampled_from(["interval", "crown"]),
     size=st.integers(2, 8),
 )
-def test_batched_split_matches_looped_splits(seed, method, size):
+def test_batched_split_matches_looped_splits(seed, size):
     rng = np.random.default_rng(seed)
     net, box = _generated(int(rng.integers(1, 4)), int(rng.integers(3, 9)), 2, 2, seed % 10_000)
     chain = Chain.of(net)
     parents, splits = [], []
     for _ in range(size):
-        leaf = _random_leaf(chain, box, rng, method, int(rng.integers(0, 4)))
+        leaf = _random_leaf(chain, box, rng, int(rng.integers(0, 4)))
         free = [(k, j) for k in range(chain.n_relu)
                 for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
         if free:
@@ -421,18 +408,16 @@ def test_batched_split_matches_looped_splits(seed, method, size):
     if not parents:
         return
     ks, js, signs = zip(*splits)
-    batch = split_leaf(chain, box, LeafBatch.concat([p.batch for p in parents]),
-                       ks, js, signs, method)
+    batch = split_leaf(chain, box, LeafBatch.concat([p.batch for p in parents]), ks, js, signs)
     C, d = np.array([[1.0, -1.0]]), np.array([0.0])
     W, b = chain.layers[-1]
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, method,
-                                        batch.lower, batch.upper, batch.relaxations)
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, batch.relaxations)
     xs = np.vstack([box.sample(2000, rng), box.lower, box.upper])
     pre = _pre_activations(chain, xs)
     ys = forward_batch(net, xs) @ C.T + d
     layers, neurons = verify_mod._widest_unstable(batch.lower, batch.upper)
     for i, (parent, (k, j, sign)) in enumerate(zip(parents, splits)):
-        looped = split_one(chain, box, parent, k, j, sign, method)
+        looped = split_one(chain, box, parent, k, j, sign)
         inside = np.ones(len(xs), dtype=bool)
         for layer, pins in enumerate(batch.signs):
             for n in np.flatnonzero(pins[i]):
@@ -452,7 +437,7 @@ def test_batched_split_matches_looped_splits(seed, method, size):
         for got, want in zip(child.relaxations, looped.relaxations):
             for line in ("slope_lo", "slope_up", "icpt_up"):
                 _close(getattr(got, line), getattr(want, line))
-        want = leaf_margins(chain, box, looped, C, d, method)
+        want = leaf_margins(chain, box, looped, C, d)
         _close(margins[i], want)
         if inside.any():
             assert ys[inside].min() >= margins[i].min() - 1e-9
@@ -486,19 +471,17 @@ def _small_net(seed):
     return from_sequential(wb, 2), Box(-np.ones(2), np.ones(2)), rng
 
 
-# (net, method, slack): small random nets whose property BaB verifies after
-# 6 to 106 splits or leaves unknown, and generated chains it leaves unknown
+# (net, slack): small random nets whose property BaB verifies after 6 to 50
+# splits or leaves unknown, and generated chains it leaves unknown
 _CAP_CASES = [
-    (("small", 0), "interval", 0.4), (("small", 9), "crown", 0.25),
-    (("small", 26), "crown", 0.35), (("small", 32), "interval", 0.1),
-    (("small", 59), "interval", 0.7), (("small", 10), "interval", 0.0),
-    (("small", 4), "crown", 0.05), (("gen", 101), "crown", 0.0),
-    (("gen", 104), "crown", -0.01), (("gen", 105), "interval", 0.05),
+    (("small", 72), 0.4), (("small", 9), 0.25), (("small", 26), 0.35), (("small", 32), 0.1),
+    (("small", 59), 0.7), (("small", 10), 0.0), (("small", 4), 0.05), (("gen", 101), 0.0),
+    (("gen", 104), -0.01), (("gen", 105), 0.05),
 ]
 
 
-@pytest.mark.parametrize("net_cfg,method,slack", _CAP_CASES)
-def test_batch_cap_keeps_the_verdict(monkeypatch, net_cfg, method, slack):
+@pytest.mark.parametrize("net_cfg,slack", _CAP_CASES)
+def test_batch_cap_keeps_the_verdict(monkeypatch, net_cfg, slack):
     kind, seed = net_cfg
     if kind == "small":
         net, box, rng = _small_net(seed)
@@ -508,9 +491,9 @@ def test_batch_cap_keeps_the_verdict(monkeypatch, net_cfg, method, slack):
     ys = forward_batch(net, box.sample(4000, rng))[:, 0]
     t = ys.min() - slack * (ys.max() - ys.min())
     spec = PropertySpec(box, np.array([[1.0]]), np.array([-t]), name="y_ge_t")
-    batched = bab_verify(net, spec, method=method, max_splits=300)
+    batched = bab_verify(net, spec, max_splits=300)
     monkeypatch.setattr(verify_mod, "BATCH", 1)
-    single = bab_verify(net, spec, method=method, max_splits=300)
+    single = bab_verify(net, spec, max_splits=300)
     assert batched.status == single.status
     if batched.verified:
         # the whole tree closed either way; the cap only changes the order
@@ -545,39 +528,3 @@ def test_grid_counterexample_is_deterministic(fig1_net, unit_box):
     a = find_grid_counterexample(fig1_net, spec, budget=5000, seed=3)
     b = find_grid_counterexample(fig1_net, spec, budget=5000, seed=3)
     assert np.array_equal(a, b)
-
-
-# --- benchmark harness ---
-
-
-def test_bench_pair_on_the_reduced_twin(fig1_net, fig4_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0], name="y0_ge_m3")
-    out = bench_pair(fig1_net, fig4_net, spec, method="crown", repeats=2)
-    assert out["agreement"] is True
-    assert out["equiv_max_diff"] <= 1e-9
-    assert [r["variant"] for r in out["rows"]] == ["original", "reduced"]
-    for r in out["rows"]:
-        assert r["status"] == VERIFIED
-        assert r["property"] == "y0_ge_m3"
-        assert r["median_time_s"] >= 0.0
-        assert isinstance(r["splits"], int)
-
-
-def test_bench_pair_refuses_inequivalent_networks(fig1_net, fig4_net, unit_box):
-    from conftest import FIG4_B2, FIG4_W1, FIG4_B1, FIG4_W2, build_fig4
-    from redkit.netir import NetworkBuilder
-    b = NetworkBuilder()
-    i = b.add_input(2)
-    h = b.add_linear(i, FIG4_W1, FIG4_B1)
-    r = b.add_relu(h, 3)
-    o = b.add_linear(r, FIG4_W2, FIG4_B2 + 1.0)  # shifted output
-    crooked = b.build(o)
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
-    with pytest.raises(ContractError, match="refusing to benchmark"):
-        bench_pair(fig1_net, crooked, spec)
-
-
-def test_bench_pair_repeats_clamped(fig1_net, fig4_net, unit_box):
-    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
-    out = bench_pair(fig1_net, fig4_net, spec, repeats=0)
-    assert len(out["rows"]) == 2
