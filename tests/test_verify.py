@@ -206,15 +206,24 @@ def _generated(n_hidden, width, n_in, n_out, seed):
     return net, Box(np.asarray(sidecar["box"]["lower"]), np.asarray(sidecar["box"]["upper"]))
 
 
-# The comparison holds on these nets but is no theorem: a pin that tightens a
-# range can flip CROWN's adaptive lower line of a neuron below it, so on
-# (4, 8, 3, 3, 3) and (2, 12, 3, 3, 0) the split child comes out looser than
-# the surgery child.
-_SURGERY_CASES = ["fig1", (3, 10, 4, 3, 1), (3, 16, 6, 3, 4), (3, 48, 8, 1, 5), (4, 32, 8, 1, 6)]
+# table is the bounds table the surgery child takes its ranges from; the
+# split child is always bound by CROWN. The comparison holds on these nets
+# but is no theorem: a pin that tightens a range can flip CROWN's adaptive
+# lower line of a neuron below it, so on (4, 8, 3, 3, 3) and (2, 12, 3, 3, 0)
+# the split child comes out looser than the surgery child.
+_SURGERY_CASES = [
+    ("fig1", "interval"),
+    ("fig1", "crown"),
+    ((3, 10, 4, 3, 1), "crown"),
+    ((3, 10, 4, 3, 1), "interval"),
+    ((3, 16, 6, 3, 4), "crown"),
+    ((3, 48, 8, 1, 5), "crown"),
+    ((4, 32, 8, 1, 6), "crown"),
+]
 
 
-@pytest.mark.parametrize("net_cfg", _SURGERY_CASES)
-def test_sign_split_child_is_no_looser_than_the_surgery_child(net_cfg, fig1_net, unit_box):
+@pytest.mark.parametrize("net_cfg,table", _SURGERY_CASES)
+def test_sign_split_child_is_no_looser_than_the_surgery_child(net_cfg, table, fig1_net, unit_box):
     if net_cfg == "fig1":
         net, box = fig1_net, unit_box
         C, d = np.array([[1.0, 0.0], [1.0, -1.0]]), np.array([3.0, 0.0])
@@ -223,7 +232,7 @@ def test_sign_split_child_is_no_looser_than_the_surgery_child(net_cfg, fig1_net,
         n_out = net_cfg[3]
         C, d = np.vstack([np.eye(n_out)[:1], np.eye(n_out)[:1] - np.eye(n_out)[-1:]]), np.zeros(2)
     chain = Chain.of(net)
-    table = compute_bounds(net, box, "crown")
+    table = compute_bounds(net, box, table)
     root = root_one(chain, box)
     checked = 0
     for k in range(chain.n_relu):
@@ -249,14 +258,25 @@ _EMPTY_WB = [
 ]
 
 
-def test_contradictory_pins_close_the_leaf():
+# found_by names the bound that finds the region empty: pinned b first, the
+# CROWN pass that bounds b again under a's pin; pinned a first, the clamp of
+# b's own range, which a's pin has already made [-0.5, -0.5].
+@pytest.mark.parametrize("found_by", ["crown", "interval"])
+def test_contradictory_pins_close_the_leaf(found_by):
     chain = Chain.of(from_sequential(_EMPTY_WB, 1))
     box = Box(np.array([-1.0]), np.array([1.0]))
     root = root_one(chain, box)
-    b_active = split_one(chain, box, root, 1, 0, ACTIVE)
-    assert b_active is not None
-    assert split_one(chain, box, b_active, 0, 0, INACTIVE) is None
-    assert split_one(chain, box, b_active, 0, 0, ACTIVE) is not None
+    if found_by == "crown":
+        b_active = split_one(chain, box, root, 1, 0, ACTIVE)
+        assert b_active is not None
+        assert split_one(chain, box, b_active, 0, 0, INACTIVE) is None
+        assert split_one(chain, box, b_active, 0, 0, ACTIVE) is not None
+    else:
+        a_inactive = split_one(chain, box, root, 0, 0, INACTIVE)
+        assert a_inactive is not None
+        assert a_inactive.upper[1][0] < 0
+        assert split_one(chain, box, a_inactive, 1, 0, ACTIVE) is None
+        assert split_one(chain, box, a_inactive, 1, 0, INACTIVE) is not None
 
 
 def test_bab_closes_an_empty_leaf_instead_of_giving_up(monkeypatch):
