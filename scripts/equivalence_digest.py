@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Digest of every result a refactor must keep, over the perfbench jobs.
+
+    python3 scripts/equivalence_digest.py --seeds 1001 2003 > digest.txt
+
+Run from the root of a checkout: it builds the perfbench jobs of each seed
+and workload from perfbench/ and imports redkit from src/ of the same
+checkout. For each job and path (original, then reduced, as
+perfbench/pipeline.py prepares them) it prints one line per output:
+
+- `interval` and `crown`: sha256 of the compute_bounds table's ranges;
+- `incomplete` and `bab`: the verify_incomplete and bab_verify verdicts,
+  the latter at the workload's split budget: status, repr(bound), splits
+  and note;
+- `onnx` (reduced path only): sha256 of the exported reduced model.
+
+Two checkouts whose outputs agree bit for bit print the same lines, so
+`diff` of two runs is the equivalence check. --workloads and --jobs (a
+Python slice, as in `0:2`) narrow the run. Nothing under perfbench/ is
+written.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("bab_tight", "robust_mix", "large_models")
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seeds", type=int, nargs="+", default=[1001, 2003])
+    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    p.add_argument("--jobs", default=":", help="slice of each workload's jobs, as in 0:2")
+    args = p.parse_args(argv)
+    try:
+        args.jobs = slice(*(int(x) if x else None for x in args.jobs.split(":")))
+    except (TypeError, ValueError):
+        p.error(f"--jobs must be a slice such as 0:2, got {args.jobs!r}")
+    return args
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
+
+
+def _table(rk, net, box, method: str) -> str:
+    table = rk.compute_bounds(net, box, method)
+    return _sha(*(a.tobytes() for k in range(len(table.linear_ids)) for a in table.pre_activation(k)))
+
+
+def _verdict(v) -> str:
+    return f"{v.status} {v.bound!r} {v.splits} {v.note!r}"
+
+
+def job_lines(rk, pipeline, job, workload) -> list[tuple[str, str, str]]:
+    """(path, output, digest) for one job, original path first."""
+    out = []
+    for path in (pipeline.ORIGINAL, pipeline.REDUCED):
+        net, _ = rk.import_onnx(job.model)
+        spec = rk.parse_vnnlib(job.vnnlib, name=job.name)
+        net = pipeline._chain(net, spec.box)
+        if path == pipeline.REDUCED:
+            reduced, _ = rk.reduce_network(net, spec.box, method="crown")
+            model = rk.export_onnx(reduced)
+            net, _ = rk.import_onnx(model)
+        out.append((path, "interval", _table(rk, net, spec.box, "interval")))
+        out.append((path, "crown", _table(rk, net, spec.box, "crown")))
+        out.append((path, "incomplete", _verdict(rk.verify_incomplete(net, spec))))
+        bab = rk.bab_verify(net, spec, timeout=workload.timeout_s, max_splits=workload.max_splits)
+        out.append((path, "bab", _verdict(bab)))
+        if path == pipeline.REDUCED:
+            out.append((path, "onnx", _sha(model)))
+    return out
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    n = str(min(2, len(os.sched_getaffinity(0))))  # perfbench's BLAS thread cap
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = n
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+    import corpus  # noqa: E402 - needs the sys.path entries above
+    import pipeline  # noqa: E402
+    import redkit as rk  # noqa: E402
+
+    for workload in args.workloads:
+        for seed in args.seeds:
+            jobs = corpus.build(workload, seed)
+            for i in range(len(jobs))[args.jobs]:
+                for path, output, digest in job_lines(rk, pipeline, jobs[i], corpus.WORKLOADS[workload]):
+                    print(f"{workload} {seed} job {i} {path} {output} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

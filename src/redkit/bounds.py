@@ -1,15 +1,16 @@
 """Bound propagation over sequential ReLU networks.
 
 Two methods share one table format: interval (forward ranges, cheap and
-loose) and a backward linear-relaxation pass (per-neuron slope/intercept
-lines, tighter). Bounds are always sound: every concrete pre-activation lies
-inside the reported range. The layer loop (bound_layers) and the backward
-pass also take a batch of sign regions, every array with a leading batch
-axis, for branch and bound.
+loose) and CROWN, a backward linear-relaxation pass (per-neuron
+slope/intercept lines, tighter). Bounds are always sound: every concrete
+pre-activation lies inside the reported range. The CROWN layer loop
+(bound_layers) and the backward pass run on a batch of sign regions, every
+array with a leading batch axis; the root pass over the whole box is a
+batch of one, and branch and bound bounds its leaves in larger batches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,22 +139,21 @@ def _is_large(chain: Chain, k: int) -> bool:
 def relax_layer(
     chain: Chain, k: int, lo: np.ndarray, hi: np.ndarray, relaxations: list
 ) -> _ReluRelaxation:
-    """ReLU lines of hidden layer k over [lo, hi], plus its backward form when large.
+    """Hidden layer k's ReLU lines over (B, n) ranges, plus its backward form when large.
 
-    relaxations holds the lines of layers 0..k-1. In the root pass (one
-    leaf, (n,) ranges) a layer with at least COMPACT_MIN_ENTRIES weights
-    gets a _Compacted form: dead neurons contribute nothing to a backward
-    pass and active ones pass their coefficients through unchanged, so only
-    the unstable slice needs relu_backward and only live rows and columns
-    take part in the product. A batch of leaves ((B, n) ranges) gets lines
-    only; its leaves keep the root's compacted forms.
+    relaxations holds the lines of layers 0..k-1. A layer with at least
+    COMPACT_MIN_ENTRIES weights gets a _Compacted form: dead neurons
+    contribute nothing to a backward pass and active ones pass their
+    coefficients through unchanged, so only the unstable slice needs
+    relu_backward and only live rows and columns take part in the product.
+    A neuron is dead or active when it is so in every member.
     """
     r = relu_relaxation(lo, hi)
-    if lo.ndim != 1 or not _is_large(chain, k):
+    if not _is_large(chain, k):
         return r
     W, b = chain.layers[k]
-    dead = hi <= 0.0
-    unstable = ~dead & (lo < 0.0)
+    dead = (hi <= 0.0).all(axis=0)
+    unstable = ~dead & (lo < 0.0).any(axis=0)
     order = np.concatenate([np.flatnonzero(unstable), np.flatnonzero(~dead & ~unstable)])
     prev = relaxations[k - 1].compact if k > 0 else None
     below = None if prev is None else prev.order
@@ -182,7 +182,6 @@ class BoundsTable:
     linear_ids: list[int]
     lower: dict[int, np.ndarray]
     upper: dict[int, np.ndarray]
-    relaxations: list[_ReluRelaxation] = field(default_factory=list, repr=False)
 
     def output_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         last = self.linear_ids[-1]
@@ -213,7 +212,7 @@ def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
     (an active pin with hi < 0, an inactive one with lo > 0): no box point
     has that sign. Only a pin is trusted to prove this; an unpinned range can
     cross itself by a rounding error when it is a single point. For (B, n)
-    ranges and signs, empty holds one flag per batch member.
+    ranges and signs, empty holds one flag per member.
     """
     empty = (((signs > 0) & (hi < 0.0)) | ((signs < 0) & (lo > 0.0))).any(axis=-1)
     lo = np.where(signs > 0, np.maximum(lo, 0.0), lo)
@@ -223,7 +222,6 @@ def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
 def bound_layers(
     chain: Chain,
     box: Box,
-    method: str,
     lower: list,
     upper: list,
     relaxations: list,
@@ -231,86 +229,76 @@ def bound_layers(
     stop: int | None = None,
     signs=None,
     parent: tuple[list, list] | None = None,
-) -> bool | np.ndarray:
-    """Bound layers start..stop-1 of the chain on top of a bounded prefix.
+) -> np.ndarray:
+    """CROWN bounds of layers start..stop-1 of the chain for a batch of sign regions.
 
-    lower/upper hold the pre-activation ranges of layers 0..start-1 and
-    relaxations the ReLU lines of those layers (crown only); each new layer
-    is appended in place. A layer's input range is the box for layer 0 and
-    the ReLU of the previous range otherwise. interval stops at that forward
-    step; crown also runs the backward pass and intersects the two, since
-    the backward pass alone can lose to plain intervals in correlated
-    corners. In the root pass, on a large hidden layer (at least
-    COMPACT_MIN_ENTRIES weights), the rows that the forward step proves dead
+    Member b of every (B, n) array (ranges, lines, signs, parent ranges)
+    meets member b of the others. lower/upper hold the ranges of layers
+    0..start-1 and relaxations their ReLU lines; each new layer is appended
+    in place. A layer's input range is the box, as a batch of one, for
+    layer 0 and the ReLU of the previous range otherwise. The forward
+    interval step and the backward pass are intersected, since the backward
+    pass alone can lose to plain intervals in correlated corners.
+
+    The root pass (start == 0) treats a large hidden layer (at least
+    COMPACT_MIN_ENTRIES weights) apart: rows the forward step proves dead
     (hi <= 0) skip the backward pass and keep their interval range, and the
-    layer's relaxation carries its compacted backward form (relax_layer).
+    layer's relaxation carries its compacted backward form (relax_layer),
+    which every batch split from the root keeps; rows dead at the root stay
+    dead in its parents, so they are never bounded again.
 
     signs, one int8 array per hidden layer, restricts the bounds to a sign
     region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent is
-    the (lower, upper) of a sign region containing this one; hidden rows it
-    already has inactive (hi <= 0) keep the parent's range without being
-    recomputed, because they stay inactive and feed nothing downstream.
-    Returns False, and stops, when a pinned neuron's bounds come out
-    strictly on the other side of zero: then no box point has the pinned
-    signs. Otherwise returns True.
-
-    A batch of B sign regions over the same box bounds them all in one pass:
-    every array then has a leading batch axis ((B, n) ranges, relaxation
-    lines, signs and parent ranges), and member b of each meets member b of
-    the others. The box is shared, so a batch starts at start >= 1. The
-    relaxations of a batch's prefix keep the root's compacted forms, and
-    the rows dead at the root stay dead in its parents, so they are never
-    bounded again. A batch returns one flag per member and stops only when
-    every member is empty.
+    the (lower, upper) of sign regions containing these; hidden rows that
+    every parent has inactive (hi <= 0) keep the parents' ranges without
+    being recomputed, because they stay inactive and feed nothing
+    downstream. Returns one flag per member, False when a pinned neuron's
+    bounds come out strictly on the other side of zero: then no box point
+    has the member's pinned signs. Stops when every member is empty.
     """
-    if method not in ("interval", "crown"):
-        raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
-    batched = start > 0 and lower[start - 1].ndim == 2
     stop = len(chain.layers) if stop is None else stop
-    ok = np.ones(lower[start - 1].shape[0], bool) if batched else True
+    ok = np.ones(lower[start - 1].shape[0] if start else 1, bool)
     for k in range(start, stop):
         W, b = chain.layers[k]
         hidden = k < chain.n_relu
         if k == 0:
-            v_lo, v_hi = box.lower, box.upper
+            v_lo, v_hi = box.lower[None], box.upper[None]
         else:
             v_lo, v_hi = np.maximum(lower[k - 1], 0.0), np.maximum(upper[k - 1], 0.0)
         rows = None
         if parent is not None and hidden:
             dead = parent[1][k] <= 0.0
-            if dead.any():  # in a batch, bound the rows live in some member
-                rows = np.flatnonzero(~dead.all(axis=0) if batched else ~dead)
+            if dead.any():  # bound the rows live in some member
+                rows = np.flatnonzero(~dead.all(axis=0))
                 W, b = W[rows], b[rows]
         lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
-        if method == "crown":
-            live = None  # rows the backward pass bounds, when not all of them
-            if not batched and _is_large(chain, k) and (hi <= 0.0).any():
-                live = np.flatnonzero(hi > 0.0)
-                W, b = W[live], b[live]
-            c_lo = _backward_from(chain, k, W, b, relaxations, box, upper_pass=False)
-            c_hi = _backward_from(chain, k, W, b, relaxations, box, upper_pass=True)
-            if live is None:
-                lo, hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
-            else:
-                lo[live] = np.maximum(c_lo, lo[live])
-                hi[live] = np.minimum(c_hi, hi[live])
-        if rows is not None:
+        live = None  # rows the backward pass bounds, when not all of them
+        if start == 0 and _is_large(chain, k) and (hi <= 0.0).any():
+            live = np.flatnonzero((hi > 0.0).any(axis=0))
+            W, b = W[live], b[live]
+        c_lo = _backward_from(chain, k, W, b, relaxations, box, upper_pass=False)
+        c_hi = _backward_from(chain, k, W, b, relaxations, box, upper_pass=True)
+        if live is None:
+            lo, hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
+        else:
+            lo[:, live] = np.maximum(c_lo, lo[:, live])
+            hi[:, live] = np.minimum(c_hi, hi[:, live])
+        if rows is not None:  # a bounded row may still be dead in some members' parents
             p_lo, p_hi = parent[0][k], parent[1][k]
             lo_all, hi_all = p_lo.copy(), p_hi.copy()
-            lo_all[..., rows], hi_all[..., rows] = lo, hi
-            if batched:  # a bounded row may still be dead in some members' parents
-                lo_all, hi_all = np.where(dead, p_lo, lo_all), np.where(dead, p_hi, hi_all)
-            lo, hi = lo_all, hi_all
+            lo_all[:, rows], hi_all[:, rows] = lo, hi
+            lo, hi = np.where(dead, p_lo, lo_all), np.where(dead, p_hi, hi_all)
         if signs is not None and hidden:
             lo, hi, empty = clamp_to_signs(lo, hi, signs[k])
             ok = ok & ~empty
-            if not np.any(ok):
-                return ok if batched else False
+            if not ok.any():
+                return ok
         lower.append(lo)
         upper.append(hi)
-        if hidden and method == "crown":
-            relaxations.append(relax_layer(chain, k, lo, hi, relaxations))
-    return ok if batched else True
+        if hidden:
+            relaxations.append(relax_layer(chain, k, lo, hi, relaxations) if start == 0
+                               else relu_relaxation(lo, hi))
+    return ok
 
 
 def interval_forward(net: Network, box: Box) -> BoundsTable:
@@ -327,9 +315,11 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
     runs on the leading unstable slice with the leaves' own lines, and the
     compacted weights do the rest. Neither A nor const is written to.
 
-    With batched relaxations ((B, n) lines) the row set, shared or (B, m, n),
-    is pushed through each member's lines, and the result is (B, m).
+    The row set, A (m, n) and const (m,), is shared by the batch: it enters
+    as a batch of one and meets each member's (B, n) lines, and the result
+    is (B, m), or (1, m) with no layer to cross (k == 0).
     """
+    A, const = A[None], const[None]
     cols = None  # the order A's columns follow; None is the natural order
     for j in range(k - 1, -1, -1):
         r = relaxations[j]
@@ -341,7 +331,7 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
             W, b = chain.layers[j]
         else:
             if cols is None:  # shared rows become one row set per leaf
-                A = np.broadcast_to(A, r.slope_lo.shape[:-1] + A.shape[-2:])[..., c.order]
+                A = np.broadcast_to(A, (len(r.slope_lo),) + A.shape[1:])[..., c.order]
             u = c.n_unstable
             if u:
                 iu = c.order[:u]
@@ -358,27 +348,37 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
 def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     """Pre-activation bounds of every linear layer of a sequential network.
 
-    method is 'interval' or 'crown' (see bound_layers); crown's lower ReLU
-    line is the adaptive one (see _ReluRelaxation). Crown's first-layer
-    bounds equal interval's.
+    method is 'interval' (the forward step alone, layer by layer) or 'crown'
+    (bound_layers on the box as a batch of one); crown's lower ReLU line is
+    the adaptive one (see _ReluRelaxation). Crown's first-layer bounds equal
+    interval's.
     """
+    if method not in ("interval", "crown"):
+        raise ContractError(f"method must be 'interval' or 'crown', got {method!r}")
     seq = as_sequential(net)
     chain = Chain.of_view(seq)
     chain.check_box(box)
-    lower: list = []
-    upper: list = []
-    relaxations: list = []
-    bound_layers(chain, box, method, lower, upper, relaxations)
+    lower, upper = [], []
+    if method == "crown":
+        bound_layers(chain, box, lower, upper, [])
+        lower, upper = [a[0] for a in lower], [a[0] for a in upper]
+    else:
+        v_lo, v_hi = box.lower, box.upper
+        for W, b in chain.layers:
+            lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
+            lower.append(lo)
+            upper.append(hi)
+            v_lo, v_hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
     ids = [l.id for l in seq.linears]
-    return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)), relaxations)
+    return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)))
 
 
 def chain_margin_lower_bounds(chain: Chain, box: Box, A, const, relaxations: list) -> np.ndarray:
     """CROWN lower bounds of A h + const, h the last hidden layer's post-ReLU values.
 
-    relaxations are the hidden layers' ReLU lines, as bound_layers fills
-    them for crown; A and const already fold in the readout layer. For a
-    batch of leaves (lines with a leading batch axis) the result is (B, m),
-    one row of margin bounds per member.
+    relaxations are the hidden layers' (B, n) ReLU lines, as bound_layers
+    fills them; A and const already fold in the readout layer. The result is
+    (B, m), one row of margin bounds per member, or (1, m) for a chain with
+    no hidden layer, whose one leaf is the root.
     """
     return _backward_from(chain, chain.n_relu, A, const, relaxations, box, upper_pass=False)

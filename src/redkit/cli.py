@@ -218,6 +218,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if not args.tol >= 0:  # NaN fails too
+        raise ContractError(f"tol must be a nonnegative number, got {args.tol!r}")
     a = _read_model(args.model)
     b = _read_model(args.other)
     box = _resolve_box(args, a.input_layer.width)
@@ -234,6 +236,8 @@ def cmd_equiv(args) -> int:
 
 def cmd_verify(args) -> int:
     check_budget(args.timeout, args.max_splits)
+    if args.falsify < 0:
+        raise ContractError(f"falsify must be a nonnegative sample count, got {args.falsify}")
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)

@@ -319,7 +319,12 @@ def _read_text(path) -> str:
 
 
 def load_vnnlib(path, name: str | None = None) -> PropertySpec:
-    return parse_vnnlib(_read_text(path), name=name or str(path))
+    """Parse a property file; a ParseError names the file."""
+    text = _read_text(path)
+    try:
+        return parse_vnnlib(text, name=name or str(path))
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Margin verification: one CROWN pass, then branch and bound on ReLU signs.
 
-Every bound here is CROWN's (bounds.bound_layers with method "crown"). A
-property holds when every margin row stays nonnegative over the box. The
-certificate threshold is nonnegative rather than strictly positive, so a
-margin that attains exactly zero still counts as proved; counterexamples are
-points with a strictly negative margin.
+Every bound here is CROWN's (bounds.bound_layers). A property holds when
+every margin row stays nonnegative over the box. The certificate threshold
+is nonnegative rather than strictly positive, so a margin that attains
+exactly zero still counts as proved; counterexamples are points with a
+strictly negative margin.
 
 Branching never splits the input box and never rewrites the network. The
 network is read once into a fixed affine-ended chain of (W, b) pairs, and a
@@ -19,7 +19,7 @@ shows that no box point has the pinned signs, and that leaf closes without
 a margin.
 
 Every leaf is a member of a LeafBatch, whose arrays carry a leading batch
-axis; the root is a batch of one over the plain, unbatched root pass. The
+axis; the root is a batch of one, bounded by the same layer loop. The
 search bounds up to BATCH leaves per step as one batch, so one numpy call
 serves every leaf, and each still re-bounds only the layers after its own
 split. A large hidden layer enters every leaf's backward passes in the
@@ -40,7 +40,7 @@ from .bounds import (
     bound_layers,
     chain_margin_lower_bounds,
     clamp_to_signs,
-    relax_layer,
+    relu_relaxation,
 )
 from .errors import ContractError
 from .netir import Network, forward_batch
@@ -135,27 +135,16 @@ class LeafBatch:
         return self.empty.shape[0]
 
 
-def _root_pass(chain: Chain, box: Box) -> tuple[list, list, list]:
-    """The hidden layers' ranges and lines over the whole box, unbatched."""
-    chain.check_box(box)
-    lower: list = []
-    upper: list = []
-    relaxations: list = []
-    bound_layers(chain, box, "crown", lower, upper, relaxations, stop=chain.n_relu)
-    return lower, upper, relaxations
-
-
 def root_leaf(chain: Chain, box: Box) -> LeafBatch:
-    """The whole box, nothing pinned: a batch of one over the unbatched root pass."""
-    lower, upper, relaxations = _root_pass(chain, box)
+    """The whole box, nothing pinned: a batch of one."""
+    chain.check_box(box)
+    lower, upper, relaxations = [], [], []
+    bound_layers(chain, box, lower, upper, relaxations, stop=chain.n_relu)
     return LeafBatch(
-        tuple(a[None] for a in lower),
-        tuple(a[None] for a in upper),
-        tuple(
-            _ReluRelaxation(r.slope_lo[None], r.slope_up[None], r.icpt_up[None], r.compact)
-            for r in relaxations
-        ),
-        tuple(np.zeros((1, lo.shape[0]), np.int8) for lo in lower),
+        tuple(lower),
+        tuple(upper),
+        tuple(relaxations),
+        tuple(np.zeros(lo.shape, np.int8) for lo in lower),
         np.zeros(1, bool),
     )
 
@@ -225,7 +214,7 @@ def split_leaf(
             prefix_lo, prefix_hi = lo_c[:l], hi_c[:l]
             prefix_relax = [_rows(r, slice(c)) for r in relax[:l]]
             ok = bound_layers(
-                chain, box, "crown", prefix_lo, prefix_hi, prefix_relax,
+                chain, box, prefix_lo, prefix_hi, prefix_relax,
                 start=l, stop=l + 1, signs=[a[:c] for a in pins], parent=(lo_c, hi_c),
             )
             empty[:c] |= ~ok
@@ -238,7 +227,7 @@ def split_leaf(
             lo, hi, e = clamp_to_signs(lower[l][g], upper[l][g], pins[l][g])
             empty[g] |= e
             lower[l][g], upper[l][g] = lo, hi
-            _set_rows(relax[l], g, relax_layer(chain, l, lo, hi, relax))
+            _set_rows(relax[l], g, relu_relaxation(lo, hi))
     children = LeafBatch(tuple(lower), tuple(upper), tuple(relax), tuple(pins), empty)
     if in_order:
         return children
@@ -264,9 +253,7 @@ def verify_incomplete(net: Network, spec: PropertySpec) -> Verdict:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
-    _, _, relaxations = _root_pass(chain, spec.box)
-    lo = chain_margin_lower_bounds(chain, spec.box, A, const, relaxations)
-    bound = float(lo.min())
+    bound = float(_margins(chain, spec.box, root_leaf(chain, spec.box), A, const)[0])
     status = VERIFIED if bound >= 0.0 else UNKNOWN
     return Verdict(status, bound, 0, time.monotonic() - t0)
 

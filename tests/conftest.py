@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from redkit import Box, Chain, NetworkBuilder, conv_to_matrix, root_leaf, split_leaf
-from redkit.bounds import _ReluRelaxation, chain_margin_lower_bounds
+from redkit.bounds import chain_margin_lower_bounds
 
 # original example network
 FIG1_W1 = np.array(
@@ -116,23 +116,23 @@ def leaf_margins(chain, box, leaf, C, d):
     C = np.atleast_2d(np.asarray(C, dtype=float))
     return chain_margin_lower_bounds(
         chain, box, C @ W, C @ b + np.asarray(d, dtype=float), leaf.relaxations
-    )
+    )[0]
 
 
 def member(batch, b=0):
-    """Member b of a LeafBatch as one leaf: its arrays without the batch axis.
+    """Member b of a LeafBatch as one leaf: its ranges and signs without the batch axis.
 
-    batch is the member alone as a batch of one, the form split_leaf takes.
+    batch is the member alone as a batch of one, the form split_leaf takes;
+    relaxations are that batch's (1, n) lines, the form the backward pass
+    takes.
     """
+    one = batch.take([b])
     return SimpleNamespace(
-        lower=tuple(a[b] for a in batch.lower),
-        upper=tuple(a[b] for a in batch.upper),
-        relaxations=tuple(
-            _ReluRelaxation(r.slope_lo[b], r.slope_up[b], r.icpt_up[b], r.compact)
-            for r in batch.relaxations
-        ),
-        signs=tuple(a[b] for a in batch.signs),
-        batch=batch.take([b]),
+        lower=tuple(a[0] for a in one.lower),
+        upper=tuple(a[0] for a in one.upper),
+        relaxations=one.relaxations,
+        signs=tuple(a[0] for a in one.signs),
+        batch=one,
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import redkit.onnx_codec as oc
 from conftest import build_fig1
-from redkit import export_onnx, forward, import_onnx
+from redkit import export_onnx, forward, from_sequential, import_onnx
 from redkit import cli
 from redkit.cli import main
 
@@ -224,6 +224,26 @@ def test_verify_false_property_finds_counterexample(ws, capsys):
     assert "counterexample:" in out
 
 
+def test_verify_a_chain_with_no_hidden_layer(tmp_path, capsys):
+    # y = x0 - x1 on [0, 1]^2 against y + 0.5 >= 0: no ReLU to split, and the
+    # affine bound -0.5 is the true minimum; before, bab_verify raised an
+    # AxisError and the command exited 4
+    model = tmp_path / "affine.onnx"
+    model.write_bytes(export_onnx(from_sequential([([[1.0, -1.0]], [0.0])], 2)))
+    prop = tmp_path / "affine.vnnlib"
+    prop.write_text(
+        "(declare-const X_0 Real)\n(declare-const X_1 Real)\n(declare-const Y_0 Real)\n"
+        "(assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n"
+        "(assert (>= X_1 0.0))\n(assert (<= X_1 1.0))\n(assert (<= Y_0 -0.5))\n"
+    )
+    rc = main(["verify", "--model", str(model), "--vnnlib", str(prop)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "incomplete: unknown (bound -0.5" in out
+    assert "branch and bound: unknown (bound -0.5, 0 splits" in out
+    assert "counterexample:" in out
+
+
 def test_verify_no_bab_stops_early(ws, capsys):
     rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_one_split"],
                "--no-bab", "--falsify", "0"])
@@ -234,14 +254,22 @@ def test_verify_no_bab_stops_early(ws, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--max-splits", "-3"), ("--timeout", "-1"), ("--timeout", "nan"),
+    ("--max-splits", "-3"), ("--timeout", "-1"), ("--timeout", "nan"), ("--falsify", "-5"),
+    ("--tol", "-1"), ("--tol", "nan"),
 ])
 def test_an_invalid_budget_exits_2_before_any_bounding(ws, capsys, monkeypatch, flag, value):
+    # --tol belongs to equiv, the rest to verify
     def no_bounding(*args, **kwargs):
         raise AssertionError("bounded before rejecting the budget")
 
-    monkeypatch.setattr(cli, "verify_incomplete", no_bounding)
-    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_true"], flag, value])
+    for name in ("verify_incomplete", "sample_equivalence", "grid_equivalence"):
+        monkeypatch.setattr(cli, name, no_bounding)
+    if flag == "--tol":
+        argv = ["equiv", "--model", ws["fig1"], "--other", ws["fig1"],
+                "--center", ws["center"], "--eps", "1.0"]
+    else:
+        argv = ["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_true"]]
+    rc = main([*argv, flag, value])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and flag[2:].replace("-", "_") in err
@@ -461,4 +489,4 @@ def test_malformed_vnnlib_exit_code(ws, tmp_path, capsys):
     prop.write_text("(assert (>= X_0")
     rc = main(["verify", "--model", ws["fig1"], "--vnnlib", str(prop)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {prop}: line 1:" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import pytest
 from conftest import member, root_one, split_one
 from redkit import Box, Chain, PropertySpec, compute_bounds, forward_batch, from_sequential
 from redkit import bounds, verify
-from redkit.bounds import _backward_from, bound_layers, chain_margin_lower_bounds
+from redkit.bounds import _backward_from, bound_layers, chain_margin_lower_bounds, relu_relaxation
 from redkit.verify import ACTIVE, INACTIVE
 
 PLAIN = 1 << 62  # no layer is that large
@@ -43,8 +43,9 @@ def _planted_chain(seed, widths, dead=0.4, active=0.3):
 
 
 def _crown(chain, box):
+    """The root pass: every layer's (1, n) ranges and every hidden layer's (1, n) lines."""
     lower, upper, relaxations = [], [], []
-    bound_layers(chain, box, "crown", lower, upper, relaxations)
+    bound_layers(chain, box, lower, upper, relaxations)
     return lower, upper, relaxations
 
 
@@ -178,7 +179,7 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
     }
     np.testing.assert_allclose(margins["compact"], margins["plain"], rtol=1e-12, atol=1e-12)
     ys = pre[-1][inside] @ C.T
-    assert ys.min() >= margins["compact"][0] - 1e-9
+    assert ys.min() >= margins["compact"][0, 0] - 1e-9
 
 
 def test_backward_pass_never_writes_into_its_rows():
@@ -254,7 +255,7 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
             assert np.array_equal(got.signs[layer], want.signs[layer])
             _assert_same_live_bounds(got.lower[layer], got.upper[layer],
                                      want.lower[layer], want.upper[layer], True)
-        want_m = chain_margin_lower_bounds(chain, box, C @ W, C @ b, want.relaxations)
+        want_m = chain_margin_lower_bounds(chain, box, C @ W, C @ b, want.relaxations)[0]
         np.testing.assert_allclose(margins[i], want_m, rtol=1e-12,
                                    atol=1e-12 * max(1.0, np.abs(want_m).max()))
 
@@ -276,9 +277,10 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
 
 
 @pytest.mark.parametrize("case", ["fig1", "wide"])
-def test_the_root_stays_unbatched(case, fig1_net, unit_box):
-    # member 0 of root_leaf is the plain root pass, and verify_incomplete
-    # bounds the margins on that pass, not on a batch of one
+def test_the_root_is_a_batch_of_one(case, fig1_net, unit_box):
+    # compute_bounds's crown table is member 0 of root_leaf, whose lines are
+    # those of its ranges, and verify_incomplete bounds the margins on that
+    # batch of one
     if case == "fig1":
         net, chain, box = fig1_net, Chain.of(fig1_net), unit_box
         C, d = np.array([[1.0, 0.0], [1.0, -1.0]]), np.array([3.0, 0.0])
@@ -287,13 +289,15 @@ def test_the_root_stays_unbatched(case, fig1_net, unit_box):
         C, d = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]), np.array([0.5, 0.0])
     table = compute_bounds(net, box, "crown")
     root = verify.root_leaf(chain, box)
+    assert len(root) == 1
     for k in range(chain.n_relu):
         lo, hi = table.pre_activation(k)
         assert np.array_equal(root.lower[k][0], lo) and np.array_equal(root.upper[k][0], hi)
         for line in ("slope_lo", "slope_up", "icpt_up"):
-            want = getattr(table.relaxations[k], line)
-            assert np.array_equal(getattr(root.relaxations[k], line)[0], want)
+            want = getattr(relu_relaxation(lo[None], hi[None]), line)
+            assert np.array_equal(getattr(root.relaxations[k], line), want)
     W, b = chain.layers[-1]
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, table.relaxations)
+    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, root.relaxations)
+    assert margins.shape == (1, len(C))
     v = verify.verify_incomplete(net, PropertySpec(box, C, d, name="margins"))
     assert np.array_equal(v.bound, margins.min())

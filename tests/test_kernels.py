@@ -66,6 +66,7 @@ def _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass):
 
 
 def _relaxation_case(seed, m=4, n=6):
+    """Rows A (m, n), const (m,) and the (n,) lines of one leaf."""
     rng = np.random.default_rng(seed + 100)
     A = rng.normal(size=(m, n))
     A[rng.uniform(size=(m, n)) < 0.25] = 0.0
@@ -76,6 +77,14 @@ def _relaxation_case(seed, m=4, n=6):
     icpt_up = -l * slope_up
     slope_lo = (u >= -l).astype(np.float64)
     return A, const, slope_lo, slope_up, icpt_up
+
+
+def _relu_backward_one(A, const, slope_lo, slope_up, icpt_up, upper_pass):
+    """relu_backward on one leaf's rows and (n,) lines, as a batch of one; member 0 of the result."""
+    lines = (slope_lo[None], slope_up[None], icpt_up[None])
+    A_out, c_out = kernels.relu_backward(A[None], const[None], *lines, upper_pass)
+    assert A_out.shape == (1,) + A.shape and c_out.shape == (1, A.shape[0])
+    return A_out[0], c_out[0]
 
 
 # the vectorized kernels against the scalar loops above, zero weights included
@@ -95,7 +104,7 @@ def test_interval_affine_backends_agree(seed):
 def test_relu_backward_backends_agree(seed):
     case = _relaxation_case(seed)
     for upper_pass in (False, True):
-        A_out, c_out = kernels.relu_backward(*case, upper_pass)
+        A_out, c_out = _relu_backward_one(*case, upper_pass)
         A_ref, c_ref = _relu_backward_loop(*case, upper_pass)
         np.testing.assert_array_equal(A_out, A_ref)
         np.testing.assert_allclose(c_out, c_ref, atol=1e-12)
@@ -109,7 +118,7 @@ def test_relu_backward_zero_coefficient_line(upper_pass):
     icpt_up = np.array([0.5, 0.5, 0.5])
     finite, poison = np.full(3, 0.5), np.array([np.nan, 0.5, 0.5])
     slope_lo, slope_up = (poison, finite) if upper_pass else (finite, poison)
-    A_out, c_out = kernels.relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass)
+    A_out, c_out = _relu_backward_one(A, const, slope_lo, slope_up, icpt_up, upper_pass)
     assert A_out[0, 0] == 0.0
     ref = _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass)
     np.testing.assert_array_equal(A_out, ref[0])
@@ -128,7 +137,7 @@ def test_relu_backward_holds_one_temporary():
         for upper_pass in (False, True):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            A_out, _ = kernels.relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass)
+            A_out, _ = _relu_backward_one(A, const, slope_lo, slope_up, icpt_up, upper_pass)
             peak = tracemalloc.get_traced_memory()[1] - base
             assert peak < 1.5 * A.nbytes, f"peak {peak} bytes for A of {A.nbytes}"
             outs.append(A_out)
@@ -181,7 +190,7 @@ def test_interval_affine_sound_property(W, b, lo, widths, t):
     assert np.all(y <= out_hi + 1e-9)
 
 
-# the batch forms against one plain call per member
+# the batch forms against one batch-of-one call per member
 
 
 @pytest.mark.parametrize("shared_rows", [False, True])
@@ -190,14 +199,14 @@ def test_relu_backward_batch_matches_per_member_calls(seed, shared_rows):
     members = [_relaxation_case(seed * 10 + b) for b in range(5)]
     if shared_rows:  # one row set meets every member's lines
         members = [(members[0][0], members[0][1]) + m[2:] for m in members]
-    A = members[0][0] if shared_rows else np.stack([m[0] for m in members])
-    const = members[0][1] if shared_rows else np.stack([m[1] for m in members])
+    A = members[0][0][None] if shared_rows else np.stack([m[0] for m in members])
+    const = members[0][1][None] if shared_rows else np.stack([m[1] for m in members])
     lines = [np.stack([m[i] for m in members]) for i in (2, 3, 4)]
     for upper_pass in (False, True):
         A_out, c_out = kernels.relu_backward(A, const, *lines, upper_pass)
         assert A_out.shape == (5,) + members[0][0].shape
         for b, m in enumerate(members):
-            A_ref, c_ref = kernels.relu_backward(*m, upper_pass)
+            A_ref, c_ref = _relu_backward_one(*m, upper_pass)
             np.testing.assert_array_equal(A_out[b], A_ref)
             np.testing.assert_allclose(c_out[b], c_ref, rtol=1e-12, atol=1e-12)
 

@@ -227,6 +227,14 @@ def test_save_and_load(tmp_path):
     assert named.name == "custom"
 
 
+def test_load_vnnlib_names_the_file_in_a_parse_error(tmp_path):
+    p = tmp_path / "broken.vnnlib"
+    p.write_text("(assert (>= X_0")
+    with pytest.raises(ParseError) as exc:
+        load_vnnlib(p)
+    assert str(exc.value) == f"{p}: line 1: unclosed parenthesis"
+
+
 def test_epsilon_ball_basic():
     box = epsilon_ball([0.0, 0.0], 1.0)
     assert box.lower.tolist() == [-1.0, -1.0]

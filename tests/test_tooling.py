@@ -10,7 +10,7 @@ linger in the docs. So must every --flag on a `redkit <subcommand>` line of
 README.md, against that subcommand's parser, and README's subcommand table
 must list exactly the parser's subcommands. scripts/bench_pairs.py
 summarizes paired runs; its direction-aware win count is checked on fixed
-records.
+records. scripts/equivalence_digest.py runs on one job of one workload.
 """
 import argparse
 import ast
@@ -18,6 +18,8 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import redkit
@@ -135,3 +137,27 @@ def test_bench_pairs_summary_counts_wins_in_each_direction():
     assert out["counts_match"] and out["jobs_match"] and out["all_correct"]
     runs["change"][1] = run(2.5, 1.0, counts="other")
     assert not bp.summarize(runs, {})["counts_match"]
+
+
+def test_equivalence_digest_prints_every_output_of_a_job():
+    # large_models job 3 is a residual graph, so the run goes through simplify
+    before = sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*"))
+    cmd = [sys.executable, "scripts/equivalence_digest.py", "--workloads", "large_models",
+           "--seeds", "1001", "--jobs", "3:4"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" ", 6) for line in proc.stdout.splitlines()]
+    assert [r[:5] for r in rows] == [["large_models", "1001", "job", "3", path]
+                                     for path in ["original"] * 4 + ["reduced"] * 5]
+    outputs = ["interval", "crown", "incomplete", "bab"]
+    assert [r[5] for r in rows] == outputs + outputs + ["onnx"]
+    for _, _, _, _, _, output, digest in rows:
+        if output in ("incomplete", "bab"):
+            status, bound, splits, note = digest.split(" ", 3)
+            assert status in ("verified", "unknown") and float(bound) == float(bound)
+            assert int(splits) >= 0 and note[0] == note[-1] == "'"
+        else:
+            assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*")) == before
+    bad = subprocess.run(cmd[:-1] + ["x"], cwd=ROOT, capture_output=True, text=True)
+    assert bad.returncode == 2 and "--jobs" in bad.stderr

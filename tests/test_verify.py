@@ -27,7 +27,9 @@ from redkit import (
     from_sequential,
     generate_network,
     reduce_layer,
+    reduce_network,
     split_leaf,
+    verify_incomplete,
 )
 from redkit import verify as verify_mod
 from redkit.errors import ContractError
@@ -372,6 +374,34 @@ def test_verified_bab_has_no_grid_counterexample(seed, slack):
     v = bab_verify(net, spec, max_splits=60)
     if v.verified:
         assert find_grid_counterexample(net, spec, budget=4096, seed=1) is None
+
+
+def test_bab_decides_a_chain_with_no_hidden_layer():
+    # no hidden layer carries the batch axis of the root's margins; bab_verify
+    # used to fail on that with an AxisError
+    net = from_sequential([([[1.0, -1.0]], [0.0])], 2)
+    box = Box(np.zeros(2), np.ones(2))
+    fails = PropertySpec(box, np.array([[1.0]]), np.array([0.5]), name="y_ge_m0.5")
+    assert verify_incomplete(net, fails).bound == -0.5
+    v = bab_verify(net, fails)
+    assert (v.status, v.bound, v.splits) == (UNKNOWN, -0.5, 0)
+    assert v.note == "affine leaf bound is negative"
+    holds = PropertySpec(box, np.array([[1.0]]), np.array([1.0]), name="y_ge_m1")
+    v = bab_verify(net, holds)
+    assert (v.status, v.bound, v.splits) == (VERIFIED, 0.0, 0)
+
+
+def test_bab_decides_a_reduction_that_removed_every_relu():
+    # both hidden neurons are dead on the box, so the reduced net is the
+    # constant 0.25 with no ReLU left
+    net = from_sequential([(np.eye(2), -2.0 * np.ones(2)), (np.array([[1.0, -1.0]]), [0.25])], 2)
+    box = Box(np.zeros(2), np.ones(2))
+    reduced, report = reduce_network(net, box)
+    assert report.relu_after == 0 and Chain.of(reduced).n_relu == 0
+    v = bab_verify(reduced, PropertySpec(box, np.array([[1.0]]), np.array([0.5])))
+    assert (v.status, v.bound) == (VERIFIED, 0.75)
+    v = bab_verify(reduced, PropertySpec(box, np.array([[1.0]]), np.array([-0.5])))
+    assert (v.status, v.bound) == (UNKNOWN, -0.25)
 
 
 # --- batches of leaves ---
