@@ -12,12 +12,16 @@ perfbench/pipeline.py prepares them) it prints one line per output:
 - `incomplete` and `bab`: the verify_incomplete and bab_verify verdicts,
   the latter at the workload's split budget: status, repr(bound), splits
   and note;
-- `onnx` (reduced path only): sha256 of the exported reduced model.
+- `onnx` (reduced path only): sha256 of the exported reduced model;
+- `verdict`: both verdicts' status, splits and note, and the path's ReLU
+  count (`relu_after`), with no float in it.
 
 Two checkouts whose outputs agree bit for bit print the same lines, so
-`diff` of two runs is the equivalence check. --workloads and --jobs (a
-Python slice, as in `0:2`) narrow the run. Nothing under perfbench/ is
-written.
+`diff` of two runs is the equivalence check. A change that moves bounds
+only by rounding changes the hash and `repr(bound)` lines but should keep
+every `verdict` line, so `grep ' verdict '` on both runs, then `diff`,
+shows whether a verdict moved. --workloads and --jobs (a Python slice, as
+in `0:2`) narrow the run. Nothing under perfbench/ is written.
 """
 from __future__ import annotations
 
@@ -60,6 +64,10 @@ def _verdict(v) -> str:
     return f"{v.status} {v.bound!r} {v.splits} {v.note!r}"
 
 
+def _decision(v) -> str:
+    return f"{v.status} {v.splits} {v.note!r}"
+
+
 def job_lines(rk, pipeline, job, workload) -> list[tuple[str, str, str]]:
     """(path, output, digest) for one job, original path first."""
     out = []
@@ -67,17 +75,22 @@ def job_lines(rk, pipeline, job, workload) -> list[tuple[str, str, str]]:
         net, _ = rk.import_onnx(job.model)
         spec = rk.parse_vnnlib(job.vnnlib, name=job.name)
         net = pipeline._chain(net, spec.box)
+        relu_after = sum(layer.width for layer in net.relu_layers())
         if path == pipeline.REDUCED:
-            reduced, _ = rk.reduce_network(net, spec.box, method="crown")
+            reduced, report = rk.reduce_network(net, spec.box, method="crown")
+            relu_after = report.relu_after
             model = rk.export_onnx(reduced)
             net, _ = rk.import_onnx(model)
         out.append((path, "interval", _table(rk, net, spec.box, "interval")))
         out.append((path, "crown", _table(rk, net, spec.box, "crown")))
-        out.append((path, "incomplete", _verdict(rk.verify_incomplete(net, spec))))
+        incomplete = rk.verify_incomplete(net, spec)
+        out.append((path, "incomplete", _verdict(incomplete)))
         bab = rk.bab_verify(net, spec, timeout=workload.timeout_s, max_splits=workload.max_splits)
         out.append((path, "bab", _verdict(bab)))
         if path == pipeline.REDUCED:
             out.append((path, "onnx", _sha(model)))
+        out.append((path, "verdict",
+                    f"incomplete {_decision(incomplete)} bab {_decision(bab)} relu_after {relu_after}"))
     return out
 
 

@@ -7,6 +7,17 @@ pre-activation lies inside the reported range. The CROWN layer loop
 (bound_layers) and the backward pass run on a batch of sign regions, every
 array with a leading batch axis; the root pass over the whole box is a
 batch of one, and branch and bound bounds its leaves in larger batches.
+
+On large layers CROWN applies the paper's reduction to itself. The root
+pass classifies each neuron of a composed hidden layer (see
+COMPACT_MIN_ENTRIES) as dead, active or unstable on the whole box: dead
+ones drop out of every backward pass, and active ones, exact there, are
+merged into the layer's pre-activation map over the input (or a plain
+layer's post-ReLU values) and the unstable neurons of the composed layers
+in between (_Composed). A backward pass then crosses such a layer with
+relu_backward on its unstable neurons and one product with their rows.
+The form holds in every branch-and-bound leaf, whose sign regions lie
+inside the box, so the root builds it once.
 """
 from __future__ import annotations
 
@@ -18,10 +29,11 @@ from . import kernels
 from .errors import ContractError, InternalInvariantError
 from .netir import Chain, Network, as_sequential
 
-# A hidden layer whose weight matrix has at least this many entries is bounded
-# without its interval-dead rows and enters backward passes in compacted form
-# (see relax_layer). Below it, the per-call numpy overhead of compacting
-# outweighs the work saved, so small layers keep the plain arithmetic.
+# A hidden layer is composed (see relax_layer) when its weight matrix or its
+# successor's has at least this many entries: the root pass bounds it without
+# its interval-dead rows, and it enters backward passes in composed form.
+# Below it, the per-call numpy overhead of composing outweighs the work
+# saved, so small layers keep the plain arithmetic.
 COMPACT_MIN_ENTRIES = 1 << 16
 
 
@@ -76,25 +88,24 @@ class Box:
 
 
 @dataclass(frozen=True)
-class _Compacted:
-    """A large hidden layer in backward form: its live neurons only.
+class _Composed:
+    """A hidden layer in composed backward form: its live neurons over the columns below it.
 
-    Built once, in the root pass, from the root's ranges, and shared by
-    every leaf below it. order lists the neurons that are not dead at the
-    root (hi > 0), the n_unstable unstable ones first, then the active ones.
-    weight and bias are the layer's rows in that order; weight's columns
-    follow below, the order of the compacted layer underneath, or the
-    natural order when that layer is not compacted (below is None). A leaf
-    relaxes the unstable slice with its own lines; the active neurons pass
-    through, exact in every leaf, since the root proves them active on the
-    whole box.
+    Built once, in the root pass, from the root's ranges, and shared by every
+    leaf below it. unstable and active list the neurons that the root leaves
+    unstable and proves active (lo >= 0), in natural order; the rest are dead
+    at the root. weight and bias map the layer's columns below (the backward
+    columns of the layer underneath, see _enter) to the pre-activations of
+    the unstable neurons, then of the active ones. A leaf relaxes the
+    unstable neurons with its own lines; the active ones are exact in every
+    leaf, since the root proves them active on the whole box, so their rows
+    replace them wherever a pass enters the layer.
     """
 
-    order: np.ndarray
-    n_unstable: int
+    unstable: np.ndarray
+    active: np.ndarray
     weight: np.ndarray
     bias: np.ndarray
-    below: np.ndarray | None
 
 
 @dataclass
@@ -104,66 +115,58 @@ class _ReluRelaxation:
     Upper line passes through (l, 0) and (u, u) when unstable; lower line has
     intercept 0 and CROWN's adaptive slope: 1 when u >= -l, else 0, whichever
     leaves the smaller area between line and ReLU. Stable neurons use the
-    exact identity/zero lines. compact is the layer in backward form when it
-    is large (see relax_layer), else None; a batch of leaves shares its root's.
+    exact identity/zero lines. composed is the layer's composed backward form
+    when it is composed (see relax_layer), else None; a batch of leaves
+    shares its root's.
     """
 
     slope_lo: np.ndarray
     slope_up: np.ndarray
     icpt_up: np.ndarray
-    compact: _Compacted | None = None
+    composed: _Composed | None = None
 
 
 def relu_relaxation(lo: np.ndarray, hi: np.ndarray) -> _ReluRelaxation:
     """The ReLU lines over [lo, hi], neuron by neuron; (B, n) ranges give (B, n) lines.
 
     The lower line of an unstable neuron is the adaptive one (see _ReluRelaxation).
+    A neuron with hi <= 0, the degenerate l == u == 0 included, is inactive.
     """
-    deact = hi <= 0.0  # includes the degenerate l == u == 0 case
-    act = (~deact) & (lo >= 0.0)
-    unstable = ~(deact | act)
-    slope_up = np.zeros_like(lo)
-    slope_up[act] = 1.0
+    live = hi > 0.0
+    act = live & (lo >= 0.0)
+    unstable = live ^ act
     denom = np.where(unstable, hi - lo, 1.0)
-    slope_up = np.where(unstable, hi / denom, slope_up)
-    icpt_up = np.where(unstable, -lo * hi / denom, 0.0)
-    alpha = (hi >= -lo).astype(np.float64)
-    slope_lo = np.where(unstable, alpha, np.where(act, 1.0, 0.0))
+    slope_up = np.where(unstable, hi / denom, act)
+    neg_lo = -lo
+    icpt_up = np.where(unstable, neg_lo * hi / denom, 0.0)
+    slope_lo = np.where(unstable, hi >= neg_lo, act).astype(np.float64)
     return _ReluRelaxation(slope_lo, slope_up, icpt_up)
 
 
-def _is_large(chain: Chain, k: int) -> bool:
-    return k < chain.n_relu and chain.layers[k][0].size >= COMPACT_MIN_ENTRIES
+def _is_composed(chain: Chain, k: int) -> bool:
+    """Hidden layer k enters backward passes composed: its weight or its successor's is large."""
+    return k < chain.n_relu and any(W.size >= COMPACT_MIN_ENTRIES for W, _ in chain.layers[k : k + 2])
 
 
-def relax_layer(
-    chain: Chain, k: int, lo: np.ndarray, hi: np.ndarray, relaxations: list
-) -> _ReluRelaxation:
-    """Hidden layer k's ReLU lines over (B, n) ranges, plus its backward form when large.
+def relax_layer(lo: np.ndarray, hi: np.ndarray, live, A, const) -> _ReluRelaxation:
+    """A composed hidden layer's ReLU lines over (B, n) ranges, with its composed form.
 
-    relaxations holds the lines of layers 0..k-1. A layer with at least
-    COMPACT_MIN_ENTRIES weights gets a _Compacted form: dead neurons
-    contribute nothing to a backward pass and active ones pass their
-    coefficients through unchanged, so only the unstable slice needs
-    relu_backward and only live rows and columns take part in the product.
-    A neuron is dead or active when it is so in every member.
+    A and const are the rows the root pass bounded the layer from: its rows
+    live (an index array, or None for every row) on the layer underneath's
+    backward columns (see _enter). The composed form keeps the rows of the
+    unstable and active neurons, which are all among them; dead neurons
+    contribute nothing to a backward pass. A neuron is dead or active when
+    it is so in every member.
     """
     r = relu_relaxation(lo, hi)
-    if not _is_large(chain, k):
-        return r
-    W, b = chain.layers[k]
+    if live is not None:
+        lo, hi = lo[:, live], hi[:, live]
     dead = (hi <= 0.0).all(axis=0)
     unstable = ~dead & (lo < 0.0).any(axis=0)
-    order = np.concatenate([np.flatnonzero(unstable), np.flatnonzero(~dead & ~unstable)])
-    prev = relaxations[k - 1].compact if k > 0 else None
-    below = None if prev is None else prev.order
-    r.compact = _Compacted(
-        order,
-        int(unstable.sum()),
-        W[order] if below is None else W[np.ix_(order, below)],
-        b[order],
-        below,
-    )
+    pick = np.concatenate([np.flatnonzero(unstable), np.flatnonzero(~dead & ~unstable)])
+    neurons = pick if live is None else live[pick]
+    u = int(unstable.sum())
+    r.composed = _Composed(neurons[:u], neurons[u:], A[pick], const[pick])
     return r
 
 
@@ -172,10 +175,12 @@ class BoundsTable:
     """Pre-activation ranges per linear layer, in input-to-output order.
 
     lower/upper are keyed by linear layer id; linear_ids preserves order. The
-    last entry doubles as the output range. For crown, a row of a large
+    last entry doubles as the output range. For crown, a row of a composed
     hidden layer (see COMPACT_MIN_ENTRIES) that the interval step already
     proves dead (hi <= 0) keeps its interval range: it skips the backward
-    pass, which could only tighten a range that stays dead.
+    pass, which could only tighten a range that stays dead. Every other row
+    equals the plain backward pass's up to rounding: the composed form only
+    reorders the same sums.
     """
 
     method: str
@@ -240,12 +245,14 @@ def bound_layers(
     interval step and the backward pass are intersected, since the backward
     pass alone can lose to plain intervals in correlated corners.
 
-    The root pass (start == 0) treats a large hidden layer (at least
-    COMPACT_MIN_ENTRIES weights) apart: rows the forward step proves dead
-    (hi <= 0) skip the backward pass and keep their interval range, and the
-    layer's relaxation carries its compacted backward form (relax_layer),
-    which every batch split from the root keeps; rows dead at the root stay
-    dead in its parents, so they are never bounded again.
+    The root pass (start == 0) treats a composed hidden layer (see
+    COMPACT_MIN_ENTRIES) apart: rows the forward step proves dead (hi <= 0)
+    skip the backward pass and keep their interval range, and the layer's
+    relaxation carries its composed backward form (relax_layer), which every
+    batch split from the root keeps; rows dead at the root stay dead in its
+    parents, so they are never bounded again. Each layer's rows enter the
+    layer underneath's backward columns once (_enter), and the lower and the
+    upper pass both start from them.
 
     signs, one int8 array per hidden layer, restricts the bounds to a sign
     region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent is
@@ -272,12 +279,14 @@ def bound_layers(
                 rows = np.flatnonzero(~dead.all(axis=0))
                 W, b = W[rows], b[rows]
         lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
+        composed = start == 0 and _is_composed(chain, k)
         live = None  # rows the backward pass bounds, when not all of them
-        if start == 0 and _is_large(chain, k) and (hi <= 0.0).any():
+        if composed and (hi <= 0.0).any():
             live = np.flatnonzero((hi > 0.0).any(axis=0))
             W, b = W[live], b[live]
-        c_lo = _backward_from(chain, k, W, b, relaxations, box, upper_pass=False)
-        c_hi = _backward_from(chain, k, W, b, relaxations, box, upper_pass=True)
+        A, const = _enter(relaxations, k - 1, W, b)
+        c_lo = _backward_from(chain, k, A, const, relaxations, box, upper_pass=False)
+        c_hi = _backward_from(chain, k, A, const, relaxations, box, upper_pass=True)
         if live is None:
             lo, hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
         else:
@@ -296,8 +305,9 @@ def bound_layers(
         lower.append(lo)
         upper.append(hi)
         if hidden:
-            relaxations.append(relax_layer(chain, k, lo, hi, relaxations) if start == 0
+            relaxations.append(relax_layer(lo, hi, live, A, const) if composed
                                else relu_relaxation(lo, hi))
+        del A, const  # a wide layer's rows: not held while the next layer is bounded
     return ok
 
 
@@ -306,41 +316,57 @@ def interval_forward(net: Network, box: Box) -> BoundsTable:
     return compute_bounds(net, box, "interval")
 
 
+def _enter(relaxations, k: int, A, const):
+    """Rows over hidden layer k's post-ReLU values, moved onto its backward columns.
+
+    A plain layer's backward columns are its post-ReLU values (the input's,
+    for k == -1), so the rows stay as they are. A composed layer's are its
+    composed weight's columns followed by its unstable neurons: each active
+    neuron's column becomes its row of the composed form, whose offset goes
+    into const, and each dead neuron's column is dropped. A (..., m, n) and
+    const (..., m) are not written to.
+    """
+    c = relaxations[k].composed if k >= 0 else None
+    if c is None:
+        return A, const
+    n_unstable = len(c.unstable)
+    A_act = A[..., c.active]
+    rows = np.concatenate([A_act @ c.weight[n_unstable:], A[..., c.unstable]], axis=-1)
+    return rows, const + A_act @ c.bias[n_unstable:]
+
+
 def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_pass: bool):
     """Push a coefficient row set from just after linear k down to the input box.
 
-    A layer with a compacted form takes its step on the live neurons only:
-    A's columns are gathered onto them (once, when the layer above was not
-    compacted: its compacted weights already produce them), relu_backward
-    runs on the leading unstable slice with the leaves' own lines, and the
-    compacted weights do the rest. Neither A nor const is written to.
+    A (m, w) and const (m,) are over the backward columns of hidden layer
+    k - 1 (see _enter). A plain layer takes relu_backward on all its
+    neurons and a product with its weight, and the result enters the layer
+    underneath. A composed layer takes relu_backward on its trailing
+    unstable columns, with the leaves' own lines, and one product with
+    those neurons' composed rows; the leading columns already are the layer
+    underneath's backward columns. Neither A nor const is written to.
 
-    The row set, A (m, n) and const (m,), is shared by the batch: it enters
-    as a batch of one and meets each member's (B, n) lines, and the result
-    is (B, m), or (1, m) with no layer to cross (k == 0).
+    The row set is shared by the batch: it enters as a batch of one and
+    meets each member's (B, n) lines, and the result is (B, m), or (1, m)
+    with no layer to cross (k == 0).
     """
     A, const = A[None], const[None]
-    cols = None  # the order A's columns follow; None is the natural order
     for j in range(k - 1, -1, -1):
         r = relaxations[j]
-        c = r.compact
-        if cols is not None and (c is None or cols is not c.order):
-            raise InternalInvariantError(f"layer {j}: compacted columns out of order")
+        c = r.composed
         if c is None:
             A, const = kernels.relu_backward(A, const, r.slope_lo, r.slope_up, r.icpt_up, upper_pass)
             W, b = chain.layers[j]
-        else:
-            if cols is None:  # shared rows become one row set per leaf
-                A = np.broadcast_to(A, (len(r.slope_lo),) + A.shape[1:])[..., c.order]
-            u = c.n_unstable
-            if u:
-                iu = c.order[:u]
-                lines = r.slope_lo[..., iu], r.slope_up[..., iu], r.icpt_up[..., iu]
-                A[..., :u], const = kernels.relu_backward(A[..., :u], const, *lines, upper_pass)
-            W, b = c.weight, c.bias
-        cols = None if c is None else c.below
-        const = const + A @ b
-        A = A @ W
+            const = const + A @ b
+            A, const = _enter(relaxations, j - 1, A @ W, const)
+            continue
+        n_unstable, w = len(c.unstable), c.weight.shape[1]
+        if A.shape[-1] != w + n_unstable:
+            raise InternalInvariantError(f"layer {j}: rows do not match its composed columns")
+        lines = r.slope_lo[:, c.unstable], r.slope_up[:, c.unstable], r.icpt_up[:, c.unstable]
+        A_u, const = kernels.relu_backward(A[..., w:], const, *lines, upper_pass)
+        const = const + A_u @ c.bias[:n_unstable]
+        A = A[..., :w] + A_u @ c.weight[:n_unstable]
     lo, hi = kernels.interval_affine(A, const, box.lower, box.upper)
     return hi if upper_pass else lo
 
@@ -381,4 +407,5 @@ def chain_margin_lower_bounds(chain: Chain, box: Box, A, const, relaxations: lis
     (B, m), one row of margin bounds per member, or (1, m) for a chain with
     no hidden layer, whose one leaf is the root.
     """
+    A, const = _enter(relaxations, chain.n_relu - 1, A, const)
     return _backward_from(chain, chain.n_relu, A, const, relaxations, box, upper_pass=False)

@@ -153,7 +153,14 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed that numpy's generators refuse, before any work."""
+    if seed < 0:
+        raise ContractError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def cmd_gen(args) -> int:
+    _check_seed(args.seed)
     net, sidecar = generate_network(
         n_hidden=args.layers,
         width=args.width,
@@ -220,6 +227,9 @@ def cmd_bounds(args) -> int:
 def cmd_equiv(args) -> int:
     if not args.tol >= 0:  # NaN fails too
         raise ContractError(f"tol must be a nonnegative number, got {args.tol!r}")
+    _check_seed(args.seed)
+    if args.grid and args.grid < 2:
+        raise ContractError(f"grid must be 0 (off) or at least 2 points per axis, got {args.grid}")
     a = _read_model(args.model)
     b = _read_model(args.other)
     box = _resolve_box(args, a.input_layer.width)
@@ -238,6 +248,7 @@ def cmd_verify(args) -> int:
     check_budget(args.timeout, args.max_splits)
     if args.falsify < 0:
         raise ContractError(f"falsify must be a nonnegative sample count, got {args.falsify}")
+    _check_seed(args.seed)
     net = _read_model(args.model)
     spec = _load_property(args, net)
     net = _ensure_sequential(net, spec.box)

@@ -22,8 +22,9 @@ Every leaf is a member of a LeafBatch, whose arrays carry a leading batch
 axis; the root is a batch of one, bounded by the same layer loop. The
 search bounds up to BATCH leaves per step as one batch, so one numpy call
 serves every leaf, and each still re-bounds only the layers after its own
-split. A large hidden layer enters every leaf's backward passes in the
-compacted form built at the root (bounds.relax_layer).
+split. A composed hidden layer (bounds.COMPACT_MIN_ENTRIES) enters every
+leaf's backward passes in the composed form built at the root
+(bounds.relax_layer).
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ class LeafBatch:
     free, +1 active); lower[k][b], upper[k][b] and the (B, n) lines of
     relaxations[k] are that layer's pre-activation range and ReLU
     lines, sound for every box point whose pre-activations have member b's
-    pinned signs. A large layer's compacted backward form is the root's,
+    pinned signs. A composed layer's backward form is the root's,
     shared by every batch split from it. empty[b] is True when member b's
     sign region turned out empty; its arrays then mean nothing.
     """
@@ -102,7 +103,7 @@ class LeafBatch:
     def concat(batches) -> LeafBatch:
         """The members of batches, in order, copied into one batch.
 
-        The batches must share their compacted backward forms, which holds
+        The batches must share their composed backward forms, which holds
         for batches split from one root.
         """
 
@@ -111,11 +112,11 @@ class LeafBatch:
 
         relaxations = []
         for rs in zip(*(b.relaxations for b in batches)):
-            if any(r.compact is not rs[0].compact for r in rs):
+            if any(r.composed is not rs[0].composed for r in rs):
                 raise ContractError("batches split from different roots cannot be concatenated")
             lines = [np.concatenate([getattr(r, line) for r in rs])
                      for line in ("slope_lo", "slope_up", "icpt_up")]
-            relaxations.append(_ReluRelaxation(*lines, rs[0].compact))
+            relaxations.append(_ReluRelaxation(*lines, rs[0].composed))
         return LeafBatch(
             cat("lower"), cat("upper"), tuple(relaxations), cat("signs"),
             np.concatenate([b.empty for b in batches]),
@@ -160,7 +161,7 @@ def _check_split(chain: Chain, lower: tuple, k: int, j: int, sign: int) -> None:
 
 
 def _rows(r: _ReluRelaxation, rows) -> _ReluRelaxation:
-    return _ReluRelaxation(r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows], r.compact)
+    return _ReluRelaxation(r.slope_lo[rows], r.slope_up[rows], r.icpt_up[rows], r.composed)
 
 
 def _set_rows(r: _ReluRelaxation, rows, new: _ReluRelaxation) -> None:

@@ -12,6 +12,7 @@ from redkit import (
     from_sequential,
     interval_forward,
 )
+from redkit.bounds import relu_relaxation
 from conftest import FIG1_PRE_LO, FIG1_PRE_HI, box_samples, root_margins
 
 
@@ -225,3 +226,32 @@ def test_relaxation_lines_valid(l, u, t):
     assert up >= relu - 1e-9
     for alpha in (0.0, 1.0):
         assert alpha * x <= relu + 1e-9
+
+
+def _lines_one_neuron(lo, hi):
+    """One neuron's (slope_lo, slope_up, icpt_up), in scalar arithmetic."""
+    if hi <= 0.0:
+        return 0.0, 0.0, 0.0
+    if lo >= 0.0:
+        return 1.0, 1.0, 0.0
+    denom = hi - lo
+    return (1.0 if hi >= -lo else 0.0), hi / denom, -lo * hi / denom
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), shape=st.sampled_from([(1, 64), (16, 64), (1, 1024)]))
+def test_relu_relaxation_matches_the_per_neuron_rule_bit_for_bit(seed, shape):
+    # ranges of every class: dead, active, unstable either side of u = -l,
+    # touching zero at one end or both (l = u = 0)
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    a[rng.uniform(size=shape) < 0.1] = 0.0
+    b[rng.uniform(size=shape) < 0.1] = 0.0
+    sym = rng.uniform(size=shape) < 0.05
+    b[sym] = -a[sym]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    r = relu_relaxation(lo, hi)
+    want = np.array([_lines_one_neuron(l, u) for l, u in zip(lo.ravel(), hi.ravel())])
+    for got, col in ((r.slope_lo, 0), (r.slope_up, 1), (r.icpt_up, 2)):
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == want[:, col].reshape(shape).tobytes()

@@ -275,6 +275,41 @@ def test_an_invalid_budget_exits_2_before_any_bounding(ws, capsys, monkeypatch, 
     assert "error:" in err and flag[2:].replace("-", "_") in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("gen", "--seed", "-1"), ("equiv", "--seed", "-1"), ("verify", "--seed", "-1"),
+    ("equiv", "--grid", "1"), ("equiv", "--grid", "-2"),
+])
+def test_a_negative_seed_or_a_one_point_grid_exits_2_before_any_work(
+    ws, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    # before: numpy's ValueError on a negative seed reached the catch-all and
+    # exited 4, and --grid 1 was refused only after the sampled comparison
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before rejecting the argument")
+
+    for name in ("generate_network", "_read_model", "sample_equivalence", "grid_equivalence",
+                 "verify_incomplete", "find_grid_counterexample"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = {
+        "gen": ["gen", "--out", str(tmp_path / "never.onnx")],
+        "equiv": ["equiv", "--model", ws["fig1"], "--other", ws["fig1"],
+                  "--center", ws["center"], "--eps", "1.0"],
+        "verify": ["verify", "--model", ws["fig1"], "--vnnlib", ws["prop_true"]],
+    }[command]
+    rc = main([*argv, flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag[2:] in err
+    assert not (tmp_path / "never.onnx").exists()
+
+
+def test_a_zero_seed_and_a_two_point_grid_still_run(ws, capsys):
+    rc = main(["equiv", "--model", ws["fig1"], "--other", ws["fig1"],
+               "--center", ws["center"], "--eps", "1.0", "--seed", "0", "--grid", "2"])
+    assert rc == 0
+    assert "grid 2 per axis" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,message", [
     (["bench"], "invalid choice: 'bench'"),
     (["verify", "--method", "crown"], "unrecognized arguments: --method crown"),

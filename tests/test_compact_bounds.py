@@ -1,17 +1,29 @@
-"""The compacted crown pass on large hidden layers against the plain one.
+"""The composed crown pass on large hidden layers against the plain one.
 
-bounds.COMPACT_MIN_ENTRIES decides which hidden layers drop their dead
-neurons from backward passes. Raising it past every layer gives the plain
-arithmetic, so each test bounds the same chain both ways and compares.
+bounds.COMPACT_MIN_ENTRIES decides which hidden layers enter backward passes
+composed: dead neurons dropped, active ones merged into the pre-activation
+map of the layer. Raising it past every layer gives the plain arithmetic,
+so each test bounds the same chain both ways and compares.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import member, root_one, split_one
 from redkit import Box, Chain, PropertySpec, compute_bounds, forward_batch, from_sequential
 from redkit import bounds, verify
-from redkit.bounds import _backward_from, bound_layers, chain_margin_lower_bounds, relu_relaxation
+from redkit.bounds import (
+    _backward_from,
+    _enter,
+    bound_layers,
+    chain_margin_lower_bounds,
+    relu_relaxation,
+)
+from redkit.errors import ContractError
 from redkit.verify import ACTIVE, INACTIVE
 
 PLAIN = 1 << 62  # no layer is that large
@@ -22,7 +34,8 @@ def _planted_chain(seed, widths, dead=0.4, active=0.3):
 
     Each planted neuron's bias puts its whole interval range on one side of
     zero, so the interval step already proves it stable; the rest keep a
-    small random bias and are mostly unstable.
+    small random bias and are mostly unstable. seed is an integer or a
+    numpy Generator.
     """
     rng = np.random.default_rng(seed)
     box = Box(-np.ones(widths[0]), np.ones(widths[0]))
@@ -53,14 +66,20 @@ def _classes(lo, hi):
     return np.where(hi <= 0.0, -1, np.where(lo >= 0.0, 1, 0))
 
 
-def _assert_same_live_bounds(lo_c, hi_c, lo_p, hi_p, hidden):
-    """Equal classes; equal ranges, to 1e-12 of the layer's scale, off dead rows."""
+def _assert_same_live_bounds(lo_c, hi_c, lo_p, hi_p, hidden, tol=1e-12):
+    """Equal classes; equal ranges, to tol of the layer's scale, off dead rows."""
     if hidden:
         assert np.array_equal(_classes(lo_c, hi_c), _classes(lo_p, hi_p))
     live = hi_p > 0.0 if hidden else np.ones(hi_p.shape, bool)
     scale = max(1.0, float(np.abs(lo_p).max()), float(np.abs(hi_p).max()))
     for got, want in ((lo_c, lo_p), (hi_c, hi_p)):
-        np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(got[live], want[live], rtol=tol, atol=tol * scale)
+
+
+def _composed(chain, threshold):
+    """Which hidden layers the threshold composes: their weight or the next one is that large."""
+    sizes = [W.size for W, _ in chain.layers]
+    return [max(sizes[k : k + 2]) >= threshold for k in range(chain.n_relu)]
 
 
 def _pre_activations(chain, xs):
@@ -72,12 +91,15 @@ def _pre_activations(chain, xs):
     return out
 
 
-# (widths, threshold): the real threshold on layers of at least 2**16
-# entries, then lowered ones that make plain and compacted layers alternate
-# (sizes 512, 4096, 1024, 4096 against 2048) or compact every hidden layer
+# (widths, threshold): the real threshold, which composes the 300x8 first
+# layer for its 256x300 successor, then a lowered one that makes composed
+# and plain layers alternate (sizes 512, 4096, 512, 64, 512, 4096, 192
+# against 2048: two composed, two plain, two composed, so the second run of
+# composed layers sits on plain post-ReLU columns), then one that composes
+# every hidden layer
 _CASES = [
     ([8, 300, 256, 256, 3], bounds.COMPACT_MIN_ENTRIES),
-    ([8, 64, 64, 16, 256, 3], 2048),
+    ([8, 64, 64, 8, 8, 64, 64, 3], 2048),
     ([8, 64, 64, 16, 256, 3], 1),
 ]
 
@@ -88,19 +110,24 @@ def test_compacted_pass_matches_the_plain_one(monkeypatch, widths, threshold, se
     net, chain, box = _planted_chain(seed, widths)
     monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
     lower_p, upper_p, relax_p = _crown(chain, box)
-    assert all(r.compact is None for r in relax_p)
+    assert all(r.composed is None for r in relax_p)
     monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", threshold)
     lower_c, upper_c, relax_c = _crown(chain, box)
-    large = [W.size >= threshold for W, _ in chain.layers[: chain.n_relu]]
-    assert [r.compact is not None for r in relax_c] == large
-    assert any(large)
+    composed = _composed(chain, threshold)
+    assert [r.composed is not None for r in relax_c] == composed
+    assert any(composed)
 
     for k in range(len(chain.layers)):
         hidden = k < chain.n_relu
         _assert_same_live_bounds(lower_c[k], upper_c[k], lower_p[k], upper_p[k], hidden)
-        if hidden and large[k]:
-            # a dead row keeps a range that holds the plain one (its interval
+        if hidden and composed[k]:
+            # the form keeps the root's unstable and active neurons, and a
+            # dead row keeps a range that holds the plain one (its interval
             # range, when interval proves it dead) and stays dead
+            c = relax_c[k].composed
+            classes = _classes(lower_p[k][0], upper_p[k][0])
+            assert np.array_equal(c.unstable, np.flatnonzero(classes == 0))
+            assert np.array_equal(c.active, np.flatnonzero(classes == 1))
             dead = upper_p[k] <= 0.0
             assert dead.any()
             tol = 1e-12 * max(1.0, float(np.abs(lower_p[k]).max()))
@@ -124,7 +151,7 @@ def test_layers_below_the_threshold_keep_the_plain_arithmetic(monkeypatch):
     _, chain, box = _planted_chain(3, [8, 64, 64, 3])
     assert all(W.size < bounds.COMPACT_MIN_ENTRIES for W, _ in chain.layers)
     lower_d, upper_d, relax_d = _crown(chain, box)
-    assert all(r.compact is None for r in relax_d)
+    assert all(r.composed is None for r in relax_d)
     monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
     lower_p, upper_p, _ = _crown(chain, box)
     for got, want in zip(lower_d + upper_d, lower_p + upper_p):
@@ -139,7 +166,7 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
     xs = box.sample(4000, np.random.default_rng(5))
     pre = _pre_activations(chain, xs)
     leaves = {}
-    for mode, value in (("plain", PLAIN), ("compact", threshold)):
+    for mode, value in (("plain", PLAIN), ("composed", threshold)):
         monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", value)
         leaf = root_one(chain, box)
         path = []
@@ -156,13 +183,13 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
             assert child is not None
             leaf = child
         leaves[mode] = (leaf, path)
-    (plain, path_p), (compact, path_c) = leaves["plain"], leaves["compact"]
+    (plain, path_p), (composed, path_c) = leaves["plain"], leaves["composed"]
     assert path_p == path_c
-    assert any(r.compact is not None for r in compact.relaxations)
+    assert any(r.composed is not None for r in composed.relaxations)
     for k in range(chain.n_relu):
-        assert np.array_equal(plain.signs[k], compact.signs[k])
+        assert np.array_equal(plain.signs[k], composed.signs[k])
         _assert_same_live_bounds(
-            compact.lower[k], compact.upper[k], plain.lower[k], plain.upper[k], True
+            composed.lower[k], composed.upper[k], plain.lower[k], plain.upper[k], True
         )
 
     inside = np.ones(len(xs), dtype=bool)
@@ -172,14 +199,14 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
     for k in range(chain.n_relu):
         z = pre[k][inside]
         mag = 1e-9 * (1.0 + np.abs(z).max())
-        assert np.all(z >= compact.lower[k] - mag) and np.all(z <= compact.upper[k] + mag)
+        assert np.all(z >= composed.lower[k] - mag) and np.all(z <= composed.upper[k] + mag)
     margins = {
         mode: chain_margin_lower_bounds(chain, box, C @ W, C @ b, leaf.relaxations)
         for mode, (leaf, _) in leaves.items()
     }
-    np.testing.assert_allclose(margins["compact"], margins["plain"], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(margins["composed"], margins["plain"], rtol=1e-12, atol=1e-12)
     ys = pre[-1][inside] @ C.T
-    assert ys.min() >= margins["compact"][0, 0] - 1e-9
+    assert ys.min() >= margins["composed"][0, 0] - 1e-9
 
 
 def test_backward_pass_never_writes_into_its_rows():
@@ -187,20 +214,25 @@ def test_backward_pass_never_writes_into_its_rows():
     # into them would corrupt every later leaf
     _, chain, box = _planted_chain(7, [8, 300, 256, 256, 3])
     lower, upper, relaxations = _crown(chain, box)
-    assert all(r.compact is not None for r in relaxations[1:])
+    assert all(r.composed is not None for r in relaxations)
     W, b = chain.layers[-1]
     A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]) @ W
     const = np.array([0.5, -0.5])
     A0, const0 = A.copy(), const.copy()
     A.flags.writeable = False
     const.flags.writeable = False
+    rows = _enter(relaxations, chain.n_relu - 1, A, const)
+    for a in rows:
+        a.flags.writeable = False
+    rows0 = [a.copy() for a in rows]
     for upper_pass in (False, True):
-        _backward_from(chain, chain.n_relu, A, const, relaxations, box, upper_pass)
+        _backward_from(chain, chain.n_relu, *rows, relaxations, box, upper_pass)
+    chain_margin_lower_bounds(chain, box, A, const, relaxations)
     assert np.array_equal(A, A0) and np.array_equal(const, const0)
-    # and the compacted weights are not the chain's own arrays
+    assert all(np.array_equal(a, a0) for a, a0 in zip(rows, rows0))
+    # and the composed weights are not the chain's own arrays
     for k, r in enumerate(relaxations):
-        if r.compact is not None:
-            assert not np.shares_memory(r.compact.weight, chain.layers[k][0])
+        assert not np.shares_memory(r.composed.weight, chain.layers[k][0])
 
 
 def _free(leaf):
@@ -218,7 +250,7 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
     C = np.array([[1.0, -1.0, 0.0]])
     pre = _pre_activations(chain, box.sample(1, np.random.default_rng(5)))
     runs = {}
-    for mode, value in (("plain", PLAIN), ("compact", threshold)):
+    for mode, value in (("plain", PLAIN), ("composed", threshold)):
         monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", value)
         parents = [root_one(chain, box)]
         for step in range(3):
@@ -233,16 +265,16 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
             k, j = free[int(np.random.default_rng(10 + depth).integers(len(free)))]
             splits += [(parent, k, j, ACTIVE), (parent, k, j, INACTIVE)]
         runs[mode] = splits
-    assert [s[1:] for s in runs["plain"]] == [s[1:] for s in runs["compact"]]
-    assert len({k for _, k, _, _ in runs["compact"]}) > 1
+    assert [s[1:] for s in runs["plain"]] == [s[1:] for s in runs["composed"]]
+    assert len({k for _, k, _, _ in runs["composed"]}) > 1
 
-    parents, ks, js, signs = zip(*runs["compact"])
+    parents, ks, js, signs = zip(*runs["composed"])
     batch = verify.LeafBatch.concat([p.batch for p in parents])
     children = verify.split_leaf(chain, box, batch, ks, js, signs)
     root = parents[0].batch
     for r, shared in zip(children.relaxations, root.relaxations):
-        assert r.compact is shared.compact
-    assert any(r.compact is not None for r in children.relaxations)
+        assert r.composed is shared.composed
+    assert any(r.composed is not None for r in children.relaxations)
     margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b, children.relaxations)
     monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
     for i, (parent, k, j, sign) in enumerate(runs["plain"]):
@@ -301,3 +333,104 @@ def test_the_root_is_a_batch_of_one(case, fig1_net, unit_box):
     assert margins.shape == (1, len(C))
     v = verify.verify_incomplete(net, PropertySpec(box, C, d, name="margins"))
     assert np.array_equal(v.bound, margins.min())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), depth=st.integers(1, 4), mixed=st.booleans())
+def test_composed_bounds_match_the_plain_pass_on_random_chains(seed, depth, mixed):
+    # every hidden layer composed (threshold 1), or, when mixed, the layers
+    # whose weight or successor's reaches a size drawn from the chain's own
+    rng = np.random.default_rng(seed)
+    widths = [int(rng.integers(2, 7))] + [int(rng.integers(3, 25)) for _ in range(depth)] + [2]
+    net, chain, box = _planted_chain(rng, widths)
+    sizes = [W.size for W, _ in chain.layers]
+    threshold = int(rng.choice(sizes)) if mixed else 1
+    xs = np.vstack([box.sample(500, rng), box.corners(64, rng)])
+    pre = _pre_activations(chain, xs)
+    ys = pre[-1] @ np.array([1.0, -1.0])
+    # the 1e-6 keeps the margin off zero where the output is constant on the
+    # box, so that the two passes' rounding cannot decide the verdict
+    t = ys.min() - rng.uniform(0.0, 0.3) * (ys.max() - ys.min()) - 1e-6
+    spec = PropertySpec(box, np.array([[1.0, -1.0]]), np.array([-t]), name="y0_minus_y1")
+    W, b = chain.layers[-1]
+    A, const = spec.rows @ W, spec.rows @ b + spec.offsets
+
+    runs = {}
+    for mode, value in (("plain", PLAIN), ("composed", threshold)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "COMPACT_MIN_ENTRIES", value)
+            root = verify.root_leaf(chain, box)
+            root_active = [lo[0] >= 0.0 for lo in root.lower]
+            loosened = []  # root-active neurons that a leaf re-bound puts below zero
+            lower, upper, _ = _crown(chain, box)
+            if mode == "plain":  # the same pins in both modes, on every layer's free neurons
+                free = [(k, j) for k in range(chain.n_relu)
+                        for j in np.flatnonzero((root.lower[k][0] < 0) & (root.upper[k][0] > 0))]
+                pins = [free[i] for i in rng.permutation(len(free))[:6]]
+                signs = [int(rng.choice([ACTIVE, INACTIVE])) for _ in pins]
+            children = None
+            if pins:
+                ks, js = zip(*pins)
+                parents = verify.LeafBatch.concat([root] * len(pins))
+                children = verify.split_leaf(chain, box, parents, ks, js, signs)
+            margins = None if children is None else chain_margin_lower_bounds(
+                chain, box, A, const, children.relaxations)
+
+            def recording_split(chain, box, parents, *rest, real=verify.split_leaf):
+                kids = real(chain, box, parents, *rest)
+                for k, lo in enumerate(kids.lower):
+                    loosened.extend(np.argwhere((lo < 0.0) & root_active[k] & ~kids.empty[:, None]))
+                return kids
+
+            mp.setattr(verify, "split_leaf", recording_split)
+            verdict = verify.bab_verify(net, spec, max_splits=20)
+            runs[mode] = SimpleNamespace(root=root, lower=lower, upper=upper, children=children,
+                                         margins=margins, verdict=verdict, loosened=loosened)
+    plain, comp = runs["plain"], runs["composed"]
+    assert [r.composed is not None for r in comp.root.relaxations] == _composed(chain, threshold)
+
+    for k, z in enumerate(pre):
+        hidden = k < chain.n_relu
+        _assert_same_live_bounds(comp.lower[k], comp.upper[k], plain.lower[k], plain.upper[k],
+                                 hidden, tol=1e-9)
+        mag = 1e-9 * (1.0 + np.abs(z).max())
+        assert np.all(z >= comp.lower[k] - mag) and np.all(z <= comp.upper[k] + mag)
+    if pins:
+        assert np.array_equal(comp.children.empty, plain.children.empty)
+        for i in np.flatnonzero(~plain.children.empty):
+            got, want = member(comp.children, i), member(plain.children, i)
+            k, j = pins[i]
+            inside = pre[k][:, j] * signs[i] >= 0.0
+            for layer in range(chain.n_relu):
+                assert np.array_equal(got.signs[layer], want.signs[layer])
+                z = pre[layer][inside]
+                mag = 1e-9 * (1.0 + np.abs(z).max(initial=0.0))
+                assert np.all(z >= got.lower[layer] - mag) and np.all(z <= got.upper[layer] + mag)
+            assert np.all(ys[inside] - t >= comp.margins[i, 0] - 1e-9)
+            # the composed form keeps a root-active neuron exact; a plain leaf
+            # whose re-bound puts one below zero (CROWN's adaptive lower line
+            # is not monotone in its range) relaxes it instead, and then the
+            # two passes are both sound but no longer the same sums
+            if not all(np.all(want.lower[layer][root_active[layer]] >= 0.0)
+                       for layer in range(chain.n_relu)):
+                continue
+            for layer in range(chain.n_relu):
+                _assert_same_live_bounds(got.lower[layer], got.upper[layer],
+                                         want.lower[layer], want.upper[layer], True, tol=1e-9)
+            scale = max(1.0, float(np.abs(plain.margins[i]).max()))
+            np.testing.assert_allclose(comp.margins[i], plain.margins[i], rtol=1e-9, atol=1e-9 * scale)
+    v_c, v_p = comp.verdict, plain.verdict
+    for v in (v_c, v_p):
+        assert not v.verified or np.all(ys - t >= 0.0)
+    if not plain.loosened:  # every leaf of the search bounded by the same sums
+        assert (v_c.status, v_c.splits, v_c.note) == (v_p.status, v_p.splits, v_p.note)
+
+
+def test_batches_from_different_roots_cannot_be_concatenated():
+    # each root pass builds its own composed forms, which only its leaves share
+    _, chain, box = _planted_chain(7, [8, 300, 256, 256, 3])
+    one, other = verify.root_leaf(chain, box), verify.root_leaf(chain, box)
+    assert all(r.composed is not None for r in one.relaxations)
+    assert len(verify.LeafBatch.concat([one, one])) == 2
+    with pytest.raises(ContractError, match="different roots"):
+        verify.LeafBatch.concat([one, other])

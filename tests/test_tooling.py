@@ -148,14 +148,20 @@ def test_equivalence_digest_prints_every_output_of_a_job():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 6) for line in proc.stdout.splitlines()]
     assert [r[:5] for r in rows] == [["large_models", "1001", "job", "3", path]
-                                     for path in ["original"] * 4 + ["reduced"] * 5]
+                                     for path in ["original"] * 5 + ["reduced"] * 6]
     outputs = ["interval", "crown", "incomplete", "bab"]
-    assert [r[5] for r in rows] == outputs + outputs + ["onnx"]
-    for _, _, _, _, _, output, digest in rows:
+    assert [r[5] for r in rows] == outputs + ["verdict"] + outputs + ["onnx", "verdict"]
+    verdicts = {}
+    for _, _, _, _, path, output, digest in rows:
         if output in ("incomplete", "bab"):
             status, bound, splits, note = digest.split(" ", 3)
             assert status in ("verified", "unknown") and float(bound) == float(bound)
             assert int(splits) >= 0 and note[0] == note[-1] == "'"
+            verdicts.setdefault(path, []).append(f"{output} {status} {splits} {note}")
+        elif output == "verdict":
+            # both verdicts without their bounds, then the path's ReLU count
+            head, relu_after = digest.rsplit(" relu_after ", 1)
+            assert head == " ".join(verdicts[path]) and int(relu_after) > 0
         else:
             assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*")) == before
