@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .bounds import Box, compute_bounds
-from .equivalence import grid_equivalence, sample_equivalence
+from .equivalence import GRID_MAX_DIM, grid_equivalence, sample_equivalence
 from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -233,6 +233,11 @@ def cmd_equiv(args) -> int:
     a = _read_model(args.model)
     b = _read_model(args.other)
     box = _resolve_box(args, a.input_layer.width)
+    if args.grid and box.dim > GRID_MAX_DIM:
+        raise ContractError(
+            f"--grid is limited to inputs of dimension <= {GRID_MAX_DIM}, got {box.dim}; "
+            "leave it out to compare on samples only"
+        )
     rep = sample_equivalence(a, b, box, n=args.samples, seed=args.seed)
     verdict = rep.within(args.tol)
     print(f"sampled {rep.samples} points: max |diff| = {rep.max_abs_diff:.3g}")

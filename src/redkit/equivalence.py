@@ -10,6 +10,7 @@ from .errors import ContractError
 from .netir import Network, forward_batch
 
 CORNER_CAP = 4096
+GRID_MAX_DIM = 4  # grid_equivalence's limit: a grid has points_per_dim**dim points
 
 
 @dataclass
@@ -59,13 +60,13 @@ def sample_equivalence(
 def grid_equivalence(a: Network, b: Network, box: Box, points_per_dim: int) -> EquivReport:
     """Compare on a full per-dimension grid including the box faces.
 
-    Refused above four dimensions: the grid has points_per_dim**dim entries,
-    which stops being a check and becomes a memory bill.
+    Refused above GRID_MAX_DIM dimensions: the grid has points_per_dim**dim
+    entries, which stops being a check and becomes a memory bill.
     """
     d = box.dim
-    if d > 4:
+    if d > GRID_MAX_DIM:
         raise ContractError(
-            f"grid_equivalence is limited to dimension <= 4, got {d}; "
+            f"grid_equivalence is limited to dimension <= {GRID_MAX_DIM}, got {d}; "
             "use sample_equivalence for wider inputs"
         )
     if points_per_dim < 2:

@@ -191,6 +191,14 @@ def _emit_window_max(b: NetworkBuilder, src: _Val, windows: np.ndarray, out_shap
 
 
 class _Importer:
+    """Lowers a decoded graph node by node.
+
+    Initializers enter consts as read-only views of the model bytes, and the
+    lowerings read them without copying (astype(..., copy=False)); the one
+    copy of a weight is the one its Layer makes. A lowering that writes into
+    a constant must copy it first.
+    """
+
     def __init__(self, graph: oc.GraphP):
         self.g = graph
         self.b = NetworkBuilder()
@@ -310,10 +318,12 @@ class _Importer:
         if n.attr_i("transA", 0):
             raise UnsupportedModelError(f"Gemm node {n.name!r}: transA is not supported")
         v = self.val(n.inputs[0])
-        B = self.const(n.inputs[1]).astype(np.float64)
+        B = self.const(n.inputs[1]).astype(np.float64, copy=False)
         alpha = n.attr_f("alpha", 1.0)
         beta = n.attr_f("beta", 1.0)
-        W = (B if n.attr_i("transB", 0) else B.T) * alpha
+        W = B if n.attr_i("transB", 0) else B.T
+        if alpha != 1.0:
+            W = W * alpha
         if W.ndim != 2 or W.shape[1] != v.size:
             raise UnsupportedModelError(
                 f"Gemm node {n.name!r}: weight of shape {B.shape} does not take a value of "
@@ -321,7 +331,9 @@ class _Importer:
             )
         bias = np.zeros(W.shape[0])
         if len(n.inputs) > 2 and n.inputs[2]:
-            bias = beta * self.const(n.inputs[2]).astype(np.float64).ravel()
+            bias = self.const(n.inputs[2]).astype(np.float64, copy=False).ravel()
+            if beta != 1.0:
+                bias = bias * beta
             if bias.shape[0] != W.shape[0]:
                 raise UnsupportedModelError(f"Gemm node {n.name!r}: bias width mismatch")
         lid = self.b.add_linear(v.lid, W, bias)
@@ -330,13 +342,13 @@ class _Importer:
     def _op_matmul(self, n: oc.NodeP):
         a, bb = n.inputs[0], n.inputs[1]
         if not self.is_const(a) and self.is_const(bb):
-            v, B = self.val(a), self.const(bb).astype(np.float64)
+            v, B = self.val(a), self.const(bb).astype(np.float64, copy=False)
             if B.ndim != 2 or B.shape[0] != v.size:
                 raise UnsupportedModelError(f"MatMul node {n.name!r}: shape mismatch")
             lid = self.b.add_linear(v.lid, B.T, np.zeros(B.shape[1]))
             self.vals[n.outputs[0]] = _Val(lid, (B.shape[1],))
         elif self.is_const(a) and not self.is_const(bb):
-            A, v = self.const(a).astype(np.float64), self.val(bb)
+            A, v = self.const(a).astype(np.float64, copy=False), self.val(bb)
             if A.ndim != 2 or A.shape[1] != v.size:
                 raise UnsupportedModelError(f"MatMul node {n.name!r}: shape mismatch")
             lid = self.b.add_linear(v.lid, A, np.zeros(A.shape[0]))
@@ -348,10 +360,10 @@ class _Importer:
 
     def _op_conv(self, n: oc.NodeP):
         v = self.val(n.inputs[0])
-        W = self.const(n.inputs[1]).astype(np.float64)
+        W = self.const(n.inputs[1]).astype(np.float64, copy=False)
         bias = None
         if len(n.inputs) > 2 and n.inputs[2]:
-            bias = self.const(n.inputs[2]).astype(np.float64)
+            bias = self.const(n.inputs[2]).astype(np.float64, copy=False)
         if n.attr_i("group", 1) != 1:
             raise UnsupportedModelError(f"Conv node {n.name!r}: grouped convolution not supported")
         ap = n.attributes.get("auto_pad")
@@ -370,15 +382,15 @@ class _Importer:
             raise UnsupportedModelError(f"Conv node {n.name!r}: kernel_shape disagrees with weight")
         _check_window(n, ks, strides, pads, dil)
         M, b, out_shape = conv_to_matrix(W, bias, v.shape, strides, pads, dil)
+        M.flags.writeable = False  # frozen, the layer keeps this matrix instead of a copy
         lid = self.b.add_linear(v.lid, M, b)
         self.vals[n.outputs[0]] = _Val(lid, out_shape)
 
     def _op_batchnormalization(self, n: oc.NodeP):
         v = self.val(n.inputs[0])
-        scale = self.const(n.inputs[1]).astype(np.float64)
-        beta = self.const(n.inputs[2]).astype(np.float64)
-        mean = self.const(n.inputs[3]).astype(np.float64)
-        var = self.const(n.inputs[4]).astype(np.float64)
+        scale, beta, mean, var = (
+            self.const(n.inputs[i]).astype(np.float64, copy=False) for i in range(1, 5)
+        )
         eps = n.attr_f("epsilon", 1e-5)
         C = v.shape[0]
         if scale.shape != (C,):
@@ -414,11 +426,11 @@ class _Importer:
             return
         if self.is_const(a):
             v = self.val(bb)
-            c = np.broadcast_to(self.consts[a].astype(np.float64), v.shape).ravel()
+            c = np.broadcast_to(self.consts[a].astype(np.float64, copy=False), v.shape).ravel()
             lid = self.b.add_linear(v.lid, sign * np.eye(v.size), c)
         else:
             v = self.val(a)
-            c = sign * np.broadcast_to(self.consts[bb].astype(np.float64), v.shape).ravel()
+            c = sign * np.broadcast_to(self.consts[bb].astype(np.float64, copy=False), v.shape).ravel()
             lid = self.b.add_linear(v.lid, np.eye(v.size), c)
         self.vals[out] = _Val(lid, v.shape)
 
@@ -433,7 +445,7 @@ class _Importer:
         parts = []
         for name in n.inputs:
             if self.is_const(name):
-                parts.append(("c", self.consts[name].astype(np.float64)))
+                parts.append(("c", self.consts[name].astype(np.float64, copy=False)))
             else:
                 parts.append(("v", self.val(name)))
         shapes = [p.shape for _, p in parts]

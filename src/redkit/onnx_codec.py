@@ -87,8 +87,17 @@ def _packed_varints(fieldno: int, vals) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Walks the fields of one message without copying its payloads.
+
+    The message bytes are held as a read-only memoryview, so a
+    length-delimited field (a nested message, a string, a tensor's raw data)
+    is a view into the caller's buffer, not a new bytes object. Fields that
+    outlive decoding are converted where they are stored: strings to str,
+    AttrP's string fields to bytes; TensorP.raw_data stays a view.
+    """
+
+    def __init__(self, buf):
+        self.buf = memoryview(buf).toreadonly()
         self.pos = 0
 
     def eof(self) -> bool:
@@ -109,14 +118,14 @@ class _Reader:
             if shift > 70:
                 raise UnsupportedModelError("varint too long in model file")
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise UnsupportedModelError("truncated field in model file")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
 
-    def chunk(self) -> bytes:
+    def chunk(self) -> memoryview:
         return self.take(self.uvarint())
 
     def fields(self):
@@ -166,9 +175,9 @@ def _reals(wt: int, v, dtype: str) -> list[float]:
     return np.frombuffer(v, dtype=dtype).tolist()
 
 
-def _text(v: bytes) -> str:
+def _text(v) -> str:
     try:
-        return v.decode("utf-8")
+        return str(v, "utf-8")
     except UnicodeDecodeError as e:
         raise UnsupportedModelError(f"string field is not valid UTF-8: {e.reason}") from None
 
@@ -179,16 +188,30 @@ def _text(v: bytes) -> str:
 
 @dataclass
 class TensorP:
+    """A tensor initializer or constant.
+
+    raw_data, when decoded, is a read-only memoryview into the model bytes;
+    to_array reads it in place, so a float64 payload becomes an array view
+    of those bytes with no copy. A caller that keeps the data copies it, so
+    that no view holds the whole model buffer (netir.Layer does, through
+    freeze_array).
+    """
+
     name: str = ""
     dims: list[int] = field(default_factory=list)
     data_type: int = DT_FLOAT
-    raw_data: bytes | None = None
+    raw_data: bytes | memoryview | None = None
     float_data: list[float] = field(default_factory=list)
     int64_data: list[int] = field(default_factory=list)
     int32_data: list[int] = field(default_factory=list)
     double_data: list[float] = field(default_factory=list)
 
     def to_array(self) -> np.ndarray:
+        """The tensor as float64 (float types) or int64 (integer types).
+
+        A float64 or int64 raw payload comes back as a read-only view of
+        raw_data; every other payload as a new array.
+        """
         shape = tuple(self.dims)
         if self.raw_data is not None:
             dt = {
@@ -224,9 +247,9 @@ class TensorP:
                 f"tensor {self.name!r}: dims {list(shape)} do not fit {arr.size} elements"
             )
         if self.data_type in (DT_FLOAT, DT_DOUBLE):
-            arr = arr.astype(np.float64)
+            arr = arr.astype(np.float64, copy=False)
         else:
-            arr = arr.astype(np.int64)
+            arr = arr.astype(np.int64, copy=False)
         return arr.reshape(shape)
 
 
@@ -335,7 +358,7 @@ def _decode_attr(buf: bytes) -> AttrP:
         elif no == 3 and wt == _WT_VARINT:
             a.i = _as_signed(v)
         elif no == 4 and wt == _WT_LEN:
-            a.s = v
+            a.s = bytes(v)
         elif no == 5 and wt == _WT_LEN:
             a.t = _decode_tensor(v)
         elif no == 6:
@@ -345,7 +368,7 @@ def _decode_attr(buf: bytes) -> AttrP:
         elif no == 8:
             a.ints.extend(_ints(wt, v))
         elif no == 9 and wt == _WT_LEN:
-            a.strings.append(v)
+            a.strings.append(bytes(v))
         elif no == 20 and wt == _WT_VARINT:
             a.type = v
     return a
@@ -418,7 +441,8 @@ def _decode_graph(buf: bytes) -> GraphP:
     return g
 
 
-def decode_model(data: bytes) -> ModelP:
+def decode_model(data) -> ModelP:
+    """Decode a bytes-like ModelProto; its tensors' raw data are views into data."""
     m = ModelP()
     saw_graph = False
     for no, wt, v in _Reader(data).fields():

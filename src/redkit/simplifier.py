@@ -12,6 +12,10 @@ nonnegative range when they come straight from the input box.
 The Sum-free graph left over is read straight into a netir.Chain, composing
 each run of linear layers into one, so the result computes the same function
 over the given input region and is a plain alternating Linear/ReLU chain.
+
+The identity arcs and construction selectors the pass adds are 0/1 row
+selectors; composing through one gathers rows or columns instead of
+running a matrix product, with the same bytes as the product.
 """
 from __future__ import annotations
 
@@ -33,13 +37,22 @@ class SimplifyStats:
 
 
 class _Graph:
-    """Mutable scratch representation used by the rewriting passes."""
+    """Mutable scratch representation used by the rewriting passes.
+
+    sel holds the row index of each selector: a linear layer the passes
+    themselves add (an identity arc, a construction's input selector) whose
+    weight has at most one 1 in each row and column and zeros elsewhere.
+    Row i of its weight is one-hot at column sel[i], or zero where sel[i] is
+    -1. _normalize composes through a selector by indexing (see _compose);
+    a layer that stops being one (a merge of two members) drops its index.
+    """
 
     def __init__(self):
         self.kind: dict[int, str] = {}
         self.width: dict[int, int] = {}
         self.weight: dict[int, np.ndarray] = {}
         self.bias: dict[int, np.ndarray] = {}
+        self.sel: dict[int, np.ndarray] = {}
         self.preds: dict[int, list[int]] = {}
         self.input_id: int | None = None
         self.output_id: int | None = None
@@ -61,7 +74,7 @@ class _Graph:
         g._next = max(g.kind) + 1
         return g
 
-    def add(self, kind, width, weight=None, bias=None, preds=()) -> int:
+    def add(self, kind, width, weight=None, bias=None, preds=(), sel=None) -> int:
         i = self._next
         self._next += 1
         self.kind[i] = kind
@@ -69,13 +82,24 @@ class _Graph:
         if kind == KIND_LINEAR:
             self.weight[i] = np.asarray(weight, dtype=np.float64)
             self.bias[i] = np.asarray(bias, dtype=np.float64)
+        if sel is not None:
+            self.sel[i] = sel
         self.preds[i] = list(preds)
         return i
+
+    def add_selector(self, rows, in_width: int, bias, pred: int) -> int:
+        """A selector linear over pred's in_width values; rows is its row index."""
+        rows = np.asarray(rows, dtype=np.intp)
+        hit = rows >= 0
+        W = np.zeros((len(rows), in_width))
+        W[np.nonzero(hit)[0], rows[hit]] = 1.0
+        return self.add(KIND_LINEAR, len(rows), W, bias, preds=[pred], sel=rows)
 
     def remove(self, i: int):
         del self.kind[i], self.width[i], self.preds[i]
         self.weight.pop(i, None)
         self.bias.pop(i, None)
+        self.sel.pop(i, None)
 
     def succs_map(self) -> dict[int, list[int]]:
         s: dict[int, list[int]] = {i: [] for i in self.kind}
@@ -112,8 +136,7 @@ def _initialize(g: _Graph):
         w = g.width[sid]
         new_preds = []
         for p in g.preds[sid]:
-            ident = g.add(KIND_LINEAR, w, np.eye(w), np.zeros(w), preds=[p])
-            new_preds.append(ident)
+            new_preds.append(g.add_selector(np.arange(w), w, np.zeros(w), p))
         g.preds[sid] = new_preds
     for lid in original_linears:
         s = g.add(KIND_SUM, g.width[lid], preds=[lid])
@@ -149,13 +172,39 @@ def _last_block(g: _Graph) -> int:
     return last[0]
 
 
+def _compose(M, m_rows, X, x_rows=None):
+    """M @ X, and the product's selector index when both factors are selectors.
+
+    m_rows and x_rows are the factors' selector indices, or None for a
+    general matrix; X may be a vector. A selector factor is applied by
+    indexing: M's selector gathers rows of X, X's selector places columns of
+    M. For finite entries the result has the product's bytes, since each
+    entry is one entry of the other factor or a sum of zeros.
+    """
+    if m_rows is not None:
+        out = np.zeros((len(m_rows),) + X.shape[1:])
+        hit = m_rows >= 0
+        out[hit] = X[m_rows[hit]]
+        rows = None if x_rows is None else np.where(hit, x_rows[m_rows], -1)
+    elif x_rows is not None:
+        out = np.zeros((M.shape[0], X.shape[1]))
+        hit = x_rows >= 0
+        out[:, x_rows[hit]] = M[:, hit]
+        rows = None
+    else:
+        return M @ X, None
+    out += 0.0  # a product's sum of zeros is +0.0 where the copied entry may be -0.0
+    return out, rows
+
+
 def _normalize(g: _Graph, sid: int) -> int:
     """Rewrite the block until its linears have pairwise-distinct non-Sum preds.
 
     A member whose predecessor is another block's Sum is replaced by one
     composed Linear per inner member (weights M_outer @ M_inner; the outer
     bias rides on the first); inner blocks left without consumers are
-    deleted. Members sharing a predecessor are merged by summing parameters.
+    deleted. Members sharing a predecessor are merged by summing parameters,
+    and the merged member is no longer a selector.
     """
     rewrites = 0
     while True:
@@ -167,13 +216,15 @@ def _normalize(g: _Graph, sid: int) -> int:
                 break
         if target is not None:
             l, p = target
-            Mj, Bj = g.weight[l], g.bias[l]
+            Mj, Bj, rows = g.weight[l], g.bias[l], g.sel.get(l)
             inner = list(g.preds[p])
             new_ids = []
             for i, il in enumerate(inner):
-                Wn = Mj @ g.weight[il]
-                Bn = Mj @ g.bias[il] + (Bj if i == 0 else 0.0)
-                new_ids.append(g.add(KIND_LINEAR, Wn.shape[0], Wn, Bn, preds=[g.preds[il][0]]))
+                Wn, Wn_rows = _compose(Mj, rows, g.weight[il], g.sel.get(il))
+                Bn = _compose(Mj, rows, g.bias[il])[0] + (Bj if i == 0 else 0.0)
+                new_ids.append(
+                    g.add(KIND_LINEAR, Wn.shape[0], Wn, Bn, preds=[g.preds[il][0]], sel=Wn_rows)
+                )
             g.replace_pred(sid, l, new_ids)
             g.remove(l)
             if not g.succs_map().get(p):
@@ -190,6 +241,7 @@ def _normalize(g: _Graph, sid: int) -> int:
                 keep = seen[p]
                 g.weight[keep] = g.weight[keep] + g.weight[l]
                 g.bias[keep] = g.bias[keep] + g.bias[l]
+                g.sel.pop(keep, None)
                 g.preds[sid] = [q for q in g.preds[sid] if q != l]
                 g.remove(l)
                 merged = True
@@ -244,8 +296,8 @@ def _construct(g: _Graph, sid: int, box: Box | None):
             src = g.preds[q][0]
         else:
             src = q
-        sel = np.zeros((total, g.width[src]))
-        sel[off : off + w, :] = np.eye(w)
+        rows = np.full(total, -1)
+        rows[off : off + w] = np.arange(w)
         sb = np.zeros(total)
         if q not in blocked and g.kind[q] == KIND_INPUT:
             if box is None:
@@ -256,7 +308,7 @@ def _construct(g: _Graph, sid: int, box: Box | None):
             sh = np.maximum(0.0, -box.lower)
             sb[off : off + w] = sh
             shift_all[off : off + w] = sh
-        sel_ids.append(g.add(KIND_LINEAR, total, sel, sb, preds=[src]))
+        sel_ids.append(g.add_selector(rows, g.width[src], sb, src))
     new_sum = g.add(KIND_SUM, total, preds=sel_ids)
     new_relu = g.add(KIND_RELU, total, preds=[new_sum])
     out_w = g.width[sid]

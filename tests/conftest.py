@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import redkit.onnx_codec as oc
 from redkit import Box, Chain, NetworkBuilder, conv_to_matrix, root_leaf, split_leaf
 from redkit.bounds import chain_margin_lower_bounds
 
@@ -103,6 +104,55 @@ def build_residual_block(channels: int = 4, side: int = 4, seed: int = 0):
     net = b.build(s)
     box = Box(-np.ones(d), np.ones(d))
     return net, box, {"M1": M1, "B1": B1, "M2": M2, "B2": B2, "M3": M3, "B3": B3}
+
+
+def residual_conv_model(seed: int = 0, blocks: int = 2, channels: int = 4, side: int = 5) -> bytes:
+    """ONNX bytes of residual conv blocks (Conv, Relu, Conv, Add, Relu), then Flatten and Gemm.
+
+    Input (1, 3, side, side); float64 initializers; the first conv carries a
+    string attribute (auto_pad NOTSET) so every attribute kind the blocks use
+    is on the wire.
+    """
+    rng = np.random.default_rng(seed)
+
+    def tensor(name, arr):
+        a = np.ascontiguousarray(arr, dtype="<f8")
+        return oc.TensorP(name=name, dims=list(a.shape), data_type=oc.DT_DOUBLE,
+                          raw_data=a.tobytes())
+
+    pads = oc.AttrP("pads", oc.AT_INTS, ints=[1, 1, 1, 1])
+    nodes, inits, cur = [], [], "x"
+    for k in range(blocks):
+        inits += [
+            tensor(f"k1_{k}", rng.normal(scale=0.3, size=(channels, 3, 3, 3))),
+            tensor(f"c1_{k}", rng.normal(scale=0.1, size=channels)),
+            tensor(f"k2_{k}", rng.normal(scale=0.3, size=(3, channels, 3, 3))),
+            tensor(f"c2_{k}", rng.normal(scale=0.1, size=3)),
+        ]
+        first = {"pads": pads, "auto_pad": oc.AttrP("auto_pad", oc.AT_STRING, s=b"NOTSET")}
+        nodes += [
+            oc.NodeP("Conv", f"conv1_{k}", [cur, f"k1_{k}", f"c1_{k}"], [f"h_{k}"], first),
+            oc.NodeP("Relu", f"relu1_{k}", [f"h_{k}"], [f"hr_{k}"]),
+            oc.NodeP("Conv", f"conv2_{k}", [f"hr_{k}", f"k2_{k}", f"c2_{k}"], [f"g_{k}"],
+                     {"pads": pads}),
+            oc.NodeP("Add", f"add_{k}", [f"g_{k}", cur], [f"s_{k}"]),
+            oc.NodeP("Relu", f"relu2_{k}", [f"s_{k}"], [f"sr_{k}"]),
+        ]
+        cur = f"sr_{k}"
+    size = 3 * side * side
+    inits += [tensor("gw", rng.normal(scale=size**-0.5, size=(4, size))),
+              tensor("gb", rng.normal(scale=0.1, size=4))]
+    nodes += [
+        oc.NodeP("Flatten", "flat", [cur], ["f"], {"axis": oc.AttrP("axis", oc.AT_INT, i=1)}),
+        oc.NodeP("Gemm", "head", ["f", "gw", "gb"], ["y"],
+                 {"transB": oc.AttrP("transB", oc.AT_INT, i=1)}),
+    ]
+    graph = oc.GraphP(
+        name="residual", nodes=nodes, initializers=inits,
+        inputs=[oc.ValueInfoP("x", oc.DT_DOUBLE, [1, 3, side, side])],
+        outputs=[oc.ValueInfoP("y", oc.DT_DOUBLE, [1, 4])],
+    )
+    return oc.encode_model(oc.ModelP(producer_name="tests", opset_imports=[("", 13)], graph=graph))
 
 
 def box_samples(box: Box, n: int, seed: int = 0) -> np.ndarray:

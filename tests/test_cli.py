@@ -303,6 +303,27 @@ def test_a_negative_seed_or_a_one_point_grid_exits_2_before_any_work(
     assert not (tmp_path / "never.onnx").exists()
 
 
+def test_a_grid_on_a_wide_input_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    # before: the sampled comparison ran and printed its line, then the grid
+    # refused the 6-dimensional input
+    model, center = tmp_path / "wide.onnx", tmp_path / "wide.txt"
+    assert main(["gen", "--layers", "1", "--width", "8", "--input-dim", "6", "--seed", "1",
+                 "--out", str(model)]) == 0
+    center.write_text(" ".join(["0.5"] * 6) + "\n")
+    capsys.readouterr()
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the grid")
+
+    monkeypatch.setattr(cli, "sample_equivalence", no_sampling)
+    rc = main(["equiv", "--model", str(model), "--other", str(model), "--center", str(center),
+               "--eps", "1.0", "--grid", "3"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "--grid" in err and "dimension <= 4, got 6" in err
+
+
 def test_a_zero_seed_and_a_two_point_grid_still_run(ws, capsys):
     rc = main(["equiv", "--model", ws["fig1"], "--other", ws["fig1"],
                "--center", ws["center"], "--eps", "1.0", "--seed", "0", "--grid", "2"])

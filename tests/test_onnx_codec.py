@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import redkit.onnx_codec as oc
-from redkit import export_onnx, from_sequential, import_onnx
+from conftest import residual_conv_model
+from redkit import export_onnx, from_sequential, generate_network, import_onnx
+from redkit.netir import KIND_LINEAR
 from redkit.errors import RedkitError, UnsupportedModelError
 
 
@@ -244,6 +246,47 @@ def test_encode_is_deterministic():
     a = oc.encode_model(_tiny_model())
     b = oc.encode_model(_tiny_model())
     assert a == b
+
+
+# --- decoding reads the model bytes in place; the imported network owns its arrays ---
+
+
+def _generated_chain_model() -> bytes:
+    net, _ = generate_network(2, 16, 4, 3, stable_fraction=0.5, seed=5)
+    return export_onnx(net)
+
+
+MODELS = {"generated_chain": _generated_chain_model, "residual_conv": residual_conv_model}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_decode_then_encode_gives_the_same_bytes(name):
+    data = MODELS[name]()
+    assert oc.encode_model(oc.decode_model(data)) == data
+
+
+def test_decoded_raw_data_is_a_read_only_view_of_the_model_bytes():
+    data = bytearray(residual_conv_model())
+    t = oc.decode_model(data).graph.initializers[0]
+    assert isinstance(t.raw_data, memoryview) and t.raw_data.readonly
+    arr = t.to_array()
+    assert not arr.flags.writeable
+    assert np.shares_memory(arr, np.frombuffer(data, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_an_imported_network_keeps_no_view_of_the_model_buffer(name):
+    buf = bytearray(MODELS[name]())
+    net, _ = import_onnx(buf)
+    linears = [l for l in net.layers if l.kind == KIND_LINEAR]
+    for l in linears:
+        for a in (l.weight, l.bias):
+            assert not a.flags.writeable and a.flags.owndata
+    kept = [(l.weight.copy(), l.bias.copy()) for l in linears]
+    buf[:] = bytes(len(buf))  # overwrite the model in place
+    buf += b"\0"  # resizing raises BufferError while any view of buf is alive
+    for l, (w, b) in zip(linears, kept):
+        assert np.array_equal(l.weight, w) and np.array_equal(l.bias, b)
 
 
 # --- malformed input raises UnsupportedModelError, never a raw exception ---

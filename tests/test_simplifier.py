@@ -10,14 +10,25 @@ from redkit import (
     StructuralError,
     as_sequential,
     forward,
+    forward_batch,
+    import_onnx,
     sample_equivalence,
     simplify,
     validate,
 )
+from redkit import simplifier
 from redkit.netir import KIND_LINEAR, KIND_RELU, KIND_SUM
-from redkit.simplifier import _Graph, _initialize, _last_block, _linearize, _normalize, _read_chain
+from redkit.simplifier import (
+    _compose,
+    _Graph,
+    _initialize,
+    _last_block,
+    _linearize,
+    _normalize,
+    _read_chain,
+)
 
-from conftest import build_fig1, build_residual_block, box_samples
+from conftest import build_fig1, build_residual_block, box_samples, residual_conv_model
 
 
 def _as_network(g: _Graph) -> Network:
@@ -337,3 +348,111 @@ def test_read_chain_rejects_fan_out_and_stray_layers():
     b.add_input(2)  # a layer no path from the input reaches
     with pytest.raises(StructuralError, match="not on the"):
         _read(b.build(l1))
+
+
+# selectors (identity arcs, construction selectors) compose by indexing
+
+
+def _selector_matrix(rows, in_width):
+    M = np.zeros((len(rows), in_width))
+    for i, j in enumerate(rows):
+        if j >= 0:
+            M[i, j] = 1.0
+    return M
+
+
+def test_compose_gives_the_dense_product_bytes_with_negative_zeros():
+    rows = np.array([2, -1, 0])
+    S = _selector_matrix(rows, 3)
+    X = np.array([[-0.0, 1.5], [2.0, -3.0], [-0.0, -0.0]])
+    G = np.array([[-0.0, 1.0, -2.0], [0.5, -0.0, 3.0]])
+    W, W_rows = _compose(S, rows, X)
+    assert W.tobytes() == (S @ X).tobytes() and W_rows is None
+    b, _ = _compose(S, rows, X[:, 0])
+    assert b.tobytes() == (S @ X[:, 0]).tobytes()
+    W, W_rows = _compose(G, None, S, rows)
+    assert W.tobytes() == (G @ S).tobytes() and W_rows is None
+    inner = np.array([1, 0, -1])
+    W, W_rows = _compose(S, rows, _selector_matrix(inner, 3), inner)
+    assert W.tobytes() == (S @ _selector_matrix(inner, 3)).tobytes()
+    assert W_rows.tolist() == [-1, -1, 1]
+    assert np.array_equal(_selector_matrix(W_rows, 3), W)
+
+
+def _random_block_net(seed):
+    """Residual blocks of random widths; each skip is an identity or a general linear."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    b = NetworkBuilder()
+    cur = b.add_input(d)
+    for _ in range(int(rng.integers(1, 4))):
+        h = int(rng.integers(2, 7))
+        r = b.add_relu(b.add_linear(cur, rng.normal(size=(h, d)), rng.normal(size=h)), h)
+        members = [b.add_linear(r, rng.normal(size=(d, h)), rng.normal(size=d))]
+        skip = np.eye(d) if rng.random() < 0.5 else rng.normal(size=(d, d))
+        members.append(b.add_linear(cur, skip, np.zeros(d)))
+        if rng.random() < 0.3:  # a third member from the block's own ReLU
+            members.append(b.add_linear(r, rng.normal(size=(d, h)), rng.normal(size=d)))
+        cur = b.add_relu(b.add_sum(members, d), d)
+    out = b.add_linear(cur, rng.normal(size=(3, d)), rng.normal(size=3))
+    return b.build(out), Box(-np.ones(d), np.ones(d))
+
+
+def _residual_conv(seed, blocks):
+    net, _ = import_onnx(residual_conv_model(seed, blocks=blocks))
+    d = net.input_layer.width
+    return net, Box(np.zeros(d), np.ones(d))
+
+
+SELECTOR_CASES = {
+    **{f"conv_{s}_{k}": (lambda s=s, k=k: _residual_conv(s, k)) for s in (0, 1) for k in (1, 2)},
+    "residual_block": lambda: build_residual_block(seed=3)[:2],
+    **{f"random_{s}": (lambda s=s: _random_block_net(s)) for s in range(12)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTOR_CASES))
+def test_indexed_composition_keeps_the_dense_products_bytes(case, monkeypatch):
+    net, box = SELECTOR_CASES[case]()
+    indexed = []
+
+    def spy(M, m_rows, X, x_rows=None):
+        indexed.append(m_rows is not None or x_rows is not None)
+        return _compose(M, m_rows, X, x_rows)
+
+    monkeypatch.setattr(simplifier, "_compose", spy)
+    chain, _ = simplify(net, box)
+    assert any(indexed)
+    # the reference composes every factor as a dense product
+    monkeypatch.setattr(simplifier, "_compose", lambda M, m_rows, X, x_rows=None: (M @ X, None))
+    dense, _ = simplify(net, box)
+    a, b = as_sequential(chain), as_sequential(dense)
+    assert len(a.linears) == len(b.linears)
+    for la, lb in zip(a.linears, b.linears):
+        assert la.weight.tobytes() == lb.weight.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
+    xs = box_samples(box, 256, seed=1)
+    y0 = forward_batch(net, xs)
+    np.testing.assert_allclose(forward_batch(chain, xs), y0, rtol=0, atol=1e-9 * (1 + np.abs(y0).max()))
+
+
+def test_a_merged_member_is_no_selector_and_composes_densely():
+    # s sums a ReLU with itself: its two identity arcs merge into 2I, and a
+    # stale selector index would compose o through it as I and drop the 2
+    b = NetworkBuilder()
+    i = b.add_input(2)
+    r = b.add_relu(b.add_linear(i, np.array([[1.0, -1.0], [2.0, 0.5]]), np.array([0.1, -0.2])), 2)
+    s = b.add_sum([r, r], 2)
+    O = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
+    b.add_linear(s, O, np.array([1.0, 2.0, 3.0]))
+    g = _initialized(b.build())
+    assert all(m in g.sel for m in g.preds[s])
+    _normalize(g, s)
+    (merged,) = g.preds[s]
+    assert merged not in g.sel
+    np.testing.assert_array_equal(g.weight[merged], 2 * np.eye(2))
+    t = _last_block(g)
+    _normalize(g, t)
+    (m,) = g.preds[t]
+    assert g.preds[m] == [r] and m not in g.sel
+    np.testing.assert_array_equal(g.weight[m], 2 * O)
