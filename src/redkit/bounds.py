@@ -8,6 +8,12 @@ pre-activation lies inside the reported range. The CROWN layer loop
 array with a leading batch axis; the root pass over the whole box is a
 batch of one, and branch and bound bounds its leaves in larger batches.
 
+A backward pass ends in lines over the input (_backward_from): rows A and
+offsets const with A x + const bounding the quantity for every x in the
+input box. The box meets those rows in one place, kernels.concretize; the
+layer loop and the margin bounds take the box as (1, d) or (B, d) ranges,
+and the public entry points pass a Box as a batch of one.
+
 On large layers CROWN applies the paper's reduction to itself. The root
 pass classifies each neuron of a composed hidden layer (see
 COMPACT_MIN_ENTRIES) as dead, active or unstable on the whole box: dead
@@ -226,7 +232,8 @@ def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
 
 def bound_layers(
     chain: Chain,
-    box: Box,
+    x_lo: np.ndarray,
+    x_hi: np.ndarray,
     lower: list,
     upper: list,
     relaxations: list,
@@ -240,10 +247,11 @@ def bound_layers(
     Member b of every (B, n) array (ranges, lines, signs, parent ranges)
     meets member b of the others. lower/upper hold the ranges of layers
     0..start-1 and relaxations their ReLU lines; each new layer is appended
-    in place. A layer's input range is the box, as a batch of one, for
-    layer 0 and the ReLU of the previous range otherwise. The forward
-    interval step and the backward pass are intersected, since the backward
-    pass alone can lose to plain intervals in correlated corners.
+    in place. A layer's input range is the input box [x_lo, x_hi], one
+    (1, d) box or a (B, d) batch, for layer 0 and the ReLU of the previous
+    range otherwise. The forward interval step and the backward pass are
+    intersected, since the backward pass alone can lose to plain intervals
+    in correlated corners.
 
     The root pass (start == 0) treats a composed hidden layer (see
     COMPACT_MIN_ENTRIES) apart: rows the forward step proves dead (hi <= 0)
@@ -264,12 +272,12 @@ def bound_layers(
     has the member's pinned signs. Stops when every member is empty.
     """
     stop = len(chain.layers) if stop is None else stop
-    ok = np.ones(lower[start - 1].shape[0] if start else 1, bool)
+    ok = np.ones(lower[start - 1].shape[0] if start else x_lo.shape[0], bool)
     for k in range(start, stop):
         W, b = chain.layers[k]
         hidden = k < chain.n_relu
         if k == 0:
-            v_lo, v_hi = box.lower[None], box.upper[None]
+            v_lo, v_hi = x_lo, x_hi
         else:
             v_lo, v_hi = np.maximum(lower[k - 1], 0.0), np.maximum(upper[k - 1], 0.0)
         rows = None
@@ -285,8 +293,12 @@ def bound_layers(
             live = np.flatnonzero((hi > 0.0).any(axis=0))
             W, b = W[live], b[live]
         A, const = _enter(relaxations, k - 1, W, b)
-        c_lo = _backward_from(chain, k, A, const, relaxations, box, upper_pass=False)
-        c_hi = _backward_from(chain, k, A, const, relaxations, box, upper_pass=True)
+        # each pass's lines are concretized before the next pass runs, so one
+        # pass's (B, m, d) rows are alive at a time
+        c_lo = kernels.concretize(*_backward_from(chain, k, A, const, relaxations, False),
+                                  x_lo, x_hi, upper_pass=False)
+        c_hi = kernels.concretize(*_backward_from(chain, k, A, const, relaxations, True),
+                                  x_lo, x_hi, upper_pass=True)
         if live is None:
             lo, hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
         else:
@@ -335,8 +347,8 @@ def _enter(relaxations, k: int, A, const):
     return rows, const + A_act @ c.bias[n_unstable:]
 
 
-def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_pass: bool):
-    """Push a coefficient row set from just after linear k down to the input box.
+def _backward_from(chain: Chain, k: int, A, const, relaxations, upper_pass: bool):
+    """Push a coefficient row set from just after linear k down to lines over the input.
 
     A (m, w) and const (m,) are over the backward columns of hidden layer
     k - 1 (see _enter). A plain layer takes relu_backward on all its
@@ -347,8 +359,11 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
     underneath's backward columns. Neither A nor const is written to.
 
     The row set is shared by the batch: it enters as a batch of one and
-    meets each member's (B, n) lines, and the result is (B, m), or (1, m)
-    with no layer to cross (k == 0).
+    meets each member's (B, n) lines. Returns the lines over the input, rows
+    (B, m, d) and offsets (B, m), or (1, m, d) and (1, m) with no layer to
+    cross (k == 0): for every input x in member b's sign region, A[b] x +
+    const[b] bounds the row set's quantity from below (above, for the upper
+    pass). kernels.concretize takes their minimum (maximum) over a box.
     """
     A, const = A[None], const[None]
     for j in range(k - 1, -1, -1):
@@ -367,8 +382,7 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, box: Box, upper_
         A_u, const = kernels.relu_backward(A[..., w:], const, *lines, upper_pass)
         const = const + A_u @ c.bias[:n_unstable]
         A = A[..., :w] + A_u @ c.weight[:n_unstable]
-    lo, hi = kernels.interval_affine(A, const, box.lower, box.upper)
-    return hi if upper_pass else lo
+    return A, const
 
 
 def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
@@ -386,7 +400,7 @@ def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     chain.check_box(box)
     lower, upper = [], []
     if method == "crown":
-        bound_layers(chain, box, lower, upper, [])
+        bound_layers(chain, box.lower[None], box.upper[None], lower, upper, [])
         lower, upper = [a[0] for a in lower], [a[0] for a in upper]
     else:
         v_lo, v_hi = box.lower, box.upper
@@ -399,13 +413,15 @@ def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)))
 
 
-def chain_margin_lower_bounds(chain: Chain, box: Box, A, const, relaxations: list) -> np.ndarray:
+def chain_margin_lower_bounds(chain: Chain, x_lo, x_hi, A, const, relaxations: list) -> np.ndarray:
     """CROWN lower bounds of A h + const, h the last hidden layer's post-ReLU values.
 
+    x_lo and x_hi are the input box, (1, d) or one (B, d) box per member;
     relaxations are the hidden layers' (B, n) ReLU lines, as bound_layers
     fills them; A and const already fold in the readout layer. The result is
     (B, m), one row of margin bounds per member, or (1, m) for a chain with
-    no hidden layer, whose one leaf is the root.
+    no hidden layer and one box, whose one leaf is the root.
     """
     A, const = _enter(relaxations, chain.n_relu - 1, A, const)
-    return _backward_from(chain, chain.n_relu, A, const, relaxations, box, upper_pass=False)
+    lines = _backward_from(chain, chain.n_relu, A, const, relaxations, upper_pass=False)
+    return kernels.concretize(*lines, x_lo, x_hi, upper_pass=False)

@@ -1,11 +1,13 @@
-"""The two hot numeric kernels of the bound passes, in numpy.
+"""The three numeric kernels of the bound passes, in numpy.
 
 interval_affine maps a box through an affine layer; relu_backward substitutes
-ReLU relaxation lines into the coefficient rows of a backward pass. The bound
-passes call them through the module (kernels.interval_affine(...)), so a
-tracer that rebinds the module attributes sees every bound-pass call.
+ReLU relaxation lines into the coefficient rows of a backward pass; and
+concretize takes the minimum or maximum of a backward pass's rows, lines
+over the input, on the input box. The bound passes call them through the
+module (kernels.interval_affine(...)), so a tracer that rebinds the module
+attributes sees every bound-pass call.
 
-Both serve a batch of branch-and-bound leaves in one call: (B, n) boxes or
+Each serves a batch of branch-and-bound leaves in one call: (B, n) boxes or
 relaxation lines and (B, m, n) coefficient rows, member b of one meeting
 member b of the other. The root pass over the whole box is a batch of one.
 """
@@ -17,15 +19,28 @@ import numpy as np
 def interval_affine(W, b, lo, hi):
     """Range of W x + b for x in the box [lo, hi], elementwise tight.
 
-    W may be (m, n) or a batch (B, m, n) over one box; lo and hi may be (n,)
-    or a batch (B, n) of boxes through one (m, n) layer.
+    W is one (m, n) layer; lo and hi are one (n,) box or a batch (B, n).
     """
     Wp = np.maximum(W, 0.0)
     Wn = np.minimum(W, 0.0)
-    if lo.ndim == 1:
-        return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
-    # np.dot: the same products as @, with less per-call overhead on 2-D arrays
+    # np.dot: the same products as @, with less per-call overhead
     return np.dot(lo, Wp.T) + np.dot(hi, Wn.T) + b, np.dot(hi, Wp.T) + np.dot(lo, Wn.T) + b
+
+
+def concretize(A, const, x_lo, x_hi, upper_pass: bool):
+    """The minimum (maximum, for the upper pass) of A x + const over the box [x_lo, x_hi].
+
+    A (B, m, d) and const (B, m) are the lines of a backward pass over the
+    input; x_lo and x_hi are one (1, d) box or a batch (B, d), member b of
+    the boxes meeting member b of the lines (a batch of one meets every
+    member of the other). The result is (B, m). Neither A nor const is
+    written to.
+    """
+    Ap = np.maximum(A, 0.0)
+    An = np.minimum(A, 0.0)
+    if upper_pass:
+        x_lo, x_hi = x_hi, x_lo
+    return (Ap @ x_lo[..., None] + An @ x_hi[..., None])[..., 0] + const
 
 
 def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):

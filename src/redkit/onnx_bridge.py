@@ -96,6 +96,10 @@ def conv_to_matrix(weight, bias, in_shape, strides=(1, 1), pads=(0, 0, 0, 0), di
         b = np.repeat(np.asarray(bias, dtype=np.float64), oh * ow)
     oy = np.arange(oh)
     ox = np.arange(ow)
+    # every filter's and every channel's block offset, broadcast against one
+    # tap's pixel pairs: one assignment per (ky, kx) fills all F * C blocks
+    f_off = (np.arange(F) * (oh * ow))[:, None, None]
+    c_off = (np.arange(C) * (H * W))[None, :, None]
     for ky in range(kh):
         iy = oy * sh - pt + ky * dh
         my = (iy >= 0) & (iy < H)
@@ -108,9 +112,7 @@ def conv_to_matrix(weight, bias, in_shape, strides=(1, 1), pads=(0, 0, 0, 0), di
                 continue
             rows = (oy[my][:, None] * ow + ox[mx][None, :]).ravel()
             cols = (iy[my][:, None] * W + ix[mx][None, :]).ravel()
-            for f in range(F):
-                for c in range(C):
-                    M[f * oh * ow + rows, c * H * W + cols] = weight[f, c, ky, kx]
+            M[f_off + rows, c_off + cols] = weight[:, :, ky, kx, None]
     return M, b, (F, oh, ow)
 
 

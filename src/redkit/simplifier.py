@@ -409,4 +409,8 @@ def simplify(net: Network, box: Box | None = None) -> tuple[Network, SimplifySta
         else:
             _linearize(g, sid)
             stats.linearizations += 1
-    return _read_chain(g).to_network(), stats
+    chain = _read_chain(g)
+    for pair in chain.layers:  # the pass is done with them: the layers adopt them uncopied
+        for a in pair:
+            a.flags.writeable = False
+    return chain.to_network(), stats

@@ -43,6 +43,8 @@ class PropertySpec:
             raise ContractError(f"margin system shapes {rows.shape} / {offs.shape} do not agree")
         if self.mode not in (MODE_ANY, MODE_ALL):
             raise ContractError(f"unknown property mode {self.mode!r}")
+        if not (np.isfinite(rows).all() and np.isfinite(offs).all()):
+            raise ContractError("margin rows and offsets must be finite")
         # zero rows is the vacuous property: verified by definition
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "offsets", offs)
@@ -54,11 +56,21 @@ class PropertySpec:
     def margins(self, y) -> np.ndarray:
         return self.rows @ np.asarray(y, dtype=np.float64) + self.offsets
 
+    def counterexamples(self, ys) -> np.ndarray:
+        """For each output vector, a row of ys (n, n_outputs), whether it breaks the property.
+
+        A vector breaks it when some margin (any mode) or every margin (all
+        mode) is strictly negative. A property with no rows is vacuous: no
+        vector breaks it, in either mode.
+        """
+        ys = np.asarray(ys, dtype=np.float64)
+        if self.rows.shape[0] == 0:
+            return np.zeros(ys.shape[0], bool)
+        negative = ys @ self.rows.T + self.offsets < 0
+        return negative.any(axis=1) if self.mode == MODE_ANY else negative.all(axis=1)
+
     def is_counterexample(self, y) -> bool:
-        m = self.margins(y)
-        if m.size == 0:
-            return False
-        return bool((m < 0).any() if self.mode == MODE_ANY else (m < 0).all())
+        return bool(self.counterexamples(np.asarray(y)[None])[0])
 
 
 def robustness_spec(box: Box, label: int, n_outputs: int, name: str = "robustness") -> PropertySpec:
@@ -145,9 +157,12 @@ def _as_term(e):
             raise ParseError(f"line {ln}: negative variable index in {tok!r}")
         return ("x" if tok[0] == "X" else "y", idx)
     try:
-        return "c", float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(f"line {ln}: expected a variable or a number, got {tok!r}") from None
+    if not np.isfinite(value):
+        raise ParseError(f"line {ln}: {tok!r} is not a finite number")
+    return "c", value
 
 
 @dataclass

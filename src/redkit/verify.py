@@ -45,7 +45,7 @@ from .bounds import (
 )
 from .errors import ContractError
 from .netir import Network, forward_batch
-from .specio import MODE_ANY, PropertySpec
+from .specio import PropertySpec
 
 VERIFIED = "verified"
 UNKNOWN = "unknown"
@@ -140,7 +140,8 @@ def root_leaf(chain: Chain, box: Box) -> LeafBatch:
     """The whole box, nothing pinned: a batch of one."""
     chain.check_box(box)
     lower, upper, relaxations = [], [], []
-    bound_layers(chain, box, lower, upper, relaxations, stop=chain.n_relu)
+    bound_layers(chain, box.lower[None], box.upper[None], lower, upper, relaxations,
+                 stop=chain.n_relu)
     return LeafBatch(
         tuple(lower),
         tuple(upper),
@@ -215,7 +216,7 @@ def split_leaf(
             prefix_lo, prefix_hi = lo_c[:l], hi_c[:l]
             prefix_relax = [_rows(r, slice(c)) for r in relax[:l]]
             ok = bound_layers(
-                chain, box, prefix_lo, prefix_hi, prefix_relax,
+                chain, box.lower[None], box.upper[None], prefix_lo, prefix_hi, prefix_relax,
                 start=l, stop=l + 1, signs=[a[:c] for a in pins], parent=(lo_c, hi_c),
             )
             empty[:c] |= ~ok
@@ -311,7 +312,8 @@ def _bound_step(chain: Chain, box: Box, items: list, A, const):
 
 def _margins(chain: Chain, box: Box, batch: LeafBatch, A, const) -> np.ndarray:
     """Each member's minimum margin lower bound."""
-    return chain_margin_lower_bounds(chain, box, A, const, batch.relaxations).min(axis=1)
+    x_lo, x_hi = box.lower[None], box.upper[None]
+    return chain_margin_lower_bounds(chain, x_lo, x_hi, A, const, batch.relaxations).min(axis=1)
 
 
 def check_budget(timeout, max_splits) -> None:
@@ -403,8 +405,9 @@ def find_grid_counterexample(
 ) -> np.ndarray | None:
     """Cheap falsification: box-filling grid plus random samples.
 
-    Returns an input with a strictly negative margin (any-mode: some row;
-    all-mode: every row), or None. Absence of a hit proves nothing.
+    Returns the first input that spec.counterexamples flags (a strictly
+    negative margin, any-mode: some row; all-mode: every row), or None.
+    Absence of a hit proves nothing.
     """
     if budget < 1:
         raise ContractError("budget must be positive")
@@ -425,10 +428,7 @@ def find_grid_counterexample(
     xs = np.vstack(chunks)
     for start in range(0, len(xs), 8192):
         batch = xs[start : start + 8192]
-        ys = forward_batch(net, batch)
-        margins = ys @ spec.rows.T + spec.offsets[None, :]
-        bad = (margins < 0).any(axis=1) if spec.mode == MODE_ANY else (margins < 0).all(axis=1)
-        hits = np.nonzero(bad)[0]
+        hits = np.nonzero(spec.counterexamples(forward_batch(net, batch)))[0]
         if len(hits):
             return batch[hits[0]].copy()
     return None

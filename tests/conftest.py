@@ -165,7 +165,8 @@ def leaf_margins(chain, box, leaf, C, d):
     W, b = chain.layers[-1]
     C = np.atleast_2d(np.asarray(C, dtype=float))
     return chain_margin_lower_bounds(
-        chain, box, C @ W, C @ b + np.asarray(d, dtype=float), leaf.relaxations
+        chain, box.lower[None], box.upper[None], C @ W, C @ b + np.asarray(d, dtype=float),
+        leaf.relaxations,
     )[0]
 
 

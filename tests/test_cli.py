@@ -546,3 +546,13 @@ def test_malformed_vnnlib_exit_code(ws, tmp_path, capsys):
     rc = main(["verify", "--model", ws["fig1"], "--vnnlib", str(prop)])
     assert rc == 2
     assert f"error: {prop}: line 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atom", ["(<= X_0 nan)", "(>= X_1 -inf)", "(>= Y_0 nan)", "(<= Y_1 inf)"])
+def test_a_vnnlib_file_with_a_non_finite_number_exits_2(ws, tmp_path, capsys, atom):
+    prop = tmp_path / "nonfinite.vnnlib"
+    with open(ws["prop_true"]) as fh:
+        prop.write_text(f"{fh.read()}(assert {atom})\n")
+    rc = main(["verify", "--model", ws["fig1"], "--vnnlib", str(prop)])
+    assert rc == 2
+    assert "is not a finite number" in capsys.readouterr().err

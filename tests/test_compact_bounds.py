@@ -58,7 +58,7 @@ def _planted_chain(seed, widths, dead=0.4, active=0.3):
 def _crown(chain, box):
     """The root pass: every layer's (1, n) ranges and every hidden layer's (1, n) lines."""
     lower, upper, relaxations = [], [], []
-    bound_layers(chain, box, lower, upper, relaxations)
+    bound_layers(chain, box.lower[None], box.upper[None], lower, upper, relaxations)
     return lower, upper, relaxations
 
 
@@ -142,8 +142,10 @@ def test_compacted_pass_matches_the_plain_one(monkeypatch, widths, threshold, se
 
     W, b = chain.layers[-1]
     C = np.eye(W.shape[0])[:2] - np.eye(W.shape[0])[[1, 2]]
-    m_p = chain_margin_lower_bounds(chain, box, C @ W, C @ b, relax_p)
-    m_c = chain_margin_lower_bounds(chain, box, C @ W, C @ b, relax_c)
+    m_p = chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W, C @ b,
+                                    relax_p)
+    m_c = chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W, C @ b,
+                                    relax_c)
     np.testing.assert_allclose(m_c, m_p, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(m_p).max()))
 
 
@@ -201,7 +203,8 @@ def test_split_leaf_with_pins_matches_the_plain_pass(monkeypatch, threshold):
         mag = 1e-9 * (1.0 + np.abs(z).max())
         assert np.all(z >= composed.lower[k] - mag) and np.all(z <= composed.upper[k] + mag)
     margins = {
-        mode: chain_margin_lower_bounds(chain, box, C @ W, C @ b, leaf.relaxations)
+        mode: chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W, C @ b,
+                                        leaf.relaxations)
         for mode, (leaf, _) in leaves.items()
     }
     np.testing.assert_allclose(margins["composed"], margins["plain"], rtol=1e-12, atol=1e-12)
@@ -226,8 +229,8 @@ def test_backward_pass_never_writes_into_its_rows():
         a.flags.writeable = False
     rows0 = [a.copy() for a in rows]
     for upper_pass in (False, True):
-        _backward_from(chain, chain.n_relu, *rows, relaxations, box, upper_pass)
-    chain_margin_lower_bounds(chain, box, A, const, relaxations)
+        _backward_from(chain, chain.n_relu, *rows, relaxations, upper_pass)
+    chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], A, const, relaxations)
     assert np.array_equal(A, A0) and np.array_equal(const, const0)
     assert all(np.array_equal(a, a0) for a, a0 in zip(rows, rows0))
     # and the composed weights are not the chain's own arrays
@@ -275,7 +278,8 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
     for r, shared in zip(children.relaxations, root.relaxations):
         assert r.composed is shared.composed
     assert any(r.composed is not None for r in children.relaxations)
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b, children.relaxations)
+    margins = chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W, C @ b,
+                                        children.relaxations)
     monkeypatch.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
     for i, (parent, k, j, sign) in enumerate(runs["plain"]):
         want = split_one(chain, box, parent, k, j, sign)
@@ -287,7 +291,8 @@ def test_a_chain_with_a_large_layer_is_split_in_batches(monkeypatch, threshold):
             assert np.array_equal(got.signs[layer], want.signs[layer])
             _assert_same_live_bounds(got.lower[layer], got.upper[layer],
                                      want.lower[layer], want.upper[layer], True)
-        want_m = chain_margin_lower_bounds(chain, box, C @ W, C @ b, want.relaxations)[0]
+        want_m = chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W,
+                                           C @ b, want.relaxations)[0]
         np.testing.assert_allclose(margins[i], want_m, rtol=1e-12,
                                    atol=1e-12 * max(1.0, np.abs(want_m).max()))
 
@@ -329,7 +334,8 @@ def test_the_root_is_a_batch_of_one(case, fig1_net, unit_box):
             want = getattr(relu_relaxation(lo[None], hi[None]), line)
             assert np.array_equal(getattr(root.relaxations[k], line), want)
     W, b = chain.layers[-1]
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, root.relaxations)
+    margins = chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W,
+                                        C @ b + d, root.relaxations)
     assert margins.shape == (1, len(C))
     v = verify.verify_incomplete(net, PropertySpec(box, C, d, name="margins"))
     assert np.array_equal(v.bound, margins.min())
@@ -374,7 +380,7 @@ def test_composed_bounds_match_the_plain_pass_on_random_chains(seed, depth, mixe
                 parents = verify.LeafBatch.concat([root] * len(pins))
                 children = verify.split_leaf(chain, box, parents, ks, js, signs)
             margins = None if children is None else chain_margin_lower_bounds(
-                chain, box, A, const, children.relaxations)
+                chain, box.lower[None], box.upper[None], A, const, children.relaxations)
 
             def recording_split(chain, box, parents, *rest, real=verify.split_leaf):
                 kids = real(chain, box, parents, *rest)

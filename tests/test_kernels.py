@@ -1,8 +1,8 @@
 """Kernel checks.
 
 The *_backends_agree tests hold the vectorized numpy kernels against scalar
-element-by-element loop references; the rest check interval_affine against
-points of the box.
+element-by-element loop references; the rest check interval_affine and
+concretize against points of the box.
 """
 import tracemalloc
 
@@ -223,11 +223,54 @@ def test_interval_affine_batch_matches_per_member_calls(seed):
         ref_lo, ref_hi = kernels.interval_affine(W, b, c[2], c[3])
         np.testing.assert_allclose(out_lo[i], ref_lo, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out_hi[i], ref_hi, rtol=1e-12, atol=1e-12)
-    # a batch of row sets over one box
-    out_lo, out_hi = kernels.interval_affine(
-        np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases]), lo, hi
-    )
-    for i, c in enumerate(cases):
-        ref_lo, ref_hi = kernels.interval_affine(c[0], c[1], lo, hi)
-        np.testing.assert_allclose(out_lo[i], ref_lo, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out_hi[i], ref_hi, rtol=1e-12, atol=1e-12)
+
+
+def _lines_case(seed, batch=4, m=6, d=5, boxes=1):
+    """Lines over the input, (B, m, d) rows and (B, m) offsets, and (boxes, d) input boxes."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(batch, m, d))
+    A[rng.uniform(size=A.shape) < 0.2] = 0.0  # zero coefficients take either end
+    const = rng.normal(size=(batch, m))
+    x_lo = rng.uniform(-2, 0, size=(boxes, d))
+    x_hi = x_lo + rng.uniform(0, 3, size=(boxes, d))
+    return A, const, x_lo, x_hi
+
+
+@pytest.mark.parametrize("boxes", [1, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_concretize_sound_and_tight(seed, boxes):
+    A, const, x_lo, x_hi = _lines_case(seed, boxes=boxes)
+    lo = kernels.concretize(A, const, x_lo, x_hi, upper_pass=False)
+    hi = kernels.concretize(A, const, x_lo, x_hi, upper_pass=True)
+    assert lo.shape == hi.shape == const.shape
+    rng = np.random.default_rng(seed)
+    for b in range(A.shape[0]):
+        box_lo, box_hi = x_lo[b % boxes], x_hi[b % boxes]
+        xs = rng.uniform(box_lo, box_hi, size=(500, box_lo.shape[0]))
+        ys = xs @ A[b].T + const[b]
+        assert np.all(ys >= lo[b] - 1e-9) and np.all(ys <= hi[b] + 1e-9)
+        for i in range(A.shape[1]):  # each side is attained at the vertex its signs pick
+            x_min = np.where(A[b, i] >= 0, box_lo, box_hi)
+            x_max = np.where(A[b, i] >= 0, box_hi, box_lo)
+            assert abs(A[b, i] @ x_min + const[b, i] - lo[b, i]) < 1e-9
+            assert abs(A[b, i] @ x_max + const[b, i] - hi[b, i]) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_concretize_matches_the_split_sum_on_one_box(seed):
+    A, const, x_lo, x_hi = _lines_case(seed)
+    lo, hi = x_lo[0], x_hi[0]
+    Wp, Wn = np.maximum(A, 0.0), np.minimum(A, 0.0)  # the interval form over one (d,) box
+    assert np.array_equal(kernels.concretize(A, const, x_lo, x_hi, False), Wp @ lo + Wn @ hi + const)
+    assert np.array_equal(kernels.concretize(A, const, x_lo, x_hi, True), Wp @ hi + Wn @ lo + const)
+
+
+def test_concretize_writes_nothing():
+    A, const, x_lo, x_hi = _lines_case(0, boxes=4)
+    saved = [a.copy() for a in (A, const, x_lo, x_hi)]
+    for a in (A, const, x_lo, x_hi):
+        a.flags.writeable = False
+    for upper_pass in (False, True):
+        kernels.concretize(A, const, x_lo, x_hi, upper_pass)
+        kernels.concretize(A[:1], const[:1], x_lo, x_hi, upper_pass)  # one row set, B boxes
+    assert all(np.array_equal(a, s) for a, s in zip((A, const, x_lo, x_hi), saved))

@@ -8,6 +8,8 @@ hand-written sliding-window oracle local to this file.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import redkit.onnx_codec as oc
 from redkit import (
@@ -141,6 +143,50 @@ def test_conv_to_matrix_matches_naive_loops(strides, pads, dilations):
         assert out_shape == want.shape
         got = (M @ x.ravel() + b).reshape(out_shape)
         assert np.abs(got - want).max() <= 1e-12
+
+
+def _conv_matrix_loop(w, in_shape, strides, pads, dilations):
+    """Reference unrolling: one assignment per (filter, channel, ky, kx)."""
+    F, C, kh, kw = w.shape
+    _, H, W = in_shape
+    (sh, sw), (pt, pl, pb, pr), (dh, dw) = strides, pads, dilations
+    oh = (H + pt + pb - (dh * (kh - 1) + 1)) // sh + 1
+    ow = (W + pl + pr - (dw * (kw - 1) + 1)) // sw + 1
+    M = np.zeros((F * oh * ow, C * H * W))
+    oy, ox = np.arange(oh), np.arange(ow)
+    for ky in range(kh):
+        iy = oy * sh - pt + ky * dh
+        my = (iy >= 0) & (iy < H)
+        for kx in range(kw):
+            ix = ox * sw - pl + kx * dw
+            mx = (ix >= 0) & (ix < W)
+            rows = (oy[my][:, None] * ow + ox[mx][None, :]).ravel()
+            cols = (iy[my][:, None] * W + ix[mx][None, :]).ravel()
+            for f in range(F):
+                for c in range(C):
+                    M[f * oh * ow + rows, c * H * W + cols] = w[f, c, ky, kx]
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    hw=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    strides=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    pads=st.tuples(*[st.integers(0, 2)] * 4),
+    dilations=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_to_matrix_is_byte_equal_to_a_per_filter_channel_loop(
+    shape, hw, strides, pads, dilations, seed
+):
+    in_shape = (shape[1], *hw)
+    (kh, kw), (pt, pl, pb, pr), (dh, dw) = shape[2:], pads, dilations
+    assume(hw[0] + pt + pb >= dh * (kh - 1) + 1 and hw[1] + pl + pr >= dw * (kw - 1) + 1)
+    w = np.random.default_rng(seed).normal(size=shape)
+    M, _, _ = conv_to_matrix(w, None, in_shape, strides=strides, pads=pads, dilations=dilations)
+    want = _conv_matrix_loop(w, in_shape, strides, pads, dilations)
+    assert M.tobytes() == want.tobytes()
 
 
 def test_conv_bias_lands_on_every_output_pixel():

@@ -16,7 +16,7 @@ from redkit import (
     simplify,
     validate,
 )
-from redkit import simplifier
+from redkit import netir, simplifier
 from redkit.netir import KIND_LINEAR, KIND_RELU, KIND_SUM
 from redkit.simplifier import (
     _compose,
@@ -434,6 +434,34 @@ def test_indexed_composition_keeps_the_dense_products_bytes(case, monkeypatch):
     xs = box_samples(box, 256, seed=1)
     y0 = forward_batch(net, xs)
     np.testing.assert_allclose(forward_batch(chain, xs), y0, rtol=0, atol=1e-9 * (1 + np.abs(y0).max()))
+
+
+@pytest.mark.parametrize("case", ["conv_0_2", "residual_block"])
+def test_simplify_hands_its_composed_arrays_to_the_layers_uncopied(case, monkeypatch):
+    # freeze_array copies a writeable array: each composed array must reach
+    # the layers read-only
+    net, box = SELECTOR_CASES[case]()
+    chains, copied = [], []
+
+    def read_chain(g, real=simplifier._read_chain):
+        chains.append(real(g))
+        return chains[-1]
+
+    def freeze(a, dtype=np.float64, real=netir.freeze_array):
+        out = real(a, dtype)
+        if out is not a:
+            copied.append(a)
+        return out
+
+    monkeypatch.setattr(simplifier, "_read_chain", read_chain)
+    monkeypatch.setattr(netir, "freeze_array", freeze)
+    out, _ = simplify(net, box)
+    seq = as_sequential(out)
+    assert len(seq.linears) == len(chains[0].layers) > 1
+    for layer, (W, b) in zip(seq.linears, chains[0].layers):
+        assert layer.weight.flags.owndata and layer.bias.flags.owndata
+        assert layer.weight is W and layer.bias is b
+    assert not any(a is c for a in copied for pair in chains[0].layers for c in pair)
 
 
 def test_a_merged_member_is_no_selector_and_composes_densely():

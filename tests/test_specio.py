@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redkit import (
     PropertySpec,
@@ -161,6 +163,51 @@ def test_counterexample_all_mode_needs_every_row():
                         np.zeros(2), mode=MODE_ALL)
     assert not spec.is_counterexample([-1.0, 1.0])
     assert spec.is_counterexample([-1.0, -1.0])
+
+
+@pytest.mark.parametrize("mode", [MODE_ANY, MODE_ALL])
+def test_a_spec_with_no_rows_has_no_counterexample(mode):
+    # .all() over no margins is true, yet a spec with no rows is vacuous
+    spec = PropertySpec(Box([-1.0], [1.0]), np.zeros((0, 2)), np.zeros(0), mode=mode)
+    assert not spec.counterexamples(np.array([[5.0, -5.0], [-1.0, -1.0]])).any()
+    assert not spec.is_counterexample([-1.0, -1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from([MODE_ANY, MODE_ALL]),
+    n_rows=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_batch_rule_agrees_with_is_counterexample(mode, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-1, 2, size=(n_rows, 3)).astype(float)
+    offsets = rng.integers(-2, 3, size=n_rows).astype(float)
+    spec = PropertySpec(Box([0.0], [1.0]), rows, offsets, mode=mode)
+    ys = rng.integers(-2, 3, size=(20, 3)).astype(float)  # integers: margins hit zero too
+    got = spec.counterexamples(ys)
+    assert got.shape == (20,) and got.dtype == bool
+    assert got.tolist() == [spec.is_counterexample(y) for y in ys]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("atom", ["(<= X_0 {v})", "(>= Y_0 {v})"], ids=["x_atom", "y_atom"])
+def test_a_non_finite_number_is_a_parse_error_naming_its_line(atom, value):
+    # a nan input bound would read as a missing one, and a nan or inf output
+    # threshold would reach the verifier as a nan or inf margin bound
+    text = SIMPLE.replace("(assert (or (and (>= Y_1 Y_0))))", "(assert (>= Y_1 Y_0))")
+    lines = text.splitlines() + [f"(assert {atom.format(v=value)})"]
+    with pytest.raises(ParseError, match=f"line {len(lines)}: '{value}' is not a finite number"):
+        parse_vnnlib("\n".join(lines))
+
+
+@pytest.mark.parametrize("field", ["rows", "offsets"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_spec_with_non_finite_margins_is_rejected(field, value):
+    rows, offsets = np.array([[1.0, -1.0]]), np.array([0.0])
+    (rows if field == "rows" else offsets)[0] = value
+    with pytest.raises(ContractError, match="finite"):
+        PropertySpec(Box([0.0], [1.0]), rows, offsets)
 
 
 def test_shape_mismatch_rejected():

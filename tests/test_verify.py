@@ -34,6 +34,7 @@ from redkit import (
 from redkit import verify as verify_mod
 from redkit.errors import ContractError
 from redkit.bounds import chain_margin_lower_bounds
+from redkit.specio import MODE_ALL, MODE_ANY
 from redkit.verify import ACTIVE, INACTIVE, TIMED_OUT, UNKNOWN, VERIFIED, LeafBatch
 
 
@@ -461,7 +462,8 @@ def test_batched_split_matches_looped_splits(seed, size):
     batch = split_leaf(chain, box, LeafBatch.concat([p.batch for p in parents]), ks, js, signs)
     C, d = np.array([[1.0, -1.0]]), np.array([0.0])
     W, b = chain.layers[-1]
-    margins = chain_margin_lower_bounds(chain, box, C @ W, C @ b + d, batch.relaxations)
+    margins = chain_margin_lower_bounds(chain, box.lower[None], box.upper[None], C @ W,
+                                        C @ b + d, batch.relaxations)
     xs = np.vstack([box.sample(2000, rng), box.lower, box.upper])
     pre = _pre_activations(chain, xs)
     ys = forward_batch(net, xs) @ C.T + d
@@ -565,6 +567,14 @@ def test_grid_finds_a_counterexample(fig1_net, unit_box):
 def test_grid_respects_a_true_property(fig1_net, unit_box):
     spec = _spec(unit_box, [[1.0, 0.0]], [3.0])
     assert find_grid_counterexample(fig1_net, spec, budget=10_000, seed=0) is None
+
+
+@pytest.mark.parametrize("mode", [MODE_ANY, MODE_ALL])
+def test_grid_finds_nothing_against_a_spec_with_no_rows(fig1_net, unit_box, mode):
+    # .all() over no rows is true: the box centre must not come back
+    spec = PropertySpec(unit_box, np.zeros((0, 2)), np.zeros(0), mode=mode)
+    assert find_grid_counterexample(fig1_net, spec, budget=100, seed=0) is None
+    assert verify_incomplete(fig1_net, spec).verified
 
 
 def test_grid_budget_must_be_positive(fig1_net, unit_box):
