@@ -8,6 +8,9 @@ and workload from perfbench/ and imports redkit from src/ of the same
 checkout. For each job and path (original, then reduced, as
 perfbench/pipeline.py prepares them) it prints one line per output:
 
+- `chain` (original path only): sha256 of the shapes and bytes of the
+  weights and biases of the chain that pipeline._chain returns, so a
+  change to the importer or to simplify shows before any bound does;
 - `interval` and `crown`: sha256 of the compute_bounds table's ranges;
 - `incomplete` and `bab`: the verify_incomplete and bab_verify verdicts,
   the latter at the workload's split budget: status, repr(bound), splits
@@ -60,6 +63,10 @@ def _table(rk, net, box, method: str) -> str:
     return _sha(*(a.tobytes() for k in range(len(table.linear_ids)) for a in table.pre_activation(k)))
 
 
+def _chain_sha(chain) -> str:
+    return _sha(*(part for pair in chain.layers for a in pair for part in (repr(a.shape).encode(), a.tobytes())))
+
+
 def _verdict(v) -> str:
     return f"{v.status} {v.bound!r} {v.splits} {v.note!r}"
 
@@ -76,6 +83,8 @@ def job_lines(rk, pipeline, job, workload) -> list[tuple[str, str, str]]:
         spec = rk.parse_vnnlib(job.vnnlib, name=job.name)
         net = pipeline._chain(net, spec.box)
         relu_after = sum(layer.width for layer in net.relu_layers())
+        if path == pipeline.ORIGINAL:
+            out.append((path, "chain", _chain_sha(rk.Chain.of(net))))
         if path == pipeline.REDUCED:
             reduced, report = rk.reduce_network(net, spec.box, method="crown")
             relu_after = report.relu_after

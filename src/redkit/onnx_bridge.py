@@ -163,6 +163,15 @@ def _pool_windows(in_shape, kernel, strides, pads):
     return np.asarray(windows, dtype=np.int64), (C, oh, ow)
 
 
+def _axis(n: oc.NodeP, axis: int, rank: int) -> int:
+    """axis as an index into rank dimensions; ONNX allows [-rank, rank - 1]."""
+    if not -rank <= axis < rank:
+        raise UnsupportedModelError(
+            f"{n.op_type} node {n.name!r}: axis {axis} is outside [{-rank}, {rank - 1}]"
+        )
+    return axis % rank
+
+
 def _selector(rows_idx, total, width):
     sel = np.zeros((len(rows_idx), width))
     sel[np.arange(len(rows_idx)), rows_idx] = 1.0
@@ -417,13 +426,10 @@ class _Importer:
                     f"node {n.name!r}: elementwise operands have shapes "
                     f"{va.shape} and {vb.shape}; broadcasting dynamic values is not supported"
                 )
-            # both operands get an explicit identity wrapper so the Sum's
-            # predecessors are always Linear layers
-            eye = np.eye(va.size)
-            zero = np.zeros(va.size)
-            left = self.b.add_linear(va.lid, eye, zero)
-            rhs = self.b.add_linear(vb.lid, sign * eye, zero)
-            sid = self.b.add_sum([left, rhs], va.size)
+            rhs = vb.lid
+            if sign < 0:
+                rhs = self.b.add_linear(vb.lid, -np.eye(vb.size), np.zeros(vb.size))
+            sid = self.b.add_sum([va.lid, rhs], va.size)
             self.vals[out] = _Val(sid, va.shape)
             return
         if self.is_const(a):
@@ -452,7 +458,7 @@ class _Importer:
                 parts.append(("v", self.val(name)))
         shapes = [p.shape for _, p in parts]
         rank = len(shapes[0])
-        axis = axis % rank
+        axis = _axis(n, axis, rank)
         out_shape = list(shapes[0])
         out_shape[axis] = sum(s[axis] for s in shapes)
         for s in shapes:
@@ -550,11 +556,15 @@ class _Importer:
             axes = [int(a) for a in self.const(n.inputs[1]).ravel()]
         elif "axes" in n.attributes:
             axes = n.attr_ints("axes")
-        rank = len(src_shape)
         if axes is None:
             shp = [d for d in src_shape if d != 1]
         else:
-            drop = {a % rank for a in axes}
+            drop = {_axis(n, a, len(src_shape)) for a in axes}
+            if any(src_shape[a] != 1 for a in drop):
+                raise UnsupportedModelError(
+                    f"Squeeze node {n.name!r}: axes {axes} of shape {tuple(src_shape)} "
+                    "are not all of size 1"
+                )
             shp = [d for i, d in enumerate(src_shape) if i not in drop]
         self._reshape_like(n, shp or [1])
 
@@ -569,7 +579,7 @@ class _Importer:
         else:
             axes = n.attr_ints("axes")
         out_rank = len(src_shape) + len(axes)
-        axes = sorted(a % out_rank for a in axes)
+        axes = sorted(_axis(n, a, out_rank) for a in axes)
         shp = list(src_shape)
         for a in axes:
             shp.insert(a, 1)
@@ -578,7 +588,7 @@ class _Importer:
     def _op_split(self, n: oc.NodeP):
         v = self.val(n.inputs[0])
         rank = len(v.shape)
-        axis = n.attr_i("axis", 0) % rank
+        axis = _axis(n, n.attr_i("axis", 0), rank)
         if len(n.inputs) > 1 and n.inputs[1]:
             sizes = [int(x) for x in self.const(n.inputs[1]).ravel()]
         elif "split" in n.attributes:

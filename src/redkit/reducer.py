@@ -83,17 +83,17 @@ def reduce_layer(
     z: tuple[np.ndarray, np.ndarray],
     part: LayerPartition,
     v_range: tuple[np.ndarray, np.ndarray],
-    pre_lb: np.ndarray,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
     """Rewrite the block V -> X -> ReLU -> Z, given the (W, b) pairs of X and Z.
 
-    v_range bounds V's output (the box, or clamped bounds for a ReLU V); the
-    shift of merged rows is their interval lower bound over it. pre_lb is X's
-    known pre-activation lower bound vector, used for in-place stabilization
-    shifts when merging is skipped. Returns (pairs, merged): pairs replaces
-    [X, Z] and is [X', Z'], or the single pair [Z'] of a constant map when the
-    hidden layer vanished; merged tells whether the activated block was
-    folded into Z.
+    The partition is trusted: its activated neurons must be nonnegative and
+    its deactivated ones nonpositive over the region. v_range bounds V's
+    output (the box, or clamped bounds for a ReLU V); the shift of merged
+    rows is their interval lower bound over it. When merging is skipped, the
+    activated rows are kept as they are. Returns (pairs, merged): pairs
+    replaces [X, Z] and is [X', Z'], or the single pair [Z'] of a constant
+    map when the hidden layer vanished; merged tells whether the activated
+    block was folded into Z.
     """
     (Wx, bx), (Wz, bz) = x, z
     if part.width != Wx.shape[0]:
@@ -112,16 +112,28 @@ def reduce_layer(
         z_b = bz - shift
     else:
         kept = np.sort(np.concatenate([A, U]))
-        shift = np.zeros(len(kept))
-        in_a = np.isin(kept, A)
-        shift[in_a] = np.maximum(0.0, -pre_lb[kept[in_a]])
-        new_w = Wx[kept, :]
-        new_b = bx[kept] + shift
-        z_w = Wz[:, kept]
-        z_b = bz - z_w @ shift
+        new_w, new_b = Wx[kept, :], bx[kept]
+        z_w, z_b = Wz[:, kept], bz
     if new_w.shape[0] == 0:
         return [(np.zeros((n, Wx.shape[1])), z_b)], merged
     return [(new_w, new_b), (z_w, z_b)], merged
+
+
+def _check_proved(partitions: list[LayerPartition], table: BoundsTable):
+    """Each activated neuron must have lo >= 0 and each deactivated one hi <= 0 in table."""
+    for k, part in enumerate(partitions):
+        lo, hi = table.pre_activation(k)
+        if part.width != lo.shape[0]:
+            raise ContractError(f"partition {k} has width {part.width}, its layer {lo.shape[0]}")
+        for name, idx, bad in (
+            ("activated", part.activated, lo[part.activated] < 0.0),
+            ("deactivated", part.deactivated, hi[part.deactivated] > 0.0),
+        ):
+            if bad.any():
+                raise ContractError(
+                    f"partition {k}: {name} neurons {idx[bad].tolist()} are not proved "
+                    "stable by the root bounds"
+                )
 
 
 @dataclass
@@ -184,10 +196,11 @@ def reduce_network(
     """Drop/merge every provably stable neuron; returns (network, report).
 
     The root table is compute_bounds(net, box, method); the partitions
-    default to its classification. Layers are processed from the last hidden
-    layer backwards, each rewrite splicing reduce_layer's pairs into the list
-    of (W, b) pairs, so it only touches the already-rewritten suffix and
-    earlier layers' bounds stay valid. A merged block's bias shift is its
+    default to its classification. Supplied ones must be proved by the
+    table, though a stable neuron may be demoted to unstable. Layers are
+    processed from the last hidden layer backwards, each rewrite splicing
+    reduce_layer's pairs into the list of (W, b) pairs, so it only touches
+    the already-rewritten suffix and earlier layers' bounds stay valid. A merged block's bias shift is its
     interval lower bound over the predecessor's range in the root table.
     """
     t0 = time.perf_counter()
@@ -195,11 +208,13 @@ def reduce_network(
     if seq.ends_with_relu:
         raise ContractError("reduce_network expects an affine-ended sequential network")
     table = compute_bounds(net, box, method)
+    n_hidden = len(seq.linears) - 1
     if partitions is None:
         partitions = classify(table)
-    n_hidden = len(seq.linears) - 1
-    if len(partitions) != n_hidden:
+    elif len(partitions) != n_hidden:
         raise ContractError(f"expected {n_hidden} partitions, got {len(partitions)}")
+    else:
+        _check_proved(partitions, table)
 
     report = ReductionReport(method=method)
     report.relu_before = sum(l.width for l in seq.relus)
@@ -211,8 +226,7 @@ def reduce_network(
             v_range = (box.lower, box.upper)
         else:
             v_range = table.post_activation(k - 1)
-        pre_lb = table.pre_activation(k)[0]
-        new, merged = reduce_layer(pairs[k], pairs[k + 1], partitions[k], v_range, pre_lb)
+        new, merged = reduce_layer(pairs[k], pairs[k + 1], partitions[k], v_range)
         report.add_layer(k, partitions[k], merged, new[0][0].shape[0] if len(new) == 2 else 0)
         pairs[k : k + 2] = new
 

@@ -486,6 +486,18 @@ def test_unsupported_model_exit_code(tmp_path, capsys):
     assert "s:Sigmoid" in capsys.readouterr().err
 
 
+def test_a_shape_op_with_a_bad_axis_exits_3(tmp_path, capsys):
+    cat = oc.NodeP(op_type="Concat", name="cat", inputs=["x", "x"], outputs=["y"],
+                   attributes={"axis": oc.AttrP("axis", oc.AT_INT, i=5)})
+    g = oc.GraphP(name="g", nodes=[cat],
+                  inputs=[oc.ValueInfoP("x", oc.DT_FLOAT, [1, 2])],
+                  outputs=[oc.ValueInfoP("y", oc.DT_FLOAT, [1, 4])])
+    bad = tmp_path / "bad_axis.onnx"
+    bad.write_bytes(oc.encode_model(oc.ModelP(graph=g, opset_imports=[("", 13)])))
+    assert main(["stats", "--model", str(bad)]) == 3
+    assert "axis 5 is outside [-1, 0]" in capsys.readouterr().err
+
+
 def test_not_an_onnx_file_exit_code(tmp_path, capsys):
     junk = tmp_path / "junk.onnx"
     junk.write_bytes(b"\x00\x01\x02 definitely not a model")

@@ -18,6 +18,7 @@ from redkit import (
     forward,
     import_onnx,
     reference_forward,
+    simplify,
 )
 from conftest import box_samples
 from redkit.errors import StructuralError, UnsupportedModelError
@@ -235,11 +236,20 @@ def test_add_of_two_dynamic_values_builds_a_sum():
     net = _assert_agrees(g, 4)
     sums = [l for l in net.layers if l.kind == KIND_SUM]
     assert len(sums) == 1
-    preds = [net.by_id[p] for p in net.preds[sums[0].id]]
-    assert [p.kind for p in preds] == [KIND_LINEAR, KIND_LINEAR]
-    # both operands arrive through identity wrappers
-    assert np.array_equal(preds[0].weight, np.eye(4))
-    assert np.array_equal(preds[1].weight, np.eye(4))
+    # the Sum reads both operands themselves, with no wrapper in between
+    (gemm,) = [l.id for l in net.layers if l.kind == KIND_LINEAR]
+    assert list(net.preds[sums[0].id]) == [net.input_id, gemm]
+
+
+def test_add_of_a_value_to_itself_sums_it_twice():
+    add = oc.NodeP(op_type="Add", name="twice", inputs=["x", "x"], outputs=["y"])
+    net = _assert_agrees(_graph([add], [], [1, 3], "y"), 3)
+    assert [l.kind for l in net.layers] == ["input", KIND_SUM]
+    assert list(net.preds[net.output_id]) == [net.input_id, net.input_id]
+    chain, _ = simplify(net)
+    (layer,) = as_sequential(chain).linears
+    np.testing.assert_array_equal(layer.weight, 2 * np.eye(3))
+    np.testing.assert_array_equal(layer.bias, np.zeros(3))
 
 
 def test_sub_negates_the_right_operand():
@@ -349,6 +359,42 @@ def test_split_feeds_two_branches():
     add = oc.NodeP(op_type="Add", name="j", inputs=["p", "q"], outputs=["y"])
     g = _graph([sp, n0, n1, add], i0 + i1, [1, 4], "y")
     _assert_agrees(g, 4)
+
+
+def _axis_node(op, inputs, **attrs):
+    n = oc.NodeP(op_type=op, name=op.lower(), inputs=inputs, outputs=["y"])
+    for k, v in attrs.items():
+        n.attributes[k] = (oc.AttrP(k, oc.AT_INT, i=v) if isinstance(v, int)
+                           else oc.AttrP(k, oc.AT_INTS, ints=v))
+    return n
+
+
+# each model reads an axis that its value does not have; x is (1, 4), so a
+# rank-1 value once the batch dimension is stripped
+BAD_AXIS_MODELS = {
+    "concat": ([_axis_node("Concat", ["x", "x"], axis=5)], [], "axis 5 is outside"),
+    "split": ([_axis_node("Split", ["x"], axis=3)], [], "axis 3 is outside"),
+    "unsqueeze": ([_axis_node("Unsqueeze", ["x"], axes=[7])], [], "axis 7 is outside"),
+    "squeeze_range": ([_axis_node("Squeeze", ["x"], axes=[-2])], [], "axis -2 is outside"),
+    "squeeze_size": ([_axis_node("Squeeze", ["c"], axes=[0])], [_t("c", np.ones((2, 3)))],
+                     "are not all of size 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AXIS_MODELS))
+def test_a_shape_op_with_a_bad_axis_is_unsupported(case):
+    nodes, inits, message = BAD_AXIS_MODELS[case]
+    with pytest.raises(UnsupportedModelError, match=message):
+        import_onnx(_bytes(_graph(nodes, inits, [1, 4], "y")))
+
+
+def test_shape_ops_accept_every_axis_in_range():
+    for axis in (-1, 0):
+        net = _assert_agrees(_graph([_axis_node("Concat", ["x", "x"], axis=axis)], [], [1, 4], "y"), 4)
+        assert net.output_layer.width == 8
+    for axes in ([0], [-2], [1], [-1]):
+        node = _axis_node("Unsqueeze", ["x"], axes=axes)
+        _assert_agrees(_graph([node], [], [1, 4], "y"), 4)
 
 
 def test_a_branch_that_does_not_feed_the_output_is_dropped():

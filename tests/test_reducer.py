@@ -79,10 +79,7 @@ def test_classify_tol_never_loosens_soundness(fig1_net, unit_box):
 def test_reduce_layer_fig1_merge_values(fig1_net, unit_box):
     x, z = Chain.of(fig1_net).layers
     (part,) = classify(interval_forward(fig1_net, unit_box))
-    pre_lb = interval_forward(fig1_net, unit_box).pre_activation(0)[0]
-    [(W1, b1), (W2, b2)], merged = reduce_layer(
-        x, z, part, (unit_box.lower, unit_box.upper), pre_lb
-    )
+    [(W1, b1), (W2, b2)], merged = reduce_layer(x, z, part, (unit_box.lower, unit_box.upper))
     assert merged
     np.testing.assert_array_equal(W1, FIG4_W1)
     np.testing.assert_array_equal(b1, FIG4_B1)
@@ -96,10 +93,7 @@ def test_reduce_layer_empty_partition_is_identity(fig1_net, unit_box):
     part = LayerPartition(
         np.empty(0, np.int64), np.empty(0, np.int64), np.arange(5), 5
     )
-    pre_lb = interval_forward(fig1_net, unit_box).pre_activation(0)[0]
-    [(W1, b1), (W2, b2)], merged = reduce_layer(
-        x, z, part, (unit_box.lower, unit_box.upper), pre_lb
-    )
+    [(W1, b1), (W2, b2)], merged = reduce_layer(x, z, part, (unit_box.lower, unit_box.upper))
     assert not merged
     np.testing.assert_array_equal(W1, x[0])
     np.testing.assert_array_equal(b1, x[1])
@@ -125,9 +119,10 @@ def test_reduce_layer_planted_segment_equivalence():
     # v_lo is all zeros, so only v_hi contributes to the interval ends
     lo = np.minimum(X, 0) @ v_hi + bx
     hi = np.maximum(X, 0) @ v_hi + bx
+    assert (hi[:2] <= 0).all() and (lo[2:] >= 0).all()  # reduce_layer trusts the plant
     part = LayerPartition(np.array([0, 1]), np.array([2, 3, 4, 5]), np.empty(0, np.int64), m)
 
-    [(X2, bx2), (Z2, bz2)], merged = reduce_layer((X, bx), (Z, bz), part, (v_lo, v_hi), lo)
+    [(X2, bx2), (Z2, bz2)], merged = reduce_layer((X, bx), (Z, bz), part, (v_lo, v_hi))
     assert merged and X2.shape[0] == n
     for v in rng.uniform(v_lo, v_hi, size=(1000, q)):
         before = Z @ np.maximum(X @ v + bx, 0.0) + bz
@@ -147,6 +142,18 @@ def test_reduce_layer_merged_preactivations_nonnegative():
 
 
 # reduce_network
+
+
+@pytest.mark.parametrize("moved_to", ["deactivated", "activated"])
+def test_reduce_network_rejects_a_partition_its_table_does_not_prove(fig1_net, unit_box, moved_to):
+    # neuron 4 ranges over [-2, 2] on the box, so neither stable class holds
+    none = np.empty(0, np.int64)
+    part = {
+        "deactivated": LayerPartition([0, 4], [1, 2, 3], none, 5),
+        "activated": LayerPartition([0], [1, 2, 3, 4], none, 5),
+    }[moved_to]
+    with pytest.raises(ContractError, match=rf"{moved_to} neurons \[4\] are not proved"):
+        reduce_network(fig1_net, unit_box, partitions=[part])
 
 
 def test_reduce_network_fig1_golden(fig1_net, unit_box):

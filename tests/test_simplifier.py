@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redkit import (
     Box,
     ContractError,
-    Layer,
-    Network,
     NetworkBuilder,
     StructuralError,
     as_sequential,
@@ -14,89 +14,28 @@ from redkit import (
     import_onnx,
     sample_equivalence,
     simplify,
-    validate,
 )
 from redkit import netir, simplifier
-from redkit.netir import KIND_LINEAR, KIND_RELU, KIND_SUM
-from redkit.simplifier import (
-    _compose,
-    _Graph,
-    _initialize,
-    _last_block,
-    _linearize,
-    _normalize,
-    _read_chain,
-)
+from redkit.netir import KIND_LINEAR, KIND_RELU, topo_order
 
-from conftest import build_fig1, build_residual_block, box_samples, residual_conv_model
+from conftest import build_residual_block, box_samples, residual_conv_model
 
 
-def _as_network(g: _Graph) -> Network:
-    """The scratch graph as a Network, so validate and forward can check a single step."""
-    layers = [
-        Layer(i, g.kind[i], g.width[i], g.weight.get(i), g.bias.get(i)) for i in sorted(g.kind)
-    ]
-    arcs = [(p, i) for i in sorted(g.kind) for p in g.preds[i]]
-    return Network(layers, arcs, g.input_id, g.output_id)
-
-
-def _initialized(net) -> _Graph:
-    g = _Graph.from_network(net)
-    _initialize(g)
-    return g
-
-
-def test_initialization_wraps_linears():
-    b = NetworkBuilder()
-    i = b.add_input(2)
-    l = b.add_linear(i, np.eye(2), np.ones(2))
-    net = _as_network(_initialized(b.build(l)))
-    kinds = sorted(x.kind for x in net.layers)
-    assert kinds == ["input", "linear", "sum"]
-    assert validate(net).violations == []
-    assert np.array_equal(forward(net, np.array([1.0, 2.0])), [2.0, 3.0])
-
-
-def test_initialization_residual_block_structure():
-    net, _, _ = build_residual_block()
-    g = _initialized(net)
-    succs = g.succs_map()
-    blocks = g.sums()
-    # the Add becomes a Sum block with fresh identity members; each conv gets
-    # a singleton block of its own
-    assert len(blocks) == 4
-    assert sorted(len(g.preds[sid]) for sid in blocks) == [1, 1, 1, 2]
-    for sid in blocks:
-        for lid in g.preds[sid]:
-            assert g.kind[lid] == KIND_LINEAR
-            assert succs[lid] == [sid]
-    assert validate(_as_network(g)).violations == []
-
-
-def test_initialization_noop_on_relu_chain():
-    b = NetworkBuilder()
-    i = b.add_input(2)
-    r = b.add_relu(i, 2)
-    net = b.build(r)
-    g = _initialized(net)
-    assert sorted(g.kind.values()) == ["input", "relu"]
+def _layers(net) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (W, b) pairs of simplify's chain."""
+    return [(l.weight, l.bias) for l in as_sequential(simplify(net)[0]).linears]
 
 
 def test_normalize_scalar_composition():
-    # inner block [[3]],[4] feeding outer [[2]],[1] -> composed [[6]],[9]
+    # [[3]],[4] then a one-member Sum, then [[2]],[1]: composed [[6]],[9]
     b = NetworkBuilder()
     i = b.add_input(1)
-    inner_l = b.add_linear(i, np.array([[3.0]]), np.array([4.0]))
-    inner_s = b.add_sum([inner_l], 1)
-    outer_l = b.add_linear(inner_s, np.array([[2.0]]), np.array([1.0]))
-    outer_s = b.add_sum([outer_l], 1)
-    g = _Graph.from_network(b.build(outer_s))
-    _normalize(g, _last_block(g))
-    (lid,) = g.preds[_last_block(g)]
-    np.testing.assert_array_equal(g.weight[lid], [[6.0]])
-    np.testing.assert_array_equal(g.bias[lid], [9.0])
-    # the consumed inner block is gone
-    assert len(g.sums()) == 1
+    inner = b.add_sum([b.add_linear(i, np.array([[3.0]]), np.array([4.0]))], 1)
+    outer = b.add_linear(inner, np.array([[2.0]]), np.array([1.0]))
+    b.add_sum([outer], 1)
+    ((W, c),) = _layers(b.build())
+    np.testing.assert_array_equal(W, [[6.0]])
+    np.testing.assert_array_equal(c, [9.0])
 
 
 def test_normalize_merges_same_predecessor():
@@ -104,21 +43,21 @@ def test_normalize_merges_same_predecessor():
     i = b.add_input(1)
     la = b.add_linear(i, np.array([[1.0]]), np.array([2.0]))
     lb = b.add_linear(i, np.array([[3.0]]), np.array([4.0]))
-    s = b.add_sum([la, lb], 1)
-    g = _Graph.from_network(b.build(s))
-    _normalize(g, _last_block(g))
-    members = g.preds[_last_block(g)]
-    assert len(members) == 1
-    np.testing.assert_array_equal(g.weight[members[0]], [[4.0]])
-    np.testing.assert_array_equal(g.bias[members[0]], [6.0])
+    net = b.build(b.add_sum([la, lb], 1))
+    chain, stats = simplify(net)
+    (layer,) = as_sequential(chain).linears
+    np.testing.assert_array_equal(layer.weight, [[4.0]])
+    np.testing.assert_array_equal(layer.bias, [6.0])
+    assert stats.normalization_rewrites == 1
 
 
 def test_graph_shares_read_only_arrays(fig1_net):
-    g = _Graph.from_network(fig1_net)
+    # a chain already: simplify hands the network's own arrays to the chain
+    chain, _ = simplify(fig1_net)
     lin = [l for l in fig1_net.layers if l.kind == KIND_LINEAR]
-    for l in lin:
-        assert g.weight[l.id] is l.weight and not g.weight[l.id].flags.writeable
-        assert g.bias[l.id] is l.bias and not g.bias[l.id].flags.writeable
+    for l, got in zip(lin, as_sequential(chain).linears):
+        assert got.weight is l.weight and not got.weight.flags.writeable
+        assert got.bias is l.bias and not got.bias.flags.writeable
 
 
 def test_construction_relu_passthrough_zero_shift():
@@ -176,7 +115,7 @@ def _tiny_skip(rng, d=2, h=3):
 def test_construction_without_box_fails_loudly():
     rng = np.random.default_rng(2)
     net, _, _ = _tiny_skip(rng)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="input box is required"):
         simplify(net)
 
 
@@ -205,13 +144,11 @@ def test_simplify_fixed_point_on_sequential(fig1_net, unit_box):
 
 
 def test_linearize_single_linear_block():
+    # a one-member Sum dissolves into the linear it reads
     b = NetworkBuilder()
     i = b.add_input(2)
     l = b.add_linear(i, 2 * np.eye(2), np.ones(2))
-    s = b.add_sum([l], 2)
-    g = _Graph.from_network(b.build(s))
-    _linearize(g, _last_block(g))
-    out = _as_network(g)
+    out, _ = simplify(b.build(b.add_sum([l], 2)))
     assert sorted(x.kind for x in out.layers) == ["input", "linear"]
     assert np.array_equal(forward(out, np.ones(2)), [3.0, 3.0])
 
@@ -252,20 +189,17 @@ def test_result_well_formed_relus():
 
 
 def test_stats_fields():
+    # conv1 fires next to the carried input; three network linears fold
     net, box, _ = build_residual_block(seed=4)
     _, stats = simplify(net, box=box)
-    assert stats.constructions >= 1
-    assert stats.linearizations >= 1
-    # budget is measured on the initialized graph, which is never smaller
-    assert stats.layer_budget >= len(net.layers)
+    assert stats.constructions == 1
+    assert stats.linearizations == 3
+    assert stats.normalization_rewrites == 0
+    assert stats.layer_budget == len(net.layers)
     assert stats.constructions <= stats.layer_budget
 
 
-# reading a Sum-free graph into a chain: runs of linear layers fold into one
-
-
-def _read(net) -> Network:
-    return _read_chain(_Graph.from_network(net)).to_network()
+# reading a network into a chain: runs of linear layers fold into one
 
 
 def test_read_chain_folds_two_linears():
@@ -273,10 +207,9 @@ def test_read_chain_folds_two_linears():
     i = b.add_input(1)
     l1 = b.add_linear(i, np.array([[2.0]]), np.array([1.0]))
     l2 = b.add_linear(l1, np.array([[3.0]]), np.array([0.0]))
-    seq = as_sequential(_read(b.build(l2)))
-    assert len(seq.linears) == 1
-    np.testing.assert_array_equal(seq.linears[0].weight, [[6.0]])
-    np.testing.assert_array_equal(seq.linears[0].bias, [3.0])
+    ((W, c),) = _layers(b.build(l2))
+    np.testing.assert_array_equal(W, [[6.0]])
+    np.testing.assert_array_equal(c, [3.0])
 
 
 def test_read_chain_folds_identity_chain():
@@ -284,9 +217,8 @@ def test_read_chain_folds_identity_chain():
     i = b.add_input(3)
     l1 = b.add_linear(i, np.eye(3), np.zeros(3))
     l2 = b.add_linear(l1, np.eye(3), np.zeros(3))
-    seq = as_sequential(_read(b.build(l2)))
-    assert len(seq.linears) == 1
-    np.testing.assert_array_equal(seq.linears[0].weight, np.eye(3))
+    ((W, _),) = _layers(b.build(l2))
+    np.testing.assert_array_equal(W, np.eye(3))
 
 
 def test_read_chain_fold_preserves_forward():
@@ -298,7 +230,7 @@ def test_read_chain_fold_preserves_forward():
     l1 = b.add_linear(i, W1, b1)
     l2 = b.add_linear(l1, W2, b2)
     raw = b.build(l2)
-    folded = _read(raw)
+    folded, _ = simplify(raw)
     for x in np.random.default_rng(0).uniform(-1, 1, size=(100, 3)):
         np.testing.assert_allclose(forward(folded, x), forward(raw, x), atol=1e-12)
 
@@ -312,7 +244,7 @@ def test_read_chain_run_of_three_folds_left_to_right():
     for Wk, ck in zip(W, c):
         cur = b.add_linear(cur, Wk, ck)
     cur = b.add_relu(cur, 2)
-    seq = as_sequential(_read(b.build(cur)))
+    seq = as_sequential(simplify(b.build(cur))[0])
     assert len(seq.linears) == 1 and seq.ends_with_relu
     np.testing.assert_array_equal(seq.linears[0].weight, W[2] @ (W[1] @ W[0]))
     np.testing.assert_array_equal(seq.linears[0].bias, W[2] @ (W[1] @ c[0] + c[1]) + c[2])
@@ -327,11 +259,8 @@ def test_read_chain_rejects_relu_without_linear(after_input):
         cur = b.add_relu(cur, 2)
     cur = b.add_relu(cur, 2)
     cur = b.add_linear(cur, np.eye(2), np.zeros(2))
-    net = b.build(cur)
-    with pytest.raises(StructuralError):
-        _read(net)
-    with pytest.raises(StructuralError):
-        simplify(net)
+    with pytest.raises(StructuralError, match="relu not preceded"):
+        simplify(b.build(cur))
 
 
 def test_read_chain_rejects_fan_out_and_stray_layers():
@@ -339,44 +268,34 @@ def test_read_chain_rejects_fan_out_and_stray_layers():
     i = b.add_input(2)
     l1 = b.add_linear(i, np.eye(2), np.zeros(2))
     r1 = b.add_relu(l1, 2)
-    b.add_linear(i, np.eye(2), np.zeros(2))  # a second consumer of the input
-    with pytest.raises(StructuralError, match="consumers"):
-        _read(b.build(r1))
+    stray = b.add_linear(i, np.eye(2), np.zeros(2))  # a second consumer of the input
+    with pytest.raises(StructuralError, match=rf"layers \[{stray}\] are not on the"):
+        simplify(b.build(r1))
     b = NetworkBuilder()
     i = b.add_input(2)
     l1 = b.add_linear(i, np.eye(2), np.zeros(2))
     b.add_input(2)  # a layer no path from the input reaches
     with pytest.raises(StructuralError, match="not on the"):
-        _read(b.build(l1))
+        simplify(b.build(l1))
 
 
-# selectors (identity arcs, construction selectors) compose by indexing
+def test_a_relu_summed_with_itself_doubles_its_reader():
+    # s sums a ReLU with itself: its two identity terms add into 2I, and the
+    # linear O after s reads the block as 2 O
+    b = NetworkBuilder()
+    i = b.add_input(2)
+    r = b.add_relu(b.add_linear(i, np.array([[1.0, -1.0], [2.0, 0.5]]), np.array([0.1, -0.2])), 2)
+    s = b.add_sum([r, r], 2)
+    O = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
+    b.add_linear(s, O, np.array([1.0, 2.0, 3.0]))
+    chain, stats = simplify(b.build())
+    _, last = as_sequential(chain).linears
+    np.testing.assert_array_equal(last.weight, 2 * O)
+    np.testing.assert_array_equal(last.bias, [1.0, 2.0, 3.0])
+    assert stats.normalization_rewrites == 1
 
 
-def _selector_matrix(rows, in_width):
-    M = np.zeros((len(rows), in_width))
-    for i, j in enumerate(rows):
-        if j >= 0:
-            M[i, j] = 1.0
-    return M
-
-
-def test_compose_gives_the_dense_product_bytes_with_negative_zeros():
-    rows = np.array([2, -1, 0])
-    S = _selector_matrix(rows, 3)
-    X = np.array([[-0.0, 1.5], [2.0, -3.0], [-0.0, -0.0]])
-    G = np.array([[-0.0, 1.0, -2.0], [0.5, -0.0, 3.0]])
-    W, W_rows = _compose(S, rows, X)
-    assert W.tobytes() == (S @ X).tobytes() and W_rows is None
-    b, _ = _compose(S, rows, X[:, 0])
-    assert b.tobytes() == (S @ X[:, 0]).tobytes()
-    W, W_rows = _compose(G, None, S, rows)
-    assert W.tobytes() == (G @ S).tobytes() and W_rows is None
-    inner = np.array([1, 0, -1])
-    W, W_rows = _compose(S, rows, _selector_matrix(inner, 3), inner)
-    assert W.tobytes() == (S @ _selector_matrix(inner, 3)).tobytes()
-    assert W_rows.tolist() == [-1, -1, 1]
-    assert np.array_equal(_selector_matrix(W_rows, 3), W)
+# the graphs below pin the chain's layer shapes; identity blocks are written by indexing
 
 
 def _random_block_net(seed):
@@ -410,30 +329,49 @@ SELECTOR_CASES = {
     **{f"random_{s}": (lambda s=s: _random_block_net(s)) for s in range(12)},
 }
 
+# the weight shapes each case's chain has had since the simplifier first flattened it
+CHAIN_SHAPES = {
+    "conv_0_1": [(175, 75), (75, 175), (4, 75)],
+    "conv_0_2": [(175, 75), (75, 175), (175, 75), (75, 175), (4, 75)],
+    "conv_1_1": [(175, 75), (75, 175), (4, 75)],
+    "conv_1_2": [(175, 75), (75, 175), (175, 75), (75, 175), (4, 75)],
+    "random_0": [(8, 4), (4, 8), (7, 4), (4, 7), (3, 4)],
+    "random_1": [(8, 3), (3, 8), (9, 3), (3, 9), (3, 3)],
+    "random_10": [(7, 4), (4, 7), (7, 4), (4, 7), (8, 4), (4, 8), (3, 4)],
+    "random_11": [(7, 2), (2, 7), (3, 2)],
+    "random_2": [(6, 4), (4, 6), (3, 4)],
+    "random_3": [(6, 4), (4, 6), (3, 4)],
+    "random_4": [(10, 4), (4, 10), (8, 4), (4, 8), (9, 4), (4, 9), (3, 4)],
+    "random_5": [(6, 4), (4, 6), (10, 4), (4, 10), (7, 4), (4, 7), (3, 4)],
+    "random_6": [(7, 3), (3, 7), (6, 3), (3, 6), (3, 3)],
+    "random_7": [(9, 4), (4, 9), (10, 4), (4, 10), (3, 4)],
+    "random_8": [(7, 4), (4, 7), (3, 4)],
+    "random_9": [(9, 3), (3, 9), (6, 3), (3, 6), (5, 3), (3, 5), (3, 3)],
+    "residual_block": [(112, 48), (48, 112)],
+}
+
 
 @pytest.mark.parametrize("case", sorted(SELECTOR_CASES))
 def test_indexed_composition_keeps_the_dense_products_bytes(case, monkeypatch):
     net, box = SELECTOR_CASES[case]()
-    indexed = []
-
-    def spy(M, m_rows, X, x_rows=None):
-        indexed.append(m_rows is not None or x_rows is not None)
-        return _compose(M, m_rows, X, x_rows)
-
-    monkeypatch.setattr(simplifier, "_compose", spy)
     chain, _ = simplify(net, box)
-    assert any(indexed)
-    # the reference composes every factor as a dense product
-    monkeypatch.setattr(simplifier, "_compose", lambda M, m_rows, X, x_rows=None: (M @ X, None))
-    dense, _ = simplify(net, box)
-    a, b = as_sequential(chain), as_sequential(dense)
-    assert len(a.linears) == len(b.linears)
-    for la, lb in zip(a.linears, b.linears):
-        assert la.weight.tobytes() == lb.weight.tobytes()
-        assert la.bias.tobytes() == lb.bias.tobytes()
+    assert [l.weight.shape for l in as_sequential(chain).linears] == CHAIN_SHAPES[case]
     xs = box_samples(box, 256, seed=1)
     y0 = forward_batch(net, xs)
     np.testing.assert_allclose(forward_batch(chain, xs), y0, rtol=0, atol=1e-9 * (1 + np.abs(y0).max()))
+    # the reference adds each identity block as a dense eye
+    indexed = []
+
+    def dense_identity(W, r0, c0, w):
+        indexed.append(w)
+        W[r0 : r0 + w, c0 : c0 + w] += np.eye(w)
+
+    monkeypatch.setattr(simplifier, "_identity", dense_identity)
+    dense, _ = simplify(net, box)
+    assert indexed
+    for la, lb in zip(as_sequential(chain).linears, as_sequential(dense).linears):
+        assert la.weight.tobytes() == lb.weight.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
 
 
 @pytest.mark.parametrize("case", ["conv_0_2", "residual_block"])
@@ -441,46 +379,68 @@ def test_simplify_hands_its_composed_arrays_to_the_layers_uncopied(case, monkeyp
     # freeze_array copies a writeable array: each composed array must reach
     # the layers read-only
     net, box = SELECTOR_CASES[case]()
-    chains, copied = [], []
-
-    def read_chain(g, real=simplifier._read_chain):
-        chains.append(real(g))
-        return chains[-1]
+    frozen, copied = [], []
 
     def freeze(a, dtype=np.float64, real=netir.freeze_array):
         out = real(a, dtype)
+        frozen.append(a)
         if out is not a:
             copied.append(a)
         return out
 
-    monkeypatch.setattr(simplifier, "_read_chain", read_chain)
     monkeypatch.setattr(netir, "freeze_array", freeze)
     out, _ = simplify(net, box)
     seq = as_sequential(out)
-    assert len(seq.linears) == len(chains[0].layers) > 1
-    for layer, (W, b) in zip(seq.linears, chains[0].layers):
+    assert len(seq.linears) > 1 and not copied
+    for layer in seq.linears:
         assert layer.weight.flags.owndata and layer.bias.flags.owndata
-        assert layer.weight is W and layer.bias is b
-    assert not any(a is c for a in copied for pair in chains[0].layers for c in pair)
+        assert any(layer.weight is a for a in frozen) and any(layer.bias is a for a in frozen)
 
 
-def test_a_merged_member_is_no_selector_and_composes_densely():
-    # s sums a ReLU with itself: its two identity arcs merge into 2I, and a
-    # stale selector index would compose o through it as I and drop the 2
+# random residual DAGs: stacked blocks whose skips are identities or general
+# linears, from the block's input or straight from the network's input, with
+# an optional second member reading the block's own ReLU
+
+
+@st.composite
+def _residual_dags(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
     b = NetworkBuilder()
-    i = b.add_input(2)
-    r = b.add_relu(b.add_linear(i, np.array([[1.0, -1.0], [2.0, 0.5]]), np.array([0.1, -0.2])), 2)
-    s = b.add_sum([r, r], 2)
-    O = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
-    b.add_linear(s, O, np.array([1.0, 2.0, 3.0]))
-    g = _initialized(b.build())
-    assert all(m in g.sel for m in g.preds[s])
-    _normalize(g, s)
-    (merged,) = g.preds[s]
-    assert merged not in g.sel
-    np.testing.assert_array_equal(g.weight[merged], 2 * np.eye(2))
-    t = _last_block(g)
-    _normalize(g, t)
-    (m,) = g.preds[t]
-    assert g.preds[m] == [r] and m not in g.sel
-    np.testing.assert_array_equal(g.weight[m], 2 * O)
+    x = cur = b.add_input(d)
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(st.integers(1, 5))
+        r = b.add_relu(b.add_linear(cur, rng.normal(size=(h, d)), rng.normal(size=h)), h)
+        members = [b.add_linear(r, rng.normal(size=(d, h)), rng.normal(size=d))]
+        src = draw(st.sampled_from([cur, x]))
+        if draw(st.booleans()):
+            members.append(src)
+        else:
+            members.append(b.add_linear(src, rng.normal(size=(d, d)), rng.normal(size=d)))
+        if draw(st.booleans()):
+            members.append(b.add_linear(r, rng.normal(size=(d, h)), rng.normal(size=d)))
+        cur = b.add_relu(b.add_sum(members, d), d)
+    b.add_linear(cur, rng.normal(size=(2, d)), rng.normal(size=2))
+    lo = rng.uniform(-2.0, 0.5, size=d)
+    return b.build(), Box(lo, lo + rng.uniform(0.1, 2.0, size=d))
+
+
+def _longest_relu_path(net) -> int:
+    depth = {}
+    for i in topo_order(net):
+        below = max((depth[p] for p in net.preds[i]), default=0)
+        depth[i] = below + (net.by_id[i].kind == KIND_RELU)
+    return depth[net.output_id]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_residual_dags())
+def test_random_residual_dags_flatten_to_equal_chains(case):
+    net, box = case
+    chain, stats = simplify(net, box)
+    seq = as_sequential(chain)
+    assert len(seq.relus) == _longest_relu_path(net)
+    assert stats.constructions <= stats.layer_budget == len(net.layers)
+    xs = box_samples(box, 128, seed=0)
+    y0 = forward_batch(net, xs)
+    np.testing.assert_allclose(forward_batch(chain, xs), y0, rtol=0, atol=1e-9 * (1 + np.abs(y0).max()))

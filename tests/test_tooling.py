@@ -148,9 +148,9 @@ def test_equivalence_digest_prints_every_output_of_a_job():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 6) for line in proc.stdout.splitlines()]
     assert [r[:5] for r in rows] == [["large_models", "1001", "job", "3", path]
-                                     for path in ["original"] * 5 + ["reduced"] * 6]
+                                     for path in ["original"] * 6 + ["reduced"] * 6]
     outputs = ["interval", "crown", "incomplete", "bab"]
-    assert [r[5] for r in rows] == outputs + ["verdict"] + outputs + ["onnx", "verdict"]
+    assert [r[5] for r in rows] == ["chain"] + outputs + ["verdict"] + outputs + ["onnx", "verdict"]
     verdicts = {}
     for _, _, _, _, path, output, digest in rows:
         if output in ("incomplete", "bab"):

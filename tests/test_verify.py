@@ -200,7 +200,12 @@ def _surgery_child(net, k, j, sign, table, box):
     else:
         part = LayerPartition(none, np.array([j]), others, width)
     v_range = (box.lower, box.upper) if k == 0 else table.post_activation(k - 1)
-    pairs[k : k + 2], _ = reduce_layer(pairs[k], pairs[k + 1], part, v_range, table.pre_activation(k)[0])
+    x, z = pairs[k], pairs[k + 1]
+    if sign == ACTIVE:  # the pinned row stays, shifted into the nonnegative range
+        shift = np.zeros(width)
+        shift[j] = max(0.0, -table.pre_activation(k)[0][j])
+        x, z = (x[0], x[1] + shift), (z[0], z[1] - z[0] @ shift)
+    pairs[k : k + 2], _ = reduce_layer(x, z, part, v_range)
     return from_sequential(pairs, net.input_layer.width)
 
 
