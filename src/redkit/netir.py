@@ -252,11 +252,7 @@ def validate(net: Network) -> ValidationReport:
     except StructuralError as e:
         rep.add(str(e))
         return rep
-    reach_fwd = {net.input_id}
-    for i in order:
-        if i in reach_fwd:
-            for s in net.succs[i]:
-                reach_fwd.add(s)
+    reach_fwd = reaches_from_input(net, order)
     reach_bwd = feeds_output(net)
     for l in net.layers:
         if l.id not in reach_fwd:
@@ -284,6 +280,15 @@ def topo_order(net: Network) -> list[int]:
         arc = next((a, b) for a, b in net.arcs if a in left and b in left)
         raise StructuralError(f"cycle detected: arc {arc[0]} -> {arc[1]} is on a cycle")
     return order
+
+
+def reaches_from_input(net: Network, order: list[int] | None = None) -> set[int]:
+    """Ids of the layers with a path from the input layer, the input included."""
+    reach = {net.input_id}
+    for i in order if order is not None else topo_order(net):
+        if i in reach:
+            reach.update(net.succs[i])
+    return reach
 
 
 def feeds_output(net: Network) -> set[int]:

@@ -52,10 +52,25 @@ class ImportReport:
 class _Val:
     lid: int
     shape: tuple[int, ...]
+    batched: bool = False  # the model sees a leading batch dim of 1 before shape
 
     @property
     def size(self) -> int:
         return int(np.prod(self.shape)) if self.shape else 1
+
+    @property
+    def full(self) -> tuple[int, ...]:
+        """The shape as the model's ops see it, batch dim included."""
+        return (1,) * self.batched + tuple(self.shape)
+
+
+def _strip(full, batched: bool) -> tuple[tuple[int, ...], bool]:
+    """A shape op's result on a batched value, full as the model sees it, loses its
+    leading 1 again; returns the tracked shape and whether it is batched."""
+    full = tuple(int(d) for d in full)
+    if batched and len(full) >= 2 and full[0] == 1:
+        return full[1:], True
+    return full, False
 
 
 def _strip_batch(dims) -> tuple[tuple, tuple[int, ...]]:
@@ -184,7 +199,7 @@ def _emit_window_max(b: NetworkBuilder, src: _Val, windows: np.ndarray, out_shap
     w_in = src.size
     if k == 1:
         lid = b.add_linear(src.lid, _selector(windows[:, 0], p, w_in), np.zeros(p))
-        return _Val(lid, tuple(out_shape))
+        return _Val(lid, tuple(out_shape), src.batched)
     recomb = np.hstack([np.eye(p), np.eye(p), -np.eye(p)])
     s0 = _selector(windows[:, 0], p, w_in)
     s1 = _selector(windows[:, 1], p, w_in)
@@ -198,7 +213,7 @@ def _emit_window_max(b: NetworkBuilder, src: _Val, windows: np.ndarray, out_shap
         s = b.add_sum([from_m, from_v], 3 * p)
         r = b.add_relu(s, 3 * p)
         m = b.add_linear(r, recomb, np.zeros(p))
-    return _Val(m, tuple(out_shape))
+    return _Val(m, tuple(out_shape), src.batched)
 
 
 class _Importer:
@@ -251,7 +266,7 @@ class _Importer:
         vi = real_inputs[0]
         full_shape, shape = _strip_batch(vi.dims)
         iid = self.b.add_input(int(np.prod(shape)))
-        self.vals[vi.name] = _Val(iid, shape)
+        self.vals[vi.name] = _Val(iid, shape, len(shape) < len(full_shape))
         for node in g.nodes:
             self.lower(node)
         out_name = g.outputs[0].name
@@ -319,7 +334,7 @@ class _Importer:
     def _op_relu(self, n: oc.NodeP):
         v = self.val(n.inputs[0])
         rid = self.b.add_relu(v.lid, v.size)
-        self.vals[n.outputs[0]] = _Val(rid, v.shape)
+        self.vals[n.outputs[0]] = _Val(rid, v.shape, v.batched)
 
     def _op_gemm(self, n: oc.NodeP):
         if self.is_const(n.inputs[0]) or not self.is_const(n.inputs[1]):
@@ -348,7 +363,7 @@ class _Importer:
             if bias.shape[0] != W.shape[0]:
                 raise UnsupportedModelError(f"Gemm node {n.name!r}: bias width mismatch")
         lid = self.b.add_linear(v.lid, W, bias)
-        self.vals[n.outputs[0]] = _Val(lid, (W.shape[0],))
+        self.vals[n.outputs[0]] = _Val(lid, (W.shape[0],), v.batched)
 
     def _op_matmul(self, n: oc.NodeP):
         a, bb = n.inputs[0], n.inputs[1]
@@ -357,13 +372,13 @@ class _Importer:
             if B.ndim != 2 or B.shape[0] != v.size:
                 raise UnsupportedModelError(f"MatMul node {n.name!r}: shape mismatch")
             lid = self.b.add_linear(v.lid, B.T, np.zeros(B.shape[1]))
-            self.vals[n.outputs[0]] = _Val(lid, (B.shape[1],))
+            self.vals[n.outputs[0]] = _Val(lid, (B.shape[1],), v.batched)
         elif self.is_const(a) and not self.is_const(bb):
             A, v = self.const(a).astype(np.float64, copy=False), self.val(bb)
             if A.ndim != 2 or A.shape[1] != v.size:
                 raise UnsupportedModelError(f"MatMul node {n.name!r}: shape mismatch")
             lid = self.b.add_linear(v.lid, A, np.zeros(A.shape[0]))
-            self.vals[n.outputs[0]] = _Val(lid, (A.shape[0],))
+            self.vals[n.outputs[0]] = _Val(lid, (A.shape[0],), v.batched)
         else:
             raise UnsupportedModelError(
                 f"MatMul node {n.name!r}: needs one dynamic and one constant operand"
@@ -395,7 +410,7 @@ class _Importer:
         M, b, out_shape = conv_to_matrix(W, bias, v.shape, strides, pads, dil)
         M.flags.writeable = False  # frozen, the layer keeps this matrix instead of a copy
         lid = self.b.add_linear(v.lid, M, b)
-        self.vals[n.outputs[0]] = _Val(lid, out_shape)
+        self.vals[n.outputs[0]] = _Val(lid, out_shape, v.batched)
 
     def _op_batchnormalization(self, n: oc.NodeP):
         v = self.val(n.inputs[0])
@@ -411,7 +426,7 @@ class _Importer:
         diag = np.repeat(s, per)
         bias = np.repeat(beta - mean * s, per)
         lid = self.b.add_linear(v.lid, np.diag(diag), bias)
-        self.vals[n.outputs[0]] = _Val(lid, v.shape)
+        self.vals[n.outputs[0]] = _Val(lid, v.shape, v.batched)
 
     def _add_sub(self, n: oc.NodeP, sign: float):
         a, bb = n.inputs[0], n.inputs[1]
@@ -430,7 +445,7 @@ class _Importer:
             if sign < 0:
                 rhs = self.b.add_linear(vb.lid, -np.eye(vb.size), np.zeros(vb.size))
             sid = self.b.add_sum([va.lid, rhs], va.size)
-            self.vals[out] = _Val(sid, va.shape)
+            self.vals[out] = _Val(sid, va.shape, va.batched)
             return
         if self.is_const(a):
             v = self.val(bb)
@@ -440,7 +455,7 @@ class _Importer:
             v = self.val(a)
             c = sign * np.broadcast_to(self.consts[bb].astype(np.float64, copy=False), v.shape).ravel()
             lid = self.b.add_linear(v.lid, np.eye(v.size), c)
-        self.vals[out] = _Val(lid, v.shape)
+        self.vals[out] = _Val(lid, v.shape, v.batched)
 
     def _op_add(self, n: oc.NodeP):
         self._add_sub(n, 1.0)
@@ -449,16 +464,15 @@ class _Importer:
         self._add_sub(n, -1.0)
 
     def _op_concat(self, n: oc.NodeP):
-        axis = n.attr_i("axis")
         parts = []
         for name in n.inputs:
             if self.is_const(name):
                 parts.append(("c", self.consts[name].astype(np.float64, copy=False)))
             else:
                 parts.append(("v", self.val(name)))
-        shapes = [p.shape for _, p in parts]
+        shapes = [p.full if tag == "v" else p.shape for tag, p in parts]
         rank = len(shapes[0])
-        axis = _axis(n, axis, rank)
+        axis = _axis(n, n.attr_i("axis"), rank)
         out_shape = list(shapes[0])
         out_shape[axis] = sum(s[axis] for s in shapes)
         for s in shapes:
@@ -490,9 +504,9 @@ class _Importer:
             bias = const_bias if j == 0 else np.zeros(total)
             sel_ids.append(self.b.add_linear(p.lid, E, bias))
         out_id = sel_ids[0] if len(sel_ids) == 1 else self.b.add_sum(sel_ids, total)
-        self.vals[n.outputs[0]] = _Val(out_id, tuple(out_shape))
+        self.vals[n.outputs[0]] = _Val(out_id, *_strip(out_shape, any(p.batched for p, _ in dyn)))
 
-    def _reshape_like(self, n: oc.NodeP, new_shape):
+    def _reshape_like(self, n: oc.NodeP, new_shape, batched: bool = False):
         src = n.inputs[0]
         if self.is_const(src):
             self.consts[n.outputs[0]] = self.consts[src].reshape(new_shape)
@@ -502,7 +516,7 @@ class _Importer:
             raise UnsupportedModelError(
                 f"node {n.name!r}: reshape to {tuple(new_shape)} changes element count"
             )
-        self.vals[n.outputs[0]] = _Val(v.lid, tuple(int(d) for d in new_shape))
+        self.vals[n.outputs[0]] = _Val(v.lid, tuple(int(d) for d in new_shape), batched)
 
     @staticmethod
     def _resolve_shape(target, src_shape):
@@ -529,7 +543,7 @@ class _Importer:
         # batchless one (0 copies a source dim, -1 is inferred)
         batched = self._resolve_shape(target, (1,) + tuple(src_shape))
         if batched is not None and len(batched) > 1 and batched[0] == 1:
-            self._reshape_like(n, batched[1:])
+            self._reshape_like(n, batched[1:], batched=True)
             return
         plain = self._resolve_shape(target, tuple(src_shape))
         if plain is None:
@@ -540,17 +554,27 @@ class _Importer:
 
     def _op_flatten(self, n: oc.NodeP):
         src = n.inputs[0]
-        size = (
-            self.consts[src].size if self.is_const(src) else self.val(src).size
-        )
-        self._reshape_like(n, [size])
+        if self.is_const(src):
+            self._reshape_like(n, [self.consts[src].size])
+            return
+        v = self.val(src)
+        full, axis = v.full, n.attr_i("axis", 1)
+        if not -len(full) <= axis <= len(full):
+            raise UnsupportedModelError(
+                f"Flatten node {n.name!r}: axis {axis} is outside [{-len(full)}, {len(full)}]"
+            )
+        lead = int(np.prod(full[:axis]))
+        self._reshape_like(n, *_strip((lead, v.size // lead), True))
+
+    def _full_shape(self, name: str) -> tuple[tuple[int, ...], bool]:
+        """A tensor's shape as the model sees it, and whether its value is batched."""
+        if self.is_const(name):
+            return self.consts[name].shape, False
+        v = self.val(name)
+        return v.full, v.batched
 
     def _op_squeeze(self, n: oc.NodeP):
-        src_shape = (
-            self.consts[n.inputs[0]].shape
-            if self.is_const(n.inputs[0])
-            else self.val(n.inputs[0]).shape
-        )
+        src_shape, batched = self._full_shape(n.inputs[0])
         axes = None
         if len(n.inputs) > 1 and n.inputs[1]:
             axes = [int(a) for a in self.const(n.inputs[1]).ravel()]
@@ -566,14 +590,10 @@ class _Importer:
                     "are not all of size 1"
                 )
             shp = [d for i, d in enumerate(src_shape) if i not in drop]
-        self._reshape_like(n, shp or [1])
+        self._reshape_like(n, *_strip(shp or [1], batched))
 
     def _op_unsqueeze(self, n: oc.NodeP):
-        src_shape = list(
-            self.consts[n.inputs[0]].shape
-            if self.is_const(n.inputs[0])
-            else self.val(n.inputs[0]).shape
-        )
+        src_shape, batched = self._full_shape(n.inputs[0])
         if len(n.inputs) > 1 and n.inputs[1]:
             axes = [int(a) for a in self.const(n.inputs[1]).ravel()]
         else:
@@ -583,11 +603,12 @@ class _Importer:
         shp = list(src_shape)
         for a in axes:
             shp.insert(a, 1)
-        self._reshape_like(n, shp)
+        self._reshape_like(n, *_strip(shp, batched))
 
     def _op_split(self, n: oc.NodeP):
         v = self.val(n.inputs[0])
-        rank = len(v.shape)
+        full = v.full
+        rank = len(full)
         axis = _axis(n, n.attr_i("axis", 0), rank)
         if len(n.inputs) > 1 and n.inputs[1]:
             sizes = [int(x) for x in self.const(n.inputs[1]).ravel()]
@@ -595,14 +616,14 @@ class _Importer:
             sizes = n.attr_ints("split")
         else:
             k = len(n.outputs)
-            if v.shape[axis] % k:
+            if full[axis] % k:
                 raise UnsupportedModelError(f"Split node {n.name!r}: uneven default split")
-            sizes = [v.shape[axis] // k] * k
-        if sum(sizes) != v.shape[axis]:
+            sizes = [full[axis] // k] * k
+        if sum(sizes) != full[axis]:
             raise UnsupportedModelError(f"Split node {n.name!r}: split sizes do not cover the axis")
         if "split gadget (experimental)" not in self.notes:
             self.notes.append("split gadget (experimental)")
-        pos = np.arange(v.size, dtype=np.int64).reshape(v.shape)
+        pos = np.arange(v.size, dtype=np.int64).reshape(full)
         start = 0
         for out_name, sz in zip(n.outputs, sizes):
             sl = [slice(None)] * rank
@@ -611,9 +632,9 @@ class _Importer:
             E = np.zeros((take.size, v.size))
             E[np.arange(take.size), take] = 1.0
             lid = self.b.add_linear(v.lid, E, np.zeros(take.size))
-            out_shape = list(v.shape)
+            out_shape = list(full)
             out_shape[axis] = sz
-            self.vals[out_name] = _Val(lid, tuple(out_shape))
+            self.vals[out_name] = _Val(lid, *_strip(out_shape, v.batched))
             start += sz
 
     def _op_maxpool(self, n: oc.NodeP):

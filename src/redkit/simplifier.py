@@ -4,7 +4,9 @@ One pass in topological order keeps every value as an affine form over its
 sources, the input and the ReLU layers: a list of (source, matrix) terms and
 a bias. A source's own term is the identity, kept symbolic (matrix None). A
 Linear multiplies each term by its weight, so a run of linears folds left to
-right (W2 W1, W2 b1 + b2); a Sum concatenates its operands' terms.
+right (W2 W1, W2 b1 + b2). A Sum adds its operands' terms from one source
+into one matrix, so a form holds each source once and a Linear multiplies
+each source's matrix once, however many branches rejoin.
 
 Each ReLU then gets the latest stage its readers allow, one less than the
 earliest stage that reads it, and the output reads one stage after the last.
@@ -24,7 +26,9 @@ import numpy as np
 
 from .bounds import Box
 from .errors import ContractError, StructuralError
-from .netir import KIND_INPUT, KIND_LINEAR, KIND_RELU, Chain, Network, feeds_output, topo_order
+from .netir import (
+    KIND_INPUT, KIND_LINEAR, KIND_RELU, Chain, Network, feeds_output, reaches_from_input, topo_order,
+)
 
 
 @dataclass
@@ -33,7 +37,7 @@ class SimplifyStats:
 
     constructions: chain layers that carry a source next to the ReLUs they
     fire; linearizations: network Linear layers folded into a chain layer;
-    normalization_rewrites: same-source terms added into one block;
+    normalization_rewrites: same-source terms a Sum adds into one matrix;
     layer_budget: the input network's layer count |V|.
     """
 
@@ -43,18 +47,7 @@ class SimplifyStats:
     layer_budget: int = 0
 
 
-def _check_path(net: Network, order: list[int]):
-    """Every layer must lie on a path from the input to the output."""
-    reach = {net.input_id}
-    for i in order:
-        if any(p in reach for p in net.preds[i]):
-            reach.add(i)
-    left = sorted(set(net.by_id) - (reach & feeds_output(net)))
-    if left:
-        raise StructuralError(f"layers {left} are not on the input-to-output path")
-
-
-def _forms(net: Network, order: list[int]):
+def _forms(net: Network, order: list[int], stats: SimplifyStats):
     """Each value's (terms, bias) over the sources, and each ReLU's pre-activation form."""
     forms: dict[int, tuple[list, np.ndarray | None]] = {}
     pre: dict[int, tuple[list, np.ndarray | None]] = {}
@@ -77,8 +70,21 @@ def _forms(net: Network, order: list[int]):
         else:
             biases = [forms[p][1] for p in preds if forms[p][1] is not None]
             bias = sum(biases[1:], biases[0]) if biases else None
-            forms[i] = ([t for p in preds for t in forms[p][0]], bias)
+            merged: dict[int, np.ndarray | None] = {}
+            for s, M in (t for p in preds for t in forms[p][0]):
+                stats.normalization_rewrites += s in merged
+                merged[s] = _plus(merged[s], M, net.by_id[s].width) if s in merged else M
+            forms[i] = (list(merged.items()), bias)
     return forms, pre
+
+
+def _plus(A, B, w: int) -> np.ndarray:
+    """A + B as a fresh matrix; None is the w x w identity, added by indexing."""
+    dense = [M for M in (A, B) if M is not None]
+    out = dense[0] + dense[1] if len(dense) == 2 else dense[0].copy() if dense else np.zeros((w, w))
+    for _ in range(2 - len(dense)):
+        _identity(out, 0, 0, w)
+    return out
 
 
 def _stages(net: Network, order: list[int], pre: dict, out_form) -> tuple[dict, dict, int]:
@@ -104,7 +110,7 @@ def _stages(net: Network, order: list[int], pre: dict, out_form) -> tuple[dict, 
     return stage, last_read, top - 1
 
 
-def _emit(groups, carried, cols: dict, x: int, shift, t: int, stats) -> tuple:
+def _emit(groups, carried, cols: dict, x: int, shift, t: int) -> tuple:
     """Chain layer t: the row groups (width, terms, bias), then the carried sources.
 
     cols maps each source to its (offset, width) column block. A lone group
@@ -122,18 +128,16 @@ def _emit(groups, carried, cols: dict, x: int, shift, t: int, stats) -> tuple:
     W, b = np.zeros((n_rows, n_cols)), np.zeros(n_rows)
     r0 = 0
     for width, terms, bias in groups:
-        rows, seen = slice(r0, r0 + width), set()
+        rows = slice(r0, r0 + width)
         for s, M in terms:
             c0, w = cols[s]
-            stats.normalization_rewrites += s in seen
-            seen.add(s)
             if M is None:
                 _identity(W, r0, c0, w)
             else:
                 W[rows, c0 : c0 + w] += M
         if bias is not None:
             b[rows] += bias
-        if x in seen and t > 1:
+        if t > 1 and any(s == x for s, _ in terms):
             c0, w = cols[x]
             b[rows] -= W[rows, c0 : c0 + w] @ shift
         r0 += width
@@ -162,11 +166,13 @@ def simplify(net: Network, box: Box | None = None) -> tuple[Network, SimplifySta
     n_linear = sum(layer.kind == KIND_LINEAR for layer in net.layers)
     stats = SimplifyStats(linearizations=n_linear, layer_budget=len(net.layers))
     order = topo_order(net)
-    _check_path(net, order)
+    left = sorted(set(net.by_id) - (reaches_from_input(net, order) & feeds_output(net)))
+    if left:
+        raise StructuralError(f"layers {left} are not on the input-to-output path")
     out, x = net.output_id, net.input_id
     if out == x:
         raise StructuralError("sequential network needs at least one linear layer")
-    forms, pre = _forms(net, order)
+    forms, pre = _forms(net, order, stats)
     stage, last_read, n_hidden = _stages(net, order, pre, forms[out])
     width = {i: net.by_id[i].width for i in stage}
     cols, shift, layers = {x: (0, width[x])}, None, []
@@ -182,7 +188,7 @@ def simplify(net: Network, box: Box | None = None) -> tuple[Network, SimplifySta
             shift = np.maximum(0.0, -box.lower)
         groups = [(width[r], *pre[r]) for r in fired] if t <= n_hidden else [(width[out], *forms[out])]
         stats.constructions += bool(carried)
-        layers.append(_emit(groups, carried, cols, x, shift, t, stats))
+        layers.append(_emit(groups, carried, cols, x, shift, t))
         cols, r0 = {}, 0
         for s in fired + carried:
             cols[s] = (r0, width[s])

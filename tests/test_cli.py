@@ -495,7 +495,7 @@ def test_a_shape_op_with_a_bad_axis_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad_axis.onnx"
     bad.write_bytes(oc.encode_model(oc.ModelP(graph=g, opset_imports=[("", 13)])))
     assert main(["stats", "--model", str(bad)]) == 3
-    assert "axis 5 is outside [-1, 0]" in capsys.readouterr().err
+    assert "axis 5 is outside [-2, 1]" in capsys.readouterr().err
 
 
 def test_not_an_onnx_file_exit_code(tmp_path, capsys):

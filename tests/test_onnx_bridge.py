@@ -369,13 +369,14 @@ def _axis_node(op, inputs, **attrs):
     return n
 
 
-# each model reads an axis that its value does not have; x is (1, 4), so a
-# rank-1 value once the batch dimension is stripped
+# each model reads an axis that its value does not have; x is (1, 4), a rank-2
+# value to the model although the importer strips its batch dimension
 BAD_AXIS_MODELS = {
     "concat": ([_axis_node("Concat", ["x", "x"], axis=5)], [], "axis 5 is outside"),
     "split": ([_axis_node("Split", ["x"], axis=3)], [], "axis 3 is outside"),
+    "flatten": ([_axis_node("Flatten", ["x"], axis=3)], [], "axis 3 is outside"),
     "unsqueeze": ([_axis_node("Unsqueeze", ["x"], axes=[7])], [], "axis 7 is outside"),
-    "squeeze_range": ([_axis_node("Squeeze", ["x"], axes=[-2])], [], "axis -2 is outside"),
+    "squeeze_range": ([_axis_node("Squeeze", ["x"], axes=[-3])], [], "axis -3 is outside"),
     "squeeze_size": ([_axis_node("Squeeze", ["c"], axes=[0])], [_t("c", np.ones((2, 3)))],
                      "are not all of size 1"),
 }
@@ -389,12 +390,37 @@ def test_a_shape_op_with_a_bad_axis_is_unsupported(case):
 
 
 def test_shape_ops_accept_every_axis_in_range():
-    for axis in (-1, 0):
+    # x is (1, 4) to the model: axes 0 and -2 name its batch dimension
+    for axis in (-2, -1, 0, 1):
         net = _assert_agrees(_graph([_axis_node("Concat", ["x", "x"], axis=axis)], [], [1, 4], "y"), 4)
         assert net.output_layer.width == 8
-    for axes in ([0], [-2], [1], [-1]):
+    for axes in ([0], [-3], [1], [-2], [2], [-1]):
         node = _axis_node("Unsqueeze", ["x"], axes=axes)
         _assert_agrees(_graph([node], [], [1, 4], "y"), 4)
+    for axes in ([0], [-2]):
+        _assert_agrees(_graph([_axis_node("Squeeze", ["x"], axes=axes)], [], [1, 4], "y"), 4)
+    for axis in (-2, -1, 0, 1, 2):
+        _assert_agrees(_graph([_axis_node("Flatten", ["x"], axis=axis)], [], [1, 4], "y"), 4)
+
+
+def _split_and_swap(axis):
+    # u, v = split(x, axis); y = concat([v, u, x], axis)
+    sp = oc.NodeP(op_type="Split", name="sp", inputs=["x"], outputs=["u", "v"])
+    sp.attributes["axis"] = oc.AttrP("axis", oc.AT_INT, i=axis)
+    return [sp, _axis_node("Concat", ["v", "u", "x"], axis=axis)]
+
+
+@pytest.mark.parametrize("axis", [1, -1])
+def test_split_and_concat_along_the_features_of_a_batched_vector(axis):
+    # torch.split(x, 2, dim=1) and torch.cat(dim=1) over a (1, 4) value
+    net = _assert_agrees(_graph(_split_and_swap(axis), [], [1, 4], "y"), 4)
+    assert net.output_layer.width == 8
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3, -3, -2, -1])
+def test_split_and_concat_of_an_image_read_the_models_axes(axis):
+    # x is (1, 2, 2, 2): axis 1 is the channel axis, as the model numbers it
+    _assert_agrees(_graph(_split_and_swap(axis), [], [1, 2, 2, 2], "y"), 8)
 
 
 def test_a_branch_that_does_not_feed_the_output_is_dropped():

@@ -295,6 +295,26 @@ def test_a_relu_summed_with_itself_doubles_its_reader():
     assert stats.normalization_rewrites == 1
 
 
+def test_chained_linear_skips_merge_at_each_sum():
+    # y <- y + A_j y, forty times with no ReLU between: each Sum adds its two
+    # terms over r into one matrix, so the form stays one term, not 2^40
+    rng = np.random.default_rng(7)
+    b = NetworkBuilder()
+    i = b.add_input(3)
+    cur = b.add_relu(b.add_linear(i, rng.normal(size=(3, 3)), rng.normal(size=3)), 3)
+    M = np.eye(3)
+    for _ in range(40):
+        A = rng.normal(size=(3, 3)) / 3
+        cur = b.add_sum([cur, b.add_linear(cur, A, np.zeros(3))], 3)
+        M = M + A @ M
+    O = rng.normal(size=(2, 3))
+    net = b.build(b.add_linear(cur, O, np.zeros(2)))
+    chain, stats = simplify(net)
+    _, last = as_sequential(chain).linears
+    np.testing.assert_array_equal(last.weight, O @ M)
+    assert stats.normalization_rewrites == 40
+
+
 # the graphs below pin the chain's layer shapes; identity blocks are written by indexing
 
 
