@@ -65,8 +65,8 @@ class _Val:
 
 
 def _strip(full, batched: bool) -> tuple[tuple[int, ...], bool]:
-    """A shape op's result on a batched value, full as the model sees it, loses its
-    leading 1 again; returns the tracked shape and whether it is batched."""
+    """The tracked shape and batched flag of a shape op's result, given its shape
+    as the model sees it: a batched source's result drops its leading 1 again."""
     full = tuple(int(d) for d in full)
     if batched and len(full) >= 2 and full[0] == 1:
         return full[1:], True
