@@ -13,8 +13,8 @@ perfbench/pipeline.py prepares them) it prints one line per output:
   change to the importer or to simplify shows before any bound does;
 - `interval` and `crown`: sha256 of the compute_bounds table's ranges;
 - `incomplete` and `bab`: the verify_incomplete and bab_verify verdicts,
-  the latter at the workload's split budget: status, repr(bound), splits
-  and note;
+  the latter at the workload's split budget (or --max-splits): status,
+  repr(bound), splits and note;
 - `onnx` (reduced path only): sha256 of the exported reduced model;
 - `verdict`: both verdicts' status, splits and note, and the path's ReLU
   count (`relu_after`), with no float in it.
@@ -24,7 +24,9 @@ Two checkouts whose outputs agree bit for bit print the same lines, so
 only by rounding changes the hash and `repr(bound)` lines but should keep
 every `verdict` line, so `grep ' verdict '` on both runs, then `diff`,
 shows whether a verdict moved. --workloads and --jobs (a Python slice, as
-in `0:2`) narrow the run. Nothing under perfbench/ is written.
+in `0:2`) narrow the run. --max-splits N replaces every workload's split
+budget, so a change to branch and bound can show its verdicts unchanged
+beyond the benchmark's small budgets. Nothing under perfbench/ is written.
 """
 from __future__ import annotations
 
@@ -43,7 +45,10 @@ def _parse(argv):
     p.add_argument("--seeds", type=int, nargs="+", default=[1001, 2003])
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--jobs", default=":", help="slice of each workload's jobs, as in 0:2")
+    p.add_argument("--max-splits", type=int, help="bab_verify's split budget for every workload")
     args = p.parse_args(argv)
+    if args.max_splits is not None and args.max_splits < 0:
+        p.error(f"--max-splits must be nonnegative, got {args.max_splits}")
     try:
         args.jobs = slice(*(int(x) if x else None for x in args.jobs.split(":")))
     except (TypeError, ValueError):
@@ -75,8 +80,8 @@ def _decision(v) -> str:
     return f"{v.status} {v.splits} {v.note!r}"
 
 
-def job_lines(rk, pipeline, job, workload) -> list[tuple[str, str, str]]:
-    """(path, output, digest) for one job, original path first."""
+def job_lines(rk, pipeline, job, workload, max_splits) -> list[tuple[str, str, str]]:
+    """(path, output, digest) for one job, original path first, at max_splits splits."""
     out = []
     for path in (pipeline.ORIGINAL, pipeline.REDUCED):
         net, _ = rk.import_onnx(job.model)
@@ -94,7 +99,7 @@ def job_lines(rk, pipeline, job, workload) -> list[tuple[str, str, str]]:
         out.append((path, "crown", _table(rk, net, spec.box, "crown")))
         incomplete = rk.verify_incomplete(net, spec)
         out.append((path, "incomplete", _verdict(incomplete)))
-        bab = rk.bab_verify(net, spec, timeout=workload.timeout_s, max_splits=workload.max_splits)
+        bab = rk.bab_verify(net, spec, timeout=workload.timeout_s, max_splits=max_splits)
         out.append((path, "bab", _verdict(bab)))
         if path == pipeline.REDUCED:
             out.append((path, "onnx", _sha(model)))
@@ -117,8 +122,10 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             jobs = corpus.build(workload, seed)
+            spec = corpus.WORKLOADS[workload]
+            max_splits = spec.max_splits if args.max_splits is None else args.max_splits
             for i in range(len(jobs))[args.jobs]:
-                for path, output, digest in job_lines(rk, pipeline, jobs[i], corpus.WORKLOADS[workload]):
+                for path, output, digest in job_lines(rk, pipeline, jobs[i], spec, max_splits):
                     print(f"{workload} {seed} job {i} {path} {output} {digest}", flush=True)
     return 0
 

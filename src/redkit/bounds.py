@@ -253,7 +253,7 @@ def bound_layers(
     intersected, since the backward pass alone can lose to plain intervals
     in correlated corners.
 
-    The root pass (start == 0) treats a composed hidden layer (see
+    The root pass (start == 0, no parent) treats a composed hidden layer (see
     COMPACT_MIN_ENTRIES) apart: rows the forward step proves dead (hi <= 0)
     skip the backward pass and keep their interval range, and the layer's
     relaxation carries its composed backward form (relax_layer), which every
@@ -263,11 +263,20 @@ def bound_layers(
     upper pass both start from them.
 
     signs, one int8 array per hidden layer, restricts the bounds to a sign
-    region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent is
-    the (lower, upper) of sign regions containing these; hidden rows that
-    every parent has inactive (hi <= 0) keep the parents' ranges without
-    being recomputed, because they stay inactive and feed nothing
-    downstream. Returns one flag per member, False when a pinned neuron's
+    region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent,
+    which comes with signs, is the (lower, upper) of sign regions containing
+    these, whose ranges hold on them too. A member's hidden row keeps its parent's range, without
+    being bounded again, where the parent proves it inactive (hi <= 0): it
+    stays inactive and feeds nothing downstream. On the last hidden layer,
+    so does an unpinned row the parent proves active (lo >= 0): only its own
+    ReLU lines read that range, since the margin pass is CROWN's, and they
+    are the identity on any range with lo >= 0, where a range bounded again
+    could come out unstable (the adaptive lower line is not monotone). A
+    pinned row is bounded again, because its range may show the member
+    empty, and an active row of an earlier layer is, because its range
+    feeds the next layer's interval step. Only the rows that some member
+    does not keep are bounded, and a layer without one runs no pass.
+    Returns one flag per member, False when a pinned neuron's
     bounds come out strictly on the other side of zero: then no box point
     has the member's pinned signs. Stops when every member is empty.
     """
@@ -280,35 +289,25 @@ def bound_layers(
             v_lo, v_hi = x_lo, x_hi
         else:
             v_lo, v_hi = np.maximum(lower[k - 1], 0.0), np.maximum(upper[k - 1], 0.0)
-        rows = None
+        keep = None  # (B, n): the rows that keep their parents' ranges
         if parent is not None and hidden:
-            dead = parent[1][k] <= 0.0
-            if dead.any():  # bound the rows live in some member
-                rows = np.flatnonzero(~dead.all(axis=0))
-                W, b = W[rows], b[rows]
-        lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
-        composed = start == 0 and _is_composed(chain, k)
-        live = None  # rows the backward pass bounds, when not all of them
-        if composed and (hi <= 0.0).any():
-            live = np.flatnonzero((hi > 0.0).any(axis=0))
-            W, b = W[live], b[live]
-        A, const = _enter(relaxations, k - 1, W, b)
-        # each pass's lines are concretized before the next pass runs, so one
-        # pass's (B, m, d) rows are alive at a time
-        c_lo = kernels.concretize(*_backward_from(chain, k, A, const, relaxations, False),
-                                  x_lo, x_hi, upper_pass=False)
-        c_hi = kernels.concretize(*_backward_from(chain, k, A, const, relaxations, True),
-                                  x_lo, x_hi, upper_pass=True)
-        if live is None:
-            lo, hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
-        else:
-            lo[:, live] = np.maximum(c_lo, lo[:, live])
-            hi[:, live] = np.minimum(c_hi, hi[:, live])
-        if rows is not None:  # a bounded row may still be dead in some members' parents
-            p_lo, p_hi = parent[0][k], parent[1][k]
-            lo_all, hi_all = p_lo.copy(), p_hi.copy()
-            lo_all[:, rows], hi_all[:, rows] = lo, hi
-            lo, hi = np.where(dead, p_lo, lo_all), np.where(dead, p_hi, hi_all)
+            keep = parent[1][k] <= 0.0
+            if k == chain.n_relu - 1:
+                keep |= (parent[0][k] >= 0.0) & (signs[k] == 0)
+        composed = start == 0 and parent is None and _is_composed(chain, k)
+        if keep is None or not keep.any():
+            lo, hi, live, A, const = _crown_rows(chain, k, W, b, v_lo, v_hi, x_lo, x_hi,
+                                                 relaxations, composed)
+        else:  # bound the rows that some member does not keep
+            rows = np.flatnonzero(~keep.all(axis=0))
+            lo, hi = parent[0][k].copy(), parent[1][k].copy()
+            if len(rows):
+                r_lo, r_hi, *_ = _crown_rows(chain, k, W[rows], b[rows], v_lo, v_hi, x_lo, x_hi,
+                                             relaxations, False)
+                kept = keep[:, rows]
+                lo[:, rows] = np.where(kept, lo[:, rows], r_lo)
+                hi[:, rows] = np.where(kept, hi[:, rows], r_hi)
+            live = A = const = None
         if signs is not None and hidden:
             lo, hi, empty = clamp_to_signs(lo, hi, signs[k])
             ok = ok & ~empty
@@ -321,6 +320,35 @@ def bound_layers(
                                else relu_relaxation(lo, hi))
         del A, const  # a wide layer's rows: not held while the next layer is bounded
     return ok
+
+
+def _crown_rows(chain: Chain, k: int, W, b, v_lo, v_hi, x_lo, x_hi, relaxations, composed: bool):
+    """Ranges of the rows W, b of linear layer k: the interval step and both backward passes.
+
+    v_lo, v_hi is the layer's input range and x_lo, x_hi the input box, as
+    in bound_layers. On a composed layer, rows that the interval step proves
+    dead (hi <= 0) skip the backward passes and keep their interval range.
+    Returns the (B, m) ranges, the rows that the backward passes bounded
+    (an index array, or None for all of them) and those rows moved onto the
+    layer underneath's backward columns (_enter), which relax_layer keeps.
+    """
+    lo, hi = kernels.interval_affine(W, b, v_lo, v_hi)
+    live = None
+    if composed and (hi <= 0.0).any():
+        live = np.flatnonzero((hi > 0.0).any(axis=0))
+        W, b = W[live], b[live]
+    A, const = _enter(relaxations, k - 1, W, b)
+    # each pass's lines are concretized before the next pass runs, so one
+    # pass's (B, m, d) rows are alive at a time
+    c_lo = kernels.concretize(*_backward_from(chain, k, A, const, relaxations, False),
+                              x_lo, x_hi, upper_pass=False)
+    c_hi = kernels.concretize(*_backward_from(chain, k, A, const, relaxations, True),
+                              x_lo, x_hi, upper_pass=True)
+    if live is None:
+        return np.maximum(c_lo, lo), np.minimum(c_hi, hi), live, A, const
+    lo[:, live] = np.maximum(c_lo, lo[:, live])
+    hi[:, live] = np.minimum(c_hi, hi[:, live])
+    return lo, hi, live, A, const
 
 
 def interval_forward(net: Network, box: Box) -> BoundsTable:

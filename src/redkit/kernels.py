@@ -63,13 +63,15 @@ def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
         const_out = const + np.where(use_up, A, 0.0) @ icpt_up[0]
         slopes = np.where(use_up, slope_up, slope_lo)
         return np.multiply(A, slopes, out=slopes), const_out
-    # a larger batch splits A into its upper- and lower-line parts by
-    # arithmetic: each entry of a part is exact (A's or zero), so their sum
-    # after scaling is the selected product, at a fraction of a masked
-    # select's cost. The lines must be finite (relu_relaxation's are, for
-    # finite ranges): 0 times a NaN line gives NaN where the select gives 0.
-    up = A * use_up
-    const_out = const + (up @ icpt_up[:, :, None])[..., 0]
-    out = up * slope_up[:, None, :]
-    out += (A - up) * slope_lo[:, None, :]
+    # a larger batch selects by arithmetic, at a fraction of a masked
+    # select's cost. The intercepts meet A's upper-line part, whose entries
+    # are exact (A's or zero). Each entry's slope is use_up * (up - lo) + lo,
+    # which is exact for CROWN's lines: lo is 0, or 1 with up in [0.5, 1],
+    # where up - 1 is exact (Sterbenz). The lines must be finite
+    # (relu_relaxation's are, for finite ranges): 0 times a NaN line gives
+    # NaN where the select gives 0.
+    const_out = const + ((A * use_up) @ icpt_up[:, :, None])[..., 0]
+    out = use_up * (slope_up - slope_lo)[:, None, :]
+    out += slope_lo[:, None, :]
+    out *= A
     return out, const_out

@@ -161,8 +161,12 @@ def simplify(net: Network, box: Box | None = None) -> tuple[Network, SimplifySta
 
     The box is needed only when the input itself is carried past a hidden
     layer; a ReLU right after the input or after another ReLU, and a layer
-    off the input-to-output path, raise StructuralError.
+    off the input-to-output path, raise StructuralError. A box whose
+    dimension is not the input width raises ContractError, whether or not
+    the input is carried.
     """
+    if box is not None and box.dim != net.input_layer.width:
+        raise ContractError(f"box dimension {box.dim} does not match input width {net.input_layer.width}")
     n_linear = sum(layer.kind == KIND_LINEAR for layer in net.layers)
     stats = SimplifyStats(linearizations=n_linear, layer_budget=len(net.layers))
     order = topo_order(net)

@@ -12,8 +12,12 @@ branch is a sign region of the box: each leaf carries, per hidden layer, an
 int8 sign array (-1 pinned inactive, 0 free, +1 pinned active) next to that
 layer's pre-activation bounds and ReLU relaxation. Pinning neuron j of layer
 k clamps its range to [0, u] or [l, 0], which makes its relaxation exact,
-and re-bounds only layers k+1 onward; the child shares the parent's arrays
-for the layers before k. Every leaf's bounds are sound on its sign region.
+and bounds layers k+1 onward again; the child shares the parent's arrays
+for the layers before k. Not every row of those layers is bounded again
+(bounds.bound_layers): a neuron the parent proves dead keeps the parent's
+range, and so does an unpinned neuron of the last hidden layer that the
+parent proves active, whose lines are the identity on any range that stays
+active. Every leaf's bounds are sound on its sign region.
 A re-bound that puts a pinned neuron strictly on the wrong side of zero
 shows that no box point has the pinned signs, and that leaf closes without
 a margin.
@@ -182,7 +186,10 @@ def split_leaf(
     ks, js and signs hold one split per parent, each sign ACTIVE or
     INACTIVE. A child shares its parent's layers before its split, takes
     layer k as the parent's with neuron j clamped, and bounds the layers
-    after k again with every pin re-applied. Returns the children as a
+    after k again with every pin re-applied. In those layers only the rows
+    that may change are bounded (bound_layers): rows the parent proves dead,
+    and unpinned rows of the last hidden layer that it proves active, keep
+    the parent's ranges. Returns the children as a
     LeafBatch in the parents' order, empty sign regions flagged in its
     empty mask.
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from redkit import kernels
+from redkit.bounds import relu_relaxation
 
 
 def _random_case(seed, m=7, n=5):
@@ -207,6 +208,33 @@ def test_relu_backward_batch_matches_per_member_calls(seed, shared_rows):
         assert A_out.shape == (5,) + members[0][0].shape
         for b, m in enumerate(members):
             A_ref, c_ref = _relu_backward_one(*m, upper_pass)
+            np.testing.assert_array_equal(A_out[b], A_ref)
+            np.testing.assert_allclose(c_out[b], c_ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shared_rows", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_relu_backward_batch_matches_the_loop_on_adaptive_lines(seed, shared_rows):
+    # the batch form builds each entry's slope by arithmetic, which is exact
+    # only on CROWN's lines; here every kind of neuron (dead, active, both
+    # lower slopes) meets zero and nonzero coefficients
+    rng = np.random.default_rng(seed)
+    B, m, n = 4, 6, 64
+    lo = rng.uniform(-2, 1, size=(B, n))
+    hi = lo + rng.uniform(0, 3, size=(B, n))
+    lines = relu_relaxation(lo, hi)
+    lines = lines.slope_lo, lines.slope_up, lines.icpt_up
+    unstable = (lo < 0) & (hi > 0)
+    assert (hi <= 0).any() and (lo >= 0).any()
+    assert (unstable & (lines[0] == 1)).any() and (unstable & (lines[0] == 0)).any()
+    A = rng.normal(size=(1 if shared_rows else B, m, n))
+    A[rng.uniform(size=A.shape) < 0.25] = 0.0
+    const = rng.normal(size=A.shape[:2])
+    for upper_pass in (False, True):
+        A_out, c_out = kernels.relu_backward(A, const, *lines, upper_pass)
+        for b in range(B):
+            a = 0 if shared_rows else b
+            A_ref, c_ref = _relu_backward_loop(A[a], const[a], *(l[b] for l in lines), upper_pass)
             np.testing.assert_array_equal(A_out[b], A_ref)
             np.testing.assert_allclose(c_out[b], c_ref, rtol=1e-12, atol=1e-12)
 

@@ -119,6 +119,23 @@ def test_construction_without_box_fails_loudly():
         simplify(net)
 
 
+@pytest.mark.parametrize("carried", [True, False])
+def test_a_box_of_the_wrong_width_is_rejected(carried):
+    # the tiny skip carries its input past the hidden layer; the other net
+    # never carries it, and used to accept a box of any width
+    rng = np.random.default_rng(3)
+    if carried:
+        net, box, _ = _tiny_skip(rng, d=4)
+    else:
+        b = NetworkBuilder()
+        l0 = b.add_linear(b.add_input(4), rng.normal(size=(3, 4)), rng.normal(size=3))
+        net = b.build(b.add_linear(b.add_relu(l0, 3), rng.normal(size=(2, 3)), np.zeros(2)))
+        box = Box(-np.ones(4), np.ones(4))
+    simplify(net, box)
+    with pytest.raises(ContractError, match="box dimension 5 does not match input width 4"):
+        simplify(net, Box(-np.ones(5), np.ones(5)))
+
+
 def test_simplify_residual_block_shape():
     net, box, parts = build_residual_block(channels=4, side=4, seed=7)
     chain, stats = simplify(net, box=box)

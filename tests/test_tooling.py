@@ -10,7 +10,8 @@ linger in the docs. So must every --flag on a `redkit <subcommand>` line of
 README.md, against that subcommand's parser, and README's subcommand table
 must list exactly the parser's subcommands. scripts/bench_pairs.py
 summarizes paired runs; its direction-aware win count is checked on fixed
-records. scripts/equivalence_digest.py runs on one job of one workload.
+records. scripts/equivalence_digest.py runs on one job of one workload, and
+its --max-splits replaces the split budget.
 """
 import argparse
 import ast
@@ -167,3 +168,19 @@ def test_equivalence_digest_prints_every_output_of_a_job():
     assert sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*")) == before
     bad = subprocess.run(cmd[:-1] + ["x"], cwd=ROOT, capture_output=True, text=True)
     assert bad.returncode == 2 and "--jobs" in bad.stderr
+
+
+def test_equivalence_digest_max_splits_replaces_the_split_budget():
+    # bab_tight's job 0 needs more than its 40-split budget, so bab_verify
+    # stops at whatever budget the flag sets, on both paths
+    cmd = [sys.executable, "scripts/equivalence_digest.py", "--workloads", "bab_tight",
+           "--seeds", "1001", "--jobs", "0:1", "--max-splits", "2"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" ", 6) for line in proc.stdout.splitlines()]
+    bab = [r[6].split(" ", 3) for r in rows if r[5] == "bab"]
+    assert [(b[0], b[2], b[3]) for b in bab] == [("unknown", "2", "'split budget exhausted'")] * 2
+    verdicts = [r[6] for r in rows if r[5] == "verdict"]
+    assert len(verdicts) == 2 and all(" bab unknown 2 " in v for v in verdicts)
+    bad = subprocess.run(cmd[:-1] + ["-1"], cwd=ROOT, capture_output=True, text=True)
+    assert bad.returncode == 2 and "--max-splits" in bad.stderr

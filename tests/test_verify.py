@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_samples, leaf_margins, member, root_margins, root_one, split_one
+from conftest import FIG1_B1, FIG1_W1, box_samples, leaf_margins, member, root_margins, root_one, split_one
 from redkit import (
     Box,
     Chain,
@@ -31,6 +31,7 @@ from redkit import (
     split_leaf,
     verify_incomplete,
 )
+from redkit import kernels
 from redkit import verify as verify_mod
 from redkit.errors import ContractError
 from redkit.bounds import chain_margin_lower_bounds
@@ -360,6 +361,137 @@ def test_pinned_leaf_bounds_hold_on_their_sign_region(seed, n_pins):
     ys = forward_batch(from_sequential(wb, widths[0]), xs[inside])
     if len(ys):
         assert (ys @ C.T + d).min() >= bound - 1e-9
+
+
+# --- what a child bounds again in the last hidden layer ---
+
+
+def _record_last_layer_passes(monkeypatch, chain):
+    """Monkeypatch the kernels to record, per interval step on the last hidden
+    layer, the neurons it bounds, and per concretized backward pass its row count."""
+    W_last = chain.layers[chain.n_relu - 1][0]
+    sent, backward = [], []
+    interval, concretize = kernels.interval_affine, kernels.concretize
+
+    def recording_interval(W, *rest):
+        if W.shape[1] == W_last.shape[1]:
+            sent.append([int(np.flatnonzero((W_last == w).all(axis=1))[0]) for w in W])
+        return interval(W, *rest)
+
+    def recording_concretize(A, *rest, **kw):
+        backward.append(A.shape[1])
+        return concretize(A, *rest, **kw)
+
+    monkeypatch.setattr(kernels, "interval_affine", recording_interval)
+    monkeypatch.setattr(kernels, "concretize", recording_concretize)
+    return sent, backward
+
+
+def test_a_child_bounds_again_only_the_last_layer_rows_its_parent_leaves_open(monkeypatch):
+    # the parent proves some last-layer neurons active and one more is pinned
+    # active: a split above bounds that layer again on its unstable rows and
+    # the pinned one, whose range may yet show the region empty; the rows
+    # the parent proves active or dead keep their ranges
+    net, box = _generated(2, 10, 3, 1, 0)
+    chain = Chain.of(net)
+    root = root_one(chain, box)
+    lo, hi = root.lower[1], root.upper[1]
+    unstable = np.flatnonzero((lo < 0) & (hi > 0))
+    assert (lo >= 0).any() and (hi <= 0).any() and len(unstable) > 1
+    parent = split_one(chain, box, root, 1, unstable[0], ACTIVE)
+    j = np.flatnonzero((parent.lower[0] < 0) & (parent.upper[0] > 0))[0]
+    kept = ~np.isin(np.arange(len(lo)), unstable)
+    sent, backward = _record_last_layer_passes(monkeypatch, chain)
+    for sign in (ACTIVE, INACTIVE):
+        child = split_one(chain, box, parent, 0, j, sign)
+        if child is not None:
+            assert np.array_equal(child.lower[1][kept], parent.lower[1][kept])
+            assert np.array_equal(child.upper[1][kept], parent.upper[1][kept])
+    assert sent == [list(unstable)] * 2
+    assert backward == [len(unstable)] * 4
+
+
+def test_a_last_layer_with_no_open_row_runs_no_pass(monkeypatch, unit_box):
+    # the last hidden layer has one neuron active and one dead on the whole
+    # box, so a split of the first layer bounds nothing again
+    wb = [(FIG1_W1, FIG1_B1), (np.array([[1.0] * 5, [-1.0] * 5]), np.array([1.0, -20.0])),
+          (np.array([[1.0, 1.0]]), np.zeros(1))]
+    chain = Chain.of(from_sequential(wb, 2))
+    root = root_one(chain, unit_box)
+    sent, backward = _record_last_layer_passes(monkeypatch, chain)
+    for sign in (ACTIVE, INACTIVE):
+        child = split_one(chain, unit_box, root, 0, 4, sign)
+        assert np.array_equal(child.lower[1], root.lower[1])
+        assert np.array_equal(child.upper[1], root.upper[1])
+    assert sent == [] and backward == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_pins=st.integers(1, 5),
+)
+def test_kept_last_layer_ranges_hold_on_the_sign_region(seed, n_pins):
+    # chains of 3 or 4 hidden layers: each split above the last one keeps the
+    # parent's range of every unpinned last-layer neuron it proves active,
+    # and that range holds on the child's sign region
+    rng = np.random.default_rng(seed)
+    widths = [2] + [int(rng.integers(3, 7)) for _ in range(int(rng.integers(3, 5)))] + [1]
+    wb = [(rng.normal(scale=1.2, size=(o, i)), rng.normal(scale=0.5, size=o))
+          for i, o in zip(widths, widths[1:])]
+    chain = Chain.of(from_sequential(wb, widths[0]))
+    last = chain.n_relu - 1
+    box = Box(-np.ones(2), np.ones(2))
+    xs = box.sample(3000, rng)
+    pre = _pre_activations(chain, xs)
+    leaf, inside = root_one(chain, box), np.ones(len(xs), dtype=bool)
+    for _ in range(n_pins):
+        free = [(k, j) for k in range(last)
+                for j in np.flatnonzero((leaf.lower[k] < 0) & (leaf.upper[k] > 0))]
+        if not free:
+            break
+        k, j = free[int(rng.integers(len(free)))]
+        sign = int(rng.choice([ACTIVE, INACTIVE]))
+        child = split_one(chain, box, leaf, k, j, sign)
+        inside &= pre[k][:, j] * sign >= 0.0
+        if child is None:
+            assert not inside.any(), "an empty leaf holds a sampled point"
+            return
+        kept = (leaf.lower[last] >= 0.0) & (leaf.signs[last] == 0)
+        assert np.array_equal(child.lower[last][kept], leaf.lower[last][kept])
+        assert np.array_equal(child.upper[last][kept], leaf.upper[last][kept])
+        z = pre[last][inside][:, kept]
+        mag = 1e-9 * (1.0 + np.abs(z).max(initial=0.0))
+        assert np.all(z >= child.lower[last][kept] - mag)
+        assert np.all(z <= child.upper[last][kept] + mag)
+        leaf = child
+
+
+# nets on which re-bounding the last hidden layer in full turned a neuron
+# that an ancestor proves active unstable again
+@pytest.mark.parametrize("seed", [3, 52, 94])
+def test_a_descendant_never_splits_a_last_layer_neuron_an_ancestor_proves_active(seed):
+    rng = np.random.default_rng(seed)
+    widths = [2] + [int(rng.integers(3, 8)) for _ in range(int(rng.integers(2, 5)))] + [1]
+    wb = [(rng.normal(scale=1.2, size=(o, i)), rng.normal(scale=0.5, size=o))
+          for i, o in zip(widths, widths[1:])]
+    chain = Chain.of(from_sequential(wb, 2))
+    box = Box(-np.ones(2), np.ones(2))
+    last = chain.n_relu - 1
+    leaf = root_one(chain, box)
+    proved = leaf.lower[last] >= 0.0  # active in some ancestor
+    for _ in range(6):
+        layers, neurons = verify_mod._widest_unstable(leaf.batch.lower, leaf.batch.upper)
+        if layers[0] < 0:
+            break
+        leaf = split_one(chain, box, leaf, int(layers[0]), int(neurons[0]),
+                         int(rng.choice([ACTIVE, INACTIVE])))
+        if leaf is None:
+            break
+        assert np.all(leaf.lower[last][proved] >= 0.0)
+        layers, neurons = verify_mod._widest_unstable(leaf.batch.lower, leaf.batch.upper)
+        assert not (layers[0] == last and proved[neurons[0]])
+        proved |= leaf.lower[last] >= 0.0
 
 
 @settings(max_examples=40, deadline=None)
