@@ -14,7 +14,12 @@ perfbench/pipeline.py prepares them) it prints one line per output:
 - `interval` and `crown`: sha256 of the compute_bounds table's ranges;
 - `incomplete` and `bab`: the verify_incomplete and bab_verify verdicts,
   the latter at the workload's split budget (or --max-splits): status,
-  repr(bound), splits and note;
+  repr(bound), splits and note. bab_verify runs right after
+  verify_incomplete on the same network, so it takes over that root;
+- `bab_alone`: the `bab` verdict of bab_verify on a freshly imported
+  network with no verify_incomplete before it, which bounds its own root,
+  so each run shows whether a root taken over and a fresh one give the
+  same verdict byte for byte;
 - `onnx` (reduced path only): sha256 of the exported reduced model;
 - `verdict`: both verdicts' status, splits and note, and the path's ReLU
   count (`relu_after`), with no float in it.
@@ -101,6 +106,11 @@ def job_lines(rk, pipeline, job, workload, max_splits) -> list[tuple[str, str, s
         out.append((path, "incomplete", _verdict(incomplete)))
         bab = rk.bab_verify(net, spec, timeout=workload.timeout_s, max_splits=max_splits)
         out.append((path, "bab", _verdict(bab)))
+        fresh = rk.import_onnx(model if path == pipeline.REDUCED else job.model)[0]
+        if path == pipeline.ORIGINAL:
+            fresh = pipeline._chain(fresh, spec.box)
+        alone = rk.bab_verify(fresh, spec, timeout=workload.timeout_s, max_splits=max_splits)
+        out.append((path, "bab_alone", _verdict(alone)))
         if path == pipeline.REDUCED:
             out.append((path, "onnx", _sha(model)))
         out.append((path, "verdict",

@@ -29,11 +29,23 @@ serves every leaf, and each still re-bounds only the layers after its own
 split. A composed hidden layer (bounds.COMPACT_MIN_ENTRIES) enters every
 leaf's backward passes in the composed form built at the root
 (bounds.relax_layer).
+
+The root is bounded once per network and box. verify_incomplete leaves its
+chain and root on the network it was called with, held weakly so that they
+die with the network, and the next bab_verify on the same Network object
+and an equal box takes them over instead of bounding again; the hand-off is
+one-shot, so a later bab_verify bounds its own root. Before branching,
+bab_verify runs on the live chain (_live_chain): every neuron that the root
+proves dead (hi <= 0) is deleted from the chain and from the root leaf, as
+the paper deletes stable neurons before the verifier sees them. A dead
+neuron adds exactly 0 to every interval and backward sum, so this changes
+a bound only by summation order; verify_incomplete bounds the full chain.
 """
 from __future__ import annotations
 
 import numbers
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +53,7 @@ import numpy as np
 from .bounds import (
     Box,
     Chain,
+    _Composed,
     _ReluRelaxation,
     bound_layers,
     chain_margin_lower_bounds,
@@ -61,6 +74,12 @@ INACTIVE = -1
 # Leaves bounded per branch-and-bound step. Chosen from {16, 32, 64} by
 # paired perfbench runs on bab_tight (CHANGES.md).
 BATCH = 16
+
+# verify_incomplete's root by network: (box, chain, root leaf), taken over
+# by the next bab_verify on that network and box. Keyed weakly, so an entry
+# dies with its network; the values hold the network's arrays, not the
+# network itself.
+_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -153,6 +172,53 @@ def root_leaf(chain: Chain, box: Box) -> LeafBatch:
         tuple(np.zeros(lo.shape, np.int8) for lo in lower),
         np.zeros(1, bool),
     )
+
+
+def _live_chain(chain: Chain, root: LeafBatch) -> tuple[Chain, LeafBatch]:
+    """The chain and its root without the hidden neurons that the root proves dead.
+
+    A neuron with hi <= 0 at the root stays dead in every leaf below it
+    (bound_layers keeps a dead row's range), and adds exactly 0 to every
+    interval and backward sum. So its row of W_k, its column of W_{k+1} and
+    its ranges, lines and signs go, and the bounds change only by summation
+    order. A composed layer's unstable and active neurons, which are all
+    kept, are re-indexed into the kept ones. Its weight's columns are the
+    backward columns of the layer below (bounds._enter): a plain layer's
+    neurons, whose dead ones go, or a composed layer's own weight columns
+    followed by its unstable neurons, which lose what that weight lost.
+    """
+    keep = [np.flatnonzero(hi[0] > 0.0) for hi in root.upper]
+    if all(len(kept) == hi.shape[-1] for kept, hi in zip(keep, root.upper)):
+        return chain, root
+    rows = keep + [np.arange(chain.layers[-1][0].shape[0])]
+    cols = [np.arange(chain.input_width)] + keep
+    layers = tuple((W[np.ix_(r, c)], b[r]) for (W, b), r, c in zip(chain.layers, rows, cols))
+    relaxations = []
+    below = None  # the backward columns of the layer below that stay; None for all
+    for k, r in enumerate(root.relaxations):
+        c = r.composed
+        if c is None:
+            below = keep[k]
+        else:
+            weight = c.weight
+            if below is not None:  # its own columns: those below, then its unstable neurons
+                weight = weight[:, below]
+                below = np.concatenate([below, c.weight.shape[1] + np.arange(len(c.unstable))])
+            c = _Composed(np.searchsorted(keep[k], c.unstable),
+                          np.searchsorted(keep[k], c.active), weight, c.bias)
+        lines = (a[:, keep[k]] for a in (r.slope_lo, r.slope_up, r.icpt_up))
+        relaxations.append(_ReluRelaxation(*lines, c))
+
+    def cut(arrays):
+        return tuple(a[:, kept] for a, kept in zip(arrays, keep))
+
+    live = LeafBatch(cut(root.lower), cut(root.upper), tuple(relaxations), cut(root.signs),
+                     root.empty)
+    return Chain(layers, chain.n_relu), live
+
+
+def _same_box(a: Box, b: Box) -> bool:
+    return a is b or (np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper))
 
 
 def _check_split(chain: Chain, lower: tuple, k: int, j: int, sign: int) -> None:
@@ -256,13 +322,19 @@ def _margin_rows(chain: Chain, spec: PropertySpec) -> tuple[np.ndarray, np.ndarr
 
 
 def verify_incomplete(net: Network, spec: PropertySpec) -> Verdict:
-    """Single CROWN pass; verified iff every margin bound is >= 0."""
+    """Single CROWN pass; verified iff every margin bound is >= 0.
+
+    The root it bounds stays on net for the next bab_verify on the same
+    box (see the module docstring).
+    """
     t0 = time.monotonic()
     if spec.rows.shape[0] == 0:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
     chain = Chain.of(net).affine_ended()
     A, const = _margin_rows(chain, spec)
-    bound = float(_margins(chain, spec.box, root_leaf(chain, spec.box), A, const)[0])
+    root = root_leaf(chain, spec.box)
+    _ROOTS[net] = (spec.box, chain, root)
+    bound = float(_margins(chain, spec.box, root, A, const)[0])
     status = VERIFIED if bound >= 0.0 else UNKNOWN
     return Verdict(status, bound, 0, time.monotonic() - t0)
 
@@ -361,15 +433,26 @@ def bab_verify(
     handles its leaves, which then count as open. The reported bound is the
     worst bound among closed leaves, plus the failing leaf's for
     non-verified outcomes.
+
+    The root is the one that verify_incomplete left on net for an equal
+    box, if it did so since the last bab_verify on net; else it is bounded
+    here. wall_time_s and timeout count from the call, so a root taken over
+    counts for neither. The search then runs on the live chain, without
+    the neurons that the root proves dead (_live_chain).
     """
     check_budget(timeout, max_splits)
     t0 = time.monotonic()
+    box = spec.box
+    held = _ROOTS.pop(net, None)
     if spec.rows.shape[0] == 0:
         return Verdict(VERIFIED, np.inf, 0, time.monotonic() - t0, "no constraints")
-    chain = Chain.of(net).affine_ended()
+    if held is not None and _same_box(held[0], box):
+        _, chain, root = held
+    else:
+        chain = Chain.of(net).affine_ended()
+        root = root_leaf(chain, box)
+    chain, batch = _live_chain(chain, root)
     A, const = _margin_rows(chain, spec)
-    box = spec.box
-    batch = root_leaf(chain, box)
     margins, members = _margins(chain, box, batch, A, const), [0]
     stack: list = []  # open leaves: (batch, member, layer, neuron, sign)
     splits = 0
@@ -414,10 +497,13 @@ def find_grid_counterexample(
 
     Returns the first input that spec.counterexamples flags (a strictly
     negative margin, any-mode: some row; all-mode: every row), or None.
-    Absence of a hit proves nothing.
+    Absence of a hit proves nothing. budget must be a positive integer and
+    seed a nonnegative one; a bool is neither.
     """
-    if budget < 1:
-        raise ContractError("budget must be positive")
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ContractError(f"budget must be a positive integer, got {budget!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
     box = spec.box
     d = box.dim
     rng = np.random.default_rng(seed)

@@ -14,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import member, root_one, split_one
-from redkit import Box, Chain, PropertySpec, compute_bounds, forward_batch, from_sequential
+from redkit import (
+    Box,
+    Chain,
+    LayerPartition,
+    PropertySpec,
+    compute_bounds,
+    forward_batch,
+    from_sequential,
+    reduce_network,
+)
 from redkit import bounds, verify
 from redkit.bounds import (
     _backward_from,
@@ -382,10 +391,14 @@ def test_composed_bounds_match_the_plain_pass_on_random_chains(seed, depth, mixe
             margins = None if children is None else chain_margin_lower_bounds(
                 chain, box.lower[None], box.upper[None], A, const, children.relaxations)
 
+            # bab_verify splits the live chain, whose layers keep only the
+            # neurons live at the root (verify._live_chain)
+            live_active = [a[hi[0] > 0.0] for a, hi in zip(root_active, root.upper)]
+
             def recording_split(chain, box, parents, *rest, real=verify.split_leaf):
                 kids = real(chain, box, parents, *rest)
                 for k, lo in enumerate(kids.lower):
-                    loosened.extend(np.argwhere((lo < 0.0) & root_active[k] & ~kids.empty[:, None]))
+                    loosened.extend(np.argwhere((lo < 0.0) & live_active[k] & ~kids.empty[:, None]))
                 return kids
 
             mp.setattr(verify, "split_leaf", recording_split)
@@ -440,3 +453,59 @@ def test_batches_from_different_roots_cannot_be_concatenated():
     assert len(verify.LeafBatch.concat([one, one])) == 2
     with pytest.raises(ContractError, match="different roots"):
         verify.LeafBatch.concat([one, other])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), depth=st.integers(1, 4),
+       mode=st.sampled_from(["plain", "mixed", "composed"]))
+def test_bab_on_the_live_chain_matches_bab_on_the_network_without_its_dead_neurons(
+        seed, depth, mode):
+    # bab_verify deletes the neurons its root proves dead before branching;
+    # reduce_network with only those neurons deactivated deletes the same
+    # ones from the network. Both searches then add up the same terms, less
+    # the dead neurons' exact zeros, so they decide alike, provided that the
+    # same layers enter them composed: none, every one, or, when mixed, the
+    # layers that a size drawn from each chain's own selects in both
+    rng = np.random.default_rng(seed)
+    widths = [int(rng.integers(2, 7))] + [int(rng.integers(3, 25)) for _ in range(depth)] + [2]
+    net, chain, box = _planted_chain(rng, widths)
+    xs = np.vstack([box.sample(500, rng), box.corners(64, rng)])
+    ys = forward_batch(net, xs) @ np.array([1.0, -1.0])
+    # the 1e-6 keeps the margin off zero where the output is constant on the box
+    t = ys.min() - rng.uniform(0.0, 0.3) * (ys.max() - ys.min()) - 1e-6
+    spec = PropertySpec(box, np.array([[1.0, -1.0]]), np.array([-t]), name="y0_minus_y1")
+
+    def without_dead_neurons():  # partitions that deactivate the root-dead neurons alone
+        root = verify.root_leaf(chain, box)
+        parts = [LayerPartition(np.flatnonzero(hi[0] <= 0.0), [], np.flatnonzero(hi[0] > 0.0),
+                                hi.shape[1]) for hi in root.upper]
+        reduced, _ = reduce_network(net, box, partitions=parts)
+        alive = [k for k, hi in enumerate(root.upper) if (hi > 0.0).any()]
+        return reduced, Chain.of(reduced), alive
+
+    def pattern(threshold, alive=None):  # the composed layers: of the reduced chain, or
+        if alive is None:                # of the full one's layers that it keeps
+            return _composed(red_chain, threshold)
+        return [_composed(chain, threshold)[k] for k in alive]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "COMPACT_MIN_ENTRIES", PLAIN)
+        _, red_chain, alive = without_dead_neurons()
+        if mode == "mixed":
+            pairs = [(f, r) for f in {W.size for W, _ in chain.layers}
+                     for r in {W.size for W, _ in red_chain.layers}
+                     if pattern(f, alive) == pattern(r)]
+            mixed = [p for p in pairs if len(set(pattern(p[1]))) == 2]
+            t_full, t_red = sorted(mixed or pairs)[int(rng.integers(len(mixed or pairs)))]
+        else:
+            t_full = t_red = PLAIN if mode == "plain" else 1
+        mp.setattr(bounds, "COMPACT_MIN_ENTRIES", t_full)
+        reduced, red_chain, alive = without_dead_neurons()
+        assert red_chain.n_relu == len(alive)
+        v_net = verify.bab_verify(net, spec, max_splits=40)
+        mp.setattr(bounds, "COMPACT_MIN_ENTRIES", t_red)
+        assert pattern(t_full, alive) == pattern(t_red)
+        v_red = verify.bab_verify(reduced, spec, max_splits=40)
+    assert (v_net.status, v_net.splits, v_net.note) == (v_red.status, v_red.splits, v_red.note)
+    assert abs(v_net.bound - v_red.bound) <= 1e-9 * max(1.0, abs(v_red.bound))
+    assert not v_net.verified or np.all(ys - t >= 0.0)

@@ -149,15 +149,19 @@ def test_equivalence_digest_prints_every_output_of_a_job():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 6) for line in proc.stdout.splitlines()]
     assert [r[:5] for r in rows] == [["large_models", "1001", "job", "3", path]
-                                     for path in ["original"] * 6 + ["reduced"] * 6]
-    outputs = ["interval", "crown", "incomplete", "bab"]
+                                     for path in ["original"] * 7 + ["reduced"] * 7]
+    outputs = ["interval", "crown", "incomplete", "bab", "bab_alone"]
     assert [r[5] for r in rows] == ["chain"] + outputs + ["verdict"] + outputs + ["onnx", "verdict"]
-    verdicts = {}
+    verdicts, bab = {}, {}
     for _, _, _, _, path, output, digest in rows:
-        if output in ("incomplete", "bab"):
+        if output in ("incomplete", "bab", "bab_alone"):
             status, bound, splits, note = digest.split(" ", 3)
             assert status in ("verified", "unknown") and float(bound) == float(bound)
             assert int(splits) >= 0 and note[0] == note[-1] == "'"
+            if output == "bab_alone":  # a fresh root gives the taken-over root's verdict
+                assert digest == bab[path]
+                continue
+            bab[path] = digest
             verdicts.setdefault(path, []).append(f"{output} {status} {splits} {note}")
         elif output == "verdict":
             # both verdicts without their bounds, then the path's ReLU count

@@ -6,6 +6,8 @@ closes both branches with margin 0. CROWN closes y_0 >= -3 at the root. All
 numbers are exact in binary floating point.
 """
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +33,7 @@ from redkit import (
     split_leaf,
     verify_incomplete,
 )
+from redkit import bounds as bounds_mod
 from redkit import kernels
 from redkit import verify as verify_mod
 from redkit.errors import ContractError
@@ -720,8 +723,104 @@ def test_grid_budget_must_be_positive(fig1_net, unit_box):
         find_grid_counterexample(fig1_net, spec, budget=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"budget": -4}, {"budget": 2.5}, {"budget": True}, {"budget": "64"},
+    {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "0"},
+])
+def test_grid_rejects_a_budget_or_seed_that_is_not_a_count(fig1_net, unit_box, kwargs):
+    # before: 2.5 and "64" raised a raw TypeError, seed -1 numpy's
+    # ValueError, and True counted as a budget of 1
+    spec = _spec(unit_box, [[1.0, 0.0]], [0.0])
+    with pytest.raises(ContractError, match=next(iter(kwargs))):
+        find_grid_counterexample(fig1_net, spec, **kwargs)
+
+
+def test_grid_takes_numpy_integers(fig1_net, unit_box):
+    spec = _spec(unit_box, [[1.0, 0.0]], [0.0])
+    want = find_grid_counterexample(fig1_net, spec, budget=500, seed=2)
+    got = find_grid_counterexample(fig1_net, spec, budget=np.int64(500), seed=np.uint8(2))
+    assert want is not None and np.array_equal(got, want)
+
+
 def test_grid_counterexample_is_deterministic(fig1_net, unit_box):
     spec = _spec(unit_box, [[1.0, 0.0]], [0.0])
     a = find_grid_counterexample(fig1_net, spec, budget=5000, seed=3)
     b = find_grid_counterexample(fig1_net, spec, budget=5000, seed=3)
     assert np.array_equal(a, b)
+
+
+# --- the root that verify_incomplete hands to bab_verify ---
+
+
+def _root_passes(monkeypatch):
+    """Record each root pass: a bounds.bound_layers call from layer 0."""
+    passes = []
+    real = bounds_mod.bound_layers
+
+    def counting(*args, start=0, **kwargs):
+        if start == 0:
+            passes.append(start)
+        return real(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "bound_layers", counting)
+    monkeypatch.setattr(verify_mod, "bound_layers", counting)
+    return passes
+
+
+def _handoff_case(seed=101):
+    """A generated chain with root-dead neurons and a property that needs splits."""
+    net, box = _generated(3, 8, 2, 1, seed)
+    ys = forward_batch(net, box.sample(4000, np.random.default_rng(seed)))[:, 0]
+    t = ys.min() - 0.05 * (ys.max() - ys.min())
+    return net, PropertySpec(box, np.array([[1.0]]), np.array([-t]), name="y_ge_t")
+
+
+def _outcome(v):
+    return v.status, v.bound, v.splits, v.note
+
+
+def test_bab_verify_takes_over_the_root_of_verify_incomplete(monkeypatch):
+    net, spec = _handoff_case()
+    root = verify_mod.root_leaf(Chain.of(net), spec.box)
+    assert any((hi <= 0.0).any() for hi in root.upper)  # the live chain is narrower
+    alone = bab_verify(net, spec, max_splits=300)  # no verify_incomplete before it
+    assert alone.splits > 0
+    passes = _root_passes(monkeypatch)
+    assert not verify_incomplete(net, spec).verified
+    assert len(passes) == 1
+    taken = bab_verify(net, spec, max_splits=300)
+    assert len(passes) == 1  # no second root pass
+    assert _outcome(taken) == _outcome(alone)
+    # the hand-off is one-shot: a second bab_verify bounds its own root
+    assert _outcome(bab_verify(net, spec, max_splits=300)) == _outcome(alone)
+    assert len(passes) == 2
+
+
+def test_another_box_or_network_bounds_its_own_root(monkeypatch):
+    net, spec = _handoff_case()
+    other_net, _ = _handoff_case()
+    box = spec.box
+    smaller = PropertySpec(Box(box.lower, box.lower + 0.5 * box.widths), spec.rows,
+                           spec.offsets, name="smaller")
+    alone = {name: bab_verify(n, s, max_splits=300)
+             for name, n, s in (("other_box", net, smaller), ("other_net", other_net, spec))}
+    passes = _root_passes(monkeypatch)
+    verify_incomplete(net, spec)
+    assert _outcome(bab_verify(net, smaller, max_splits=300)) == _outcome(alone["other_box"])
+    assert len(passes) == 2
+    verify_incomplete(net, spec)
+    assert _outcome(bab_verify(other_net, spec, max_splits=300)) == _outcome(alone["other_net"])
+    assert len(passes) == 4
+    # a root bounded on an equal box taken from another spec object is taken over
+    same_box = PropertySpec(Box(box.lower.copy(), box.upper.copy()), spec.rows, spec.offsets)
+    bab_verify(net, same_box, max_splits=300)
+    assert len(passes) == 4
+
+
+def test_a_root_left_by_verify_incomplete_dies_with_its_network():
+    net, spec = _handoff_case()
+    verify_incomplete(net, spec)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
