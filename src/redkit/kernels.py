@@ -9,22 +9,43 @@ attributes sees every bound-pass call.
 
 Each serves a batch of branch-and-bound leaves in one call: (B, n) boxes or
 relaxation lines and (B, m, n) coefficient rows, member b of one meeting
-member b of the other. The root pass over the whole box is a batch of one.
+member b of the other. The root pass over the whole box is a batch of one,
+and takes the same form as any other batch.
+
+On finite values (relu_backward's lines: relu_relaxation's), each result is
+the scalar element-by-element loop's, up to summation order. Finite weights
+can still overflow, and a range of [NaN, NaN] or a lower bound of +inf
+would prove anything. So interval_affine and concretize, where bounds are
+formed, widen such a result: a lower bound that is NaN or +inf becomes
+-inf, an upper bound that is NaN or -inf becomes +inf. A non-finite value
+only widens a bound to +-inf, and proves nothing.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
+def _lower(v):
+    """v as a lower bound: an entry that is NaN or +inf, from an overflow, becomes -inf."""
+    return np.where(v < np.inf, v, -np.inf)
+
+
+def _upper(v):
+    """v as an upper bound: an entry that is NaN or -inf, from an overflow, becomes +inf."""
+    return np.where(v > -np.inf, v, np.inf)
+
+
 def interval_affine(W, b, lo, hi):
     """Range of W x + b for x in the box [lo, hi], elementwise tight.
 
     W is one (m, n) layer; lo and hi are one (n,) box or a batch (B, n).
+    A lower end that overflows to NaN or +inf is -inf, an upper one +inf.
     """
     Wp = np.maximum(W, 0.0)
     Wn = np.minimum(W, 0.0)
     # np.dot: the same products as @, with less per-call overhead
-    return np.dot(lo, Wp.T) + np.dot(hi, Wn.T) + b, np.dot(hi, Wp.T) + np.dot(lo, Wn.T) + b
+    return (_lower(np.dot(lo, Wp.T) + np.dot(hi, Wn.T) + b),
+            _upper(np.dot(hi, Wp.T) + np.dot(lo, Wn.T) + b))
 
 
 def concretize(A, const, x_lo, x_hi, upper_pass: bool):
@@ -33,14 +54,16 @@ def concretize(A, const, x_lo, x_hi, upper_pass: bool):
     A (B, m, d) and const (B, m) are the lines of a backward pass over the
     input; x_lo and x_hi are one (1, d) box or a batch (B, d), member b of
     the boxes meeting member b of the lines (a batch of one meets every
-    member of the other). The result is (B, m). Neither A nor const is
-    written to.
+    member of the other). The result is (B, m), widened to -inf (+inf) where
+    it is NaN or infinite on the wrong side. Neither A nor const is written
+    to.
     """
     Ap = np.maximum(A, 0.0)
     An = np.minimum(A, 0.0)
     if upper_pass:
         x_lo, x_hi = x_hi, x_lo
-    return (Ap @ x_lo[..., None] + An @ x_hi[..., None])[..., 0] + const
+    v = (Ap @ x_lo[..., None] + An @ x_hi[..., None])[..., 0] + const
+    return _upper(v) if upper_pass else _lower(v)
 
 
 def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
@@ -52,24 +75,19 @@ def relu_backward(A, const, slope_lo, slope_up, icpt_up, upper_pass: bool):
 
     Member b's (B, n) lines meet A[b] (A (B, m, n), const (B, m)) or one row
     set shared by the batch (A (1, m, n), const (1, m)); the result is
-    (B, m, n), (B, m).
+    (B, m, n), (B, m). Neither A nor const is written to, and besides the
+    sign mask one A-sized temporary is alive at a time.
+
+    Each entry's slope is selected by arithmetic, use_up * (up - lo) + lo,
+    which is exact on relu_relaxation's lines: lo is 0, or 1 with up in
+    [0.5, 1], where up - 1 is exact (Sterbenz). A non-finite line, which a
+    range that overflowed gives, poisons every row that meets it, zero
+    coefficients included (0 * NaN is NaN), and concretize widens a NaN
+    bound to -inf below and +inf above: it proves nothing.
     """
     # lower pass: nonnegative coefficients keep the lower line, negative ones
     # take the upper line (and collect its intercept); upper pass mirrors it.
     use_up = (A >= 0.0) if upper_pass else (A < 0.0)
-    if slope_lo.shape[0] == 1:
-        # one member, whose rows can be tens of MB on a wide layer: a masked
-        # select holds one A-sized temporary, and the slopes become the result
-        const_out = const + np.where(use_up, A, 0.0) @ icpt_up[0]
-        slopes = np.where(use_up, slope_up, slope_lo)
-        return np.multiply(A, slopes, out=slopes), const_out
-    # a larger batch selects by arithmetic, at a fraction of a masked
-    # select's cost. The intercepts meet A's upper-line part, whose entries
-    # are exact (A's or zero). Each entry's slope is use_up * (up - lo) + lo,
-    # which is exact for CROWN's lines: lo is 0, or 1 with up in [0.5, 1],
-    # where up - 1 is exact (Sterbenz). The lines must be finite
-    # (relu_relaxation's are, for finite ranges): 0 times a NaN line gives
-    # NaN where the select gives 0.
     const_out = const + ((A * use_up) @ icpt_up[:, :, None])[..., 0]
     out = use_up * (slope_up - slope_lo)[:, None, :]
     out += slope_lo[:, None, :]

@@ -89,11 +89,12 @@ def reduce_layer(
     The partition is trusted: its activated neurons must be nonnegative and
     its deactivated ones nonpositive over the region. v_range bounds V's
     output (the box, or clamped bounds for a ReLU V); the shift of merged
-    rows is their interval lower bound over it. When merging is skipped, the
-    activated rows are kept as they are. Returns (pairs, merged): pairs
-    replaces [X, Z] and is [X', Z'], or the single pair [Z'] of a constant
-    map when the hidden layer vanished; merged tells whether the activated
-    block was folded into Z.
+    rows is their interval lower bound over it. When merging is skipped
+    (the block is no larger than Z, or its merged weights, bias or shift
+    are not finite), the activated rows are kept as they are. Returns
+    (pairs, merged): pairs replaces [X, Z] and is [X', Z'], or the single
+    pair [Z'] of a constant map when the hidden layer vanished; merged tells
+    whether the activated block was folded into Z.
     """
     (Wx, bx), (Wz, bz) = x, z
     if part.width != Wx.shape[0]:
@@ -106,6 +107,10 @@ def reduce_layer(
         merge_b = Wz[:, A] @ bx[A]
         lo, _ = kernels.interval_affine(merge_w, merge_b, *v_range)
         shift = np.maximum(0.0, -lo)
+        # products that overflow (an infinite shift, say) would make the
+        # merged block compute NaN; kept unmerged, the block stays exact
+        merged = all(np.isfinite(a).all() for a in (merge_w, merge_b, shift))
+    if merged:
         new_w = np.vstack([merge_w, Wx[U, :]])
         new_b = np.concatenate([merge_b + shift, bx[U]])
         z_w = np.hstack([np.eye(n), Wz[:, U]])

@@ -400,11 +400,11 @@ def check_budget(timeout, max_splits) -> None:
 
     max_splits must be a nonnegative integer and timeout a nonnegative
     number of seconds; 0 times out at the first check. A negative or NaN
-    timeout would time out at once or never.
+    timeout would time out at once or never, and a bool is neither.
     """
-    if not (isinstance(max_splits, numbers.Integral) and max_splits >= 0):
+    if isinstance(max_splits, bool) or not isinstance(max_splits, numbers.Integral) or max_splits < 0:
         raise ContractError(f"max_splits must be a nonnegative integer, got {max_splits!r}")
-    if not (isinstance(timeout, numbers.Real) and timeout >= 0):
+    if isinstance(timeout, bool) or not (isinstance(timeout, numbers.Real) and timeout >= 0):
         raise ContractError(f"timeout must be a nonnegative number of seconds, got {timeout!r}")
 
 

@@ -1,8 +1,9 @@
 """Kernel checks.
 
-The *_backends_agree tests hold the vectorized numpy kernels against scalar
-element-by-element loop references; the rest check interval_affine and
-concretize against points of the box.
+The *_backends_agree tests, and the relu_backward tests on CROWN's lines,
+hold the vectorized numpy kernels against scalar element-by-element loop
+references; the rest check interval_affine and concretize against points of
+the box, and that a bound that overflows widens to +-inf.
 """
 import tracemalloc
 
@@ -111,45 +112,67 @@ def test_relu_backward_backends_agree(seed):
         np.testing.assert_allclose(c_out, c_ref, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("upper_pass", [False, True])
-def test_relu_backward_zero_coefficient_line(upper_pass):
-    # a NaN slope on the line a zero coefficient must not take shows up in A_out
-    A = np.array([[0.0, 1.0, -1.0]])
-    const = np.zeros(1)
-    icpt_up = np.array([0.5, 0.5, 0.5])
-    finite, poison = np.full(3, 0.5), np.array([np.nan, 0.5, 0.5])
-    slope_lo, slope_up = (poison, finite) if upper_pass else (finite, poison)
-    A_out, c_out = _relu_backward_one(A, const, slope_lo, slope_up, icpt_up, upper_pass)
-    assert A_out[0, 0] == 0.0
-    ref = _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass)
-    np.testing.assert_array_equal(A_out, ref[0])
-    np.testing.assert_array_equal(c_out, ref[1])
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-1.0, np.inf), (-np.inf, 1.0)])
+def test_a_nan_line_proves_nothing(lo, hi, upper_pass):
+    # a range that overflowed gives NaN lines; every row that meets one, with
+    # a zero coefficient too, must concretize to -inf below and +inf above
+    ranges = np.array([[lo, -2.0, 0.5]]), np.array([[hi, 1.0, 2.0]])
+    lines = relu_relaxation(*ranges)
+    lines = lines.slope_lo, lines.slope_up, lines.icpt_up
+    assert np.isnan(np.concatenate(lines)).any()
+    A = np.array([[[0.0, 1.0, -1.0], [1.0, -1.0, 0.5], [-1.0, 0.0, 2.0]]])
+    const = np.zeros((1, 3))
+    x_lo, x_hi = np.array([[-1.0, 0.5, -2.0]]), np.array([[1.0, 1.5, -1.0]])
+    lines_in = kernels.relu_backward(A, const, *lines, upper_pass)
+    bound = kernels.concretize(*lines_in, x_lo, x_hi, upper_pass)
+    assert (bound == (np.inf if upper_pass else -np.inf)).all(), bound
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_bound_widens_to_infinity():
+    # products of finite numbers overflow to +-inf, and inf - inf is NaN; at
+    # the box's one point the rows are 1e308, 2e308 and -2e308, so a lower
+    # bound of +inf or NaN (an upper one of -inf or NaN) would prove them wrong
+    W = np.array([[1e308, -1e308, 1e308], [1e308, 1e308, 0.0], [-1e308, -1e308, 0.0]])
+    b = np.zeros(3)
+    x = np.ones(3)
+    lo, hi = kernels.interval_affine(W, b, x, x)
+    assert (lo == -np.inf).all() and (hi == np.inf).all()
+    for upper_pass, want in ((False, -np.inf), (True, np.inf)):
+        got = kernels.concretize(W[None], b[None], x[None], x[None], upper_pass)
+        assert (got == want).all()
 
 
 def test_relu_backward_holds_one_temporary():
     # a crown pass over a wide layer hands this kernel coefficient rows of
     # tens of MB; besides the sign mask it may hold one A-sized array at a
-    # time, and it must not write into A (chain weights are read-only)
-    A, const, slope_lo, slope_up, icpt_up = _relaxation_case(0, m=300, n=400)
-    A.flags.writeable = False
-    outs = []
+    # time, and it must not write into A (chain weights are read-only). The
+    # root's rows are a batch of one; a batch of leaves has its own rows per
+    # member
+    one = [_relaxation_case(0, m=300, n=400)]
+    batch = [_relaxation_case(b, m=100, n=400) for b in range(3)]
+    runs = []  # (members, upper_pass, A_out)
     tracemalloc.start()
     try:
-        for upper_pass in (False, True):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            A_out, _ = _relu_backward_one(A, const, slope_lo, slope_up, icpt_up, upper_pass)
-            peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak < 1.5 * A.nbytes, f"peak {peak} bytes for A of {A.nbytes}"
-            outs.append(A_out)
-            del A_out
+        for members in (one, batch):
+            A, const, *lines = (np.stack([m[i] for m in members]) for i in range(5))
+            A.flags.writeable = False
+            for upper_pass in (False, True):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                A_out, _ = kernels.relu_backward(A, const, *lines, upper_pass)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < 1.5 * A.nbytes, f"peak {peak} bytes for A of {A.nbytes}"
+                runs.append((members, upper_pass, A_out))
+                del A_out
     finally:
         tracemalloc.stop()
     # the Python-loop reference runs untraced: under tracemalloc it is 5x slower
-    for upper_pass, A_out in zip((False, True), outs):
-        np.testing.assert_array_equal(
-            A_out, _relu_backward_loop(A, const, slope_lo, slope_up, icpt_up, upper_pass)[0]
-        )
+    for members, upper_pass, A_out in runs:
+        for b, m in enumerate(members):
+            np.testing.assert_array_equal(A_out[b], _relu_backward_loop(*m, upper_pass)[0])
 
 
 def test_interval_affine_exact_on_samples():
@@ -215,28 +238,35 @@ def test_relu_backward_batch_matches_per_member_calls(seed, shared_rows):
 @pytest.mark.parametrize("shared_rows", [False, True])
 @pytest.mark.parametrize("seed", range(3))
 def test_relu_backward_batch_matches_the_loop_on_adaptive_lines(seed, shared_rows):
-    # the batch form builds each entry's slope by arithmetic, which is exact
-    # only on CROWN's lines; here every kind of neuron (dead, active, both
-    # lower slopes) meets zero and nonzero coefficients
+    # every batch, the root's batch of one included, builds each entry's
+    # slope by arithmetic, which is exact only on CROWN's lines; here every
+    # kind of neuron (dead, active, both lower slopes, and hi == -lo, whose
+    # upper slope is exactly 0.5) meets zero and nonzero coefficients
     rng = np.random.default_rng(seed)
-    B, m, n = 4, 6, 64
-    lo = rng.uniform(-2, 1, size=(B, n))
-    hi = lo + rng.uniform(0, 3, size=(B, n))
-    lines = relu_relaxation(lo, hi)
-    lines = lines.slope_lo, lines.slope_up, lines.icpt_up
-    unstable = (lo < 0) & (hi > 0)
-    assert (hi <= 0).any() and (lo >= 0).any()
-    assert (unstable & (lines[0] == 1)).any() and (unstable & (lines[0] == 0)).any()
-    A = rng.normal(size=(1 if shared_rows else B, m, n))
-    A[rng.uniform(size=A.shape) < 0.25] = 0.0
-    const = rng.normal(size=A.shape[:2])
-    for upper_pass in (False, True):
-        A_out, c_out = kernels.relu_backward(A, const, *lines, upper_pass)
-        for b in range(B):
-            a = 0 if shared_rows else b
-            A_ref, c_ref = _relu_backward_loop(A[a], const[a], *(l[b] for l in lines), upper_pass)
-            np.testing.assert_array_equal(A_out[b], A_ref)
-            np.testing.assert_allclose(c_out[b], c_ref, rtol=1e-12, atol=1e-12)
+    m, n = 6, 64
+    for B in (1, 4):
+        lo = rng.uniform(-2, 1, size=(B, n))
+        hi = lo + rng.uniform(0, 3, size=(B, n))
+        hi[:, :4] = rng.uniform(0.1, 2, size=(B, 4))
+        lo[:, :4] = -hi[:, :4]
+        lines = relu_relaxation(lo, hi)
+        lines = lines.slope_lo, lines.slope_up, lines.icpt_up
+        unstable = (lo < 0) & (hi > 0)
+        assert (hi <= 0).any() and (lo >= 0).any()
+        assert (unstable & (lines[0] == 1)).any() and (unstable & (lines[0] == 0)).any()
+        assert (lines[1][:, :4] == 0.5).all() and (lines[0][:, :4] == 1).all()
+        A = rng.normal(size=(1 if shared_rows else B, m, n))
+        A[rng.uniform(size=A.shape) < 0.25] = 0.0
+        const = rng.normal(size=A.shape[:2])
+        for upper_pass in (False, True):
+            A_out, c_out = kernels.relu_backward(A, const, *lines, upper_pass)
+            assert A_out.shape == (B, m, n) and c_out.shape == (B, m)
+            for b in range(B):
+                a = 0 if shared_rows else b
+                A_ref, c_ref = _relu_backward_loop(A[a], const[a], *(l[b] for l in lines),
+                                                   upper_pass)
+                np.testing.assert_array_equal(A_out[b], A_ref)
+                np.testing.assert_allclose(c_out[b], c_ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -229,6 +229,22 @@ def test_reduce_keeps_small_activated_sets():
     assert rep.max_abs_diff <= 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("method", ["interval", "crown"])
+def test_a_merge_that_overflows_stays_unmerged(method):
+    # the three activated neurons would merge into one row whose bound over
+    # the box overflows; its shift came out infinite, and the reduced net
+    # computed NaN. Kept unmerged, the block computes what it did
+    net = from_sequential([(np.eye(3), np.zeros(3)), ([[1e308, -1e308, 1e308]], [0.0])], 3)
+    box = Box(np.ones(3), np.ones(3))
+    reduced, report = reduce_network(net, box, method=method)
+    row = report.rows[0]
+    assert row["n_activated"] == 3 and not row["merged"]
+    assert report.relu_after == 3
+    x = box.lower[None]
+    assert forward_batch(reduced, x) == forward_batch(net, x) == 1e308
+
+
 def test_reduce_idempotent(fig1_net, unit_box):
     once, r1 = reduce_network(fig1_net, unit_box, method="interval")
     twice, r2 = reduce_network(once, unit_box, method="interval")

@@ -117,10 +117,12 @@ def test_zero_timeout_times_out(fig1_net, unit_box):
 
 @pytest.mark.parametrize("budget", [
     {"max_splits": -3}, {"timeout": -1.0}, {"timeout": float("nan")}, {"max_splits": 2.5},
+    {"max_splits": True}, {"timeout": True},
 ])
 def test_an_invalid_budget_is_rejected(fig1_net, unit_box, budget):
-    # before: -3 splits gave "split budget exhausted", -1 s a timeout, and a
-    # NaN timeout never fired because elapsed > nan is always false
+    # before: -3 splits gave "split budget exhausted", -1 s a timeout, a NaN
+    # timeout never fired because elapsed > nan is always false, and True
+    # ran with a budget of 1 split or 1 s
     with pytest.raises(ContractError, match="max_splits|timeout"):
         bab_verify(fig1_net, _y1_le_11(unit_box), **budget)
 
@@ -543,6 +545,72 @@ def test_bab_decides_a_reduction_that_removed_every_relu():
     assert (v.status, v.bound) == (VERIFIED, 0.75)
     v = bab_verify(reduced, PropertySpec(box, np.array([[1.0]]), np.array([-0.5])))
     assert (v.status, v.bound) == (UNKNOWN, -0.25)
+
+
+# --- bounds that overflow ---
+
+
+def _overflow_case(name):
+    """A net whose finite weights overflow a bound, a property, and a box point that breaks it."""
+    if name == "net1":
+        # y = 0.5 - relu(x) on [-1, 1] breaks y >= 0 at x = 1; the first
+        # layer's 1e200 row squares to inf in its relaxation's intercept,
+        # whose range used to come out [NaN, NaN] and read as dead
+        net = from_sequential([([[1e200], [1.0]], [0.0, 0.0]), ([[0.0, 1.0]], [0.0]),
+                               ([[-1.0]], [0.5])], 1)
+        spec = PropertySpec(Box(-np.ones(1), np.ones(1)), np.ones((1, 1)), np.zeros(1))
+        return net, spec, np.ones((1, 1))
+    # y = 1e308 at the box's one point breaks y >= 1.5e308; the positive half
+    # of the lower bound overflows to +inf
+    net = from_sequential([(np.eye(3), np.zeros(3)), ([[1e308, -1e308, 1e308]], [0.0])], 3)
+    spec = PropertySpec(Box(np.ones(3), np.ones(3)), np.ones((1, 1)), np.array([-1.5e308]))
+    return net, spec, np.ones((1, 3))
+
+
+def _overflow_sweep_case(seed):
+    """2 inputs, hidden widths 2-4 and 1-3, one first-layer row scaled by 10**150 to 10**199.
+
+    The threshold t of y >= t is just above the least of 64 sampled
+    outputs, so that sample, returned with the net and the property, breaks it.
+    """
+    rng = np.random.default_rng(seed)
+    widths = [2, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 1]
+    wb = [(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(widths, widths[1:])]
+    wb[0][0][rng.integers(widths[1])] *= 10.0 ** int(rng.integers(150, 200))
+    net = from_sequential(wb, 2)
+    box = Box(-np.ones(2), np.ones(2))
+    xs = box.sample(64, rng)
+    t = np.nextafter(forward_batch(net, xs).min(), np.inf)
+    return net, PropertySpec(box, np.ones((1, 1)), np.array([-t]), name="y_ge_t"), xs
+
+
+def _proves_nothing_false(net, spec, xs):
+    """Neither verifier says verified, or reports a NaN bound, on a spec that a point of xs breaks."""
+    assert spec.counterexamples(forward_batch(net, xs)).any()
+    for v in (verify_incomplete(net, spec), bab_verify(net, spec, max_splits=200)):
+        assert not v.verified and not np.isnan(v.bound), v
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("composed", [False, True])
+@pytest.mark.parametrize("name", ["net1", "net2"])
+def test_a_bound_that_overflows_proves_nothing(monkeypatch, name, composed):
+    # before: bab_verify said verified on both (bound 0.5 on net1, +inf on
+    # net2), and on net1 with every layer composed it raised an IndexError
+    if composed:
+        monkeypatch.setattr(bounds_mod, "COMPACT_MIN_ENTRIES", 1)
+    _proves_nothing_false(*_overflow_case(name))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("composed", [False, True])
+def test_no_overflow_sweep_net_verifies_a_false_property(monkeypatch, composed):
+    # before: 29 of these 301 nets verified plain, and composed 9 verified
+    # and 110 more raised an IndexError
+    if composed:
+        monkeypatch.setattr(bounds_mod, "COMPACT_MIN_ENTRIES", 1)
+    for seed in range(301):
+        _proves_nothing_false(*_overflow_sweep_case(seed))
 
 
 # --- batches of leaves ---
