@@ -42,6 +42,11 @@ from .netir import Chain, Network, as_sequential
 # saved, so small layers keep the plain arithmetic.
 COMPACT_MIN_ENTRIES = 1 << 16
 
+# An overflow widens a bound to +-inf (see kernels), so numpy's overflow and
+# invalid-value warnings are off in the bound passes: each entry point runs
+# under np.errstate(**_QUIET).
+_QUIET = dict(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class Box:
@@ -132,11 +137,19 @@ class _ReluRelaxation:
     composed: _Composed | None = None
 
 
+@np.errstate(**_QUIET)
 def relu_relaxation(lo: np.ndarray, hi: np.ndarray) -> _ReluRelaxation:
     """The ReLU lines over [lo, hi], neuron by neuron; (B, n) ranges give (B, n) lines.
 
     The lower line of an unstable neuron is the adaptive one (see _ReluRelaxation).
     A neuron with hi <= 0, the degenerate l == u == 0 included, is inactive.
+    An overflow can leave an unstable range with one infinite end; it takes
+    the limiting lines: as hi -> +inf the upper line tends to slope 1 and
+    intercept -lo (and the lower slope is 1), as lo -> -inf to slope 0 and
+    intercept hi (and the lower slope is 0). A finite range whose product
+    -lo * hi overflows takes the intercept -lo * slope, the same up to
+    rounding. With both ends infinite, or hi - lo overflowing, the lines are
+    NaN, and every bound they meet widens to +-inf (see kernels).
     """
     live = hi > 0.0
     act = live & (lo >= 0.0)
@@ -146,6 +159,11 @@ def relu_relaxation(lo: np.ndarray, hi: np.ndarray) -> _ReluRelaxation:
     neg_lo = -lo
     icpt_up = np.where(unstable, neg_lo * hi / denom, 0.0)
     slope_lo = np.where(unstable, hi >= neg_lo, act).astype(np.float64)
+    if not np.isfinite(icpt_up).all():
+        hi_inf, lo_inf = hi == np.inf, lo == -np.inf
+        slope_up = np.where(unstable & hi_inf & ~lo_inf, 1.0, slope_up)
+        limit = unstable & ~np.isfinite(icpt_up) & (np.isfinite(denom) | (hi_inf ^ lo_inf))
+        icpt_up = np.where(limit, np.where(lo_inf, hi, neg_lo * slope_up), icpt_up)
     return _ReluRelaxation(slope_lo, slope_up, icpt_up)
 
 
@@ -230,6 +248,7 @@ def clamp_to_signs(lo: np.ndarray, hi: np.ndarray, signs: np.ndarray):
     return lo, np.where(signs < 0, np.minimum(hi, 0.0), hi), empty
 
 
+@np.errstate(**_QUIET)
 def bound_layers(
     chain: Chain,
     x_lo: np.ndarray,
@@ -265,20 +284,22 @@ def bound_layers(
     signs, one int8 array per hidden layer, restricts the bounds to a sign
     region: +1 clamps a neuron's range to lo >= 0, -1 to hi <= 0. parent,
     which comes with signs, is the (lower, upper) of sign regions containing
-    these, whose ranges hold on them too. A member's hidden row keeps its parent's range, without
-    being bounded again, where the parent proves it inactive (hi <= 0): it
-    stays inactive and feeds nothing downstream. On the last hidden layer,
-    so does an unpinned row the parent proves active (lo >= 0): only its own
-    ReLU lines read that range, since the margin pass is CROWN's, and they
-    are the identity on any range with lo >= 0, where a range bounded again
-    could come out unstable (the adaptive lower line is not monotone). A
-    pinned row is bounded again, because its range may show the member
-    empty, and an active row of an earlier layer is, because its range
-    feeds the next layer's interval step. Only the rows that some member
-    does not keep are bounded, and a layer without one runs no pass.
-    Returns one flag per member, False when a pinned neuron's
-    bounds come out strictly on the other side of zero: then no box point
-    has the member's pinned signs. Stops when every member is empty.
+    these, whose ranges hold on them too. One rule decides which hidden rows
+    are bounded again, in every layer: a member's unpinned row that its
+    parent proves stable (hi <= 0 or lo >= 0) keeps the parent's range,
+    without any pass. The range holds, since the member's region lies inside
+    the parent's, and the neuron stays stable in every descendant, so it is
+    never split; a range bounded again could come out unstable, since the
+    adaptive lower line is not monotone. Only the rows the parent leaves
+    unstable, and pinned rows, whose range may show the member empty, go
+    through the interval step and both backward passes. A kept active range
+    still feeds the next layer's interval step, where a range bounded again
+    under the new pins could be narrower: a child can come out slightly
+    looser than a full re-bound. Only the rows that some member does not
+    keep are bounded, and a layer without one runs no pass. Returns one flag
+    per member, False when a pinned neuron's bounds come out strictly on the
+    other side of zero: then no box point has the member's pinned signs.
+    Stops when every member is empty.
     """
     stop = len(chain.layers) if stop is None else stop
     ok = np.ones(lower[start - 1].shape[0] if start else x_lo.shape[0], bool)
@@ -291,9 +312,7 @@ def bound_layers(
             v_lo, v_hi = np.maximum(lower[k - 1], 0.0), np.maximum(upper[k - 1], 0.0)
         keep = None  # (B, n): the rows that keep their parents' ranges
         if parent is not None and hidden:
-            keep = parent[1][k] <= 0.0
-            if k == chain.n_relu - 1:
-                keep |= (parent[0][k] >= 0.0) & (signs[k] == 0)
+            keep = ((parent[1][k] <= 0.0) | (parent[0][k] >= 0.0)) & (signs[k] == 0)
         composed = start == 0 and parent is None and _is_composed(chain, k)
         if keep is None or not keep.any():
             lo, hi, live, A, const = _crown_rows(chain, k, W, b, v_lo, v_hi, x_lo, x_hi,
@@ -413,6 +432,7 @@ def _backward_from(chain: Chain, k: int, A, const, relaxations, upper_pass: bool
     return A, const
 
 
+@np.errstate(**_QUIET)
 def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     """Pre-activation bounds of every linear layer of a sequential network.
 
@@ -441,6 +461,7 @@ def compute_bounds(net: Network, box: Box, method: str) -> BoundsTable:
     return BoundsTable(method, ids, dict(zip(ids, lower)), dict(zip(ids, upper)))
 
 
+@np.errstate(**_QUIET)
 def chain_margin_lower_bounds(chain: Chain, x_lo, x_hi, A, const, relaxations: list) -> np.ndarray:
     """CROWN lower bounds of A h + const, h the last hidden layer's post-ReLU values.
 

@@ -18,7 +18,13 @@ can still overflow, and a range of [NaN, NaN] or a lower bound of +inf
 would prove anything. So interval_affine and concretize, where bounds are
 formed, widen such a result: a lower bound that is NaN or +inf becomes
 -inf, an upper bound that is NaN or -inf becomes +inf. A non-finite value
-only widens a bound to +-inf, and proves nothing.
+only widens a bound to +-inf, and proves nothing. That widening is how an
+overflow is handled, so the bound passes that call these kernels
+(bounds.bound_layers, chain_margin_lower_bounds, compute_bounds, and the
+reducer's merge) run under np.errstate(over="ignore", invalid="ignore"),
+entered once per call rather than once per kernel call: a branch-and-bound
+step calls the kernels hundreds of times, and each entry costs about as
+much as a small numpy call.
 """
 from __future__ import annotations
 

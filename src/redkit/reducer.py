@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .bounds import BoundsTable, Box, compute_bounds
+from .bounds import _QUIET, BoundsTable, Box, compute_bounds
 from .errors import ContractError, InternalInvariantError
 from .netir import Chain, Network, as_sequential
 
@@ -103,10 +103,11 @@ def reduce_layer(
     n = Wz.shape[0]
     merged = len(A) > n
     if merged:
-        merge_w = Wz[:, A] @ Wx[A, :]
-        merge_b = Wz[:, A] @ bx[A]
-        lo, _ = kernels.interval_affine(merge_w, merge_b, *v_range)
-        shift = np.maximum(0.0, -lo)
+        with np.errstate(**_QUIET):
+            merge_w = Wz[:, A] @ Wx[A, :]
+            merge_b = Wz[:, A] @ bx[A]
+            lo, _ = kernels.interval_affine(merge_w, merge_b, *v_range)
+            shift = np.maximum(0.0, -lo)
         # products that overflow (an infinite shift, say) would make the
         # merged block compute NaN; kept unmerged, the block stays exact
         merged = all(np.isfinite(a).all() for a in (merge_w, merge_b, shift))

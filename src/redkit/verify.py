@@ -14,10 +14,10 @@ layer's pre-activation bounds and ReLU relaxation. Pinning neuron j of layer
 k clamps its range to [0, u] or [l, 0], which makes its relaxation exact,
 and bounds layers k+1 onward again; the child shares the parent's arrays
 for the layers before k. Not every row of those layers is bounded again
-(bounds.bound_layers): a neuron the parent proves dead keeps the parent's
-range, and so does an unpinned neuron of the last hidden layer that the
-parent proves active, whose lines are the identity on any range that stays
-active. Every leaf's bounds are sound on its sign region.
+(bounds.bound_layers): in every hidden layer, an unpinned neuron that the
+parent proves stable (dead or active) keeps the parent's range, which holds
+on the child's region, so no descendant splits a neuron that an ancestor
+proves stable. Every leaf's bounds are sound on its sign region.
 A re-bound that puts a pinned neuron strictly on the wrong side of zero
 shows that no box point has the pinned signs, and that leaf closes without
 a margin.
@@ -253,9 +253,9 @@ def split_leaf(
     INACTIVE. A child shares its parent's layers before its split, takes
     layer k as the parent's with neuron j clamped, and bounds the layers
     after k again with every pin re-applied. In those layers only the rows
-    that may change are bounded (bound_layers): rows the parent proves dead,
-    and unpinned rows of the last hidden layer that it proves active, keep
-    the parent's ranges. Returns the children as a
+    that the parent leaves unstable, and pinned rows, are bounded
+    (bound_layers): every unpinned row the parent proves stable (hi <= 0 or
+    lo >= 0) keeps the parent's range. Returns the children as a
     LeafBatch in the parents' order, empty sign regions flagged in its
     empty mask.
 

@@ -112,22 +112,49 @@ def test_relu_backward_backends_agree(seed):
         np.testing.assert_allclose(c_out, c_ref, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("upper_pass", [False, True])
-@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-1.0, np.inf), (-np.inf, 1.0)])
-def test_a_nan_line_proves_nothing(lo, hi, upper_pass):
-    # a range that overflowed gives NaN lines; every row that meets one, with
-    # a zero coefficient too, must concretize to -inf below and +inf above
-    ranges = np.array([[lo, -2.0, 0.5]]), np.array([[hi, 1.0, 2.0]])
-    lines = relu_relaxation(*ranges)
-    lines = lines.slope_lo, lines.slope_up, lines.icpt_up
-    assert np.isnan(np.concatenate(lines)).any()
-    A = np.array([[[0.0, 1.0, -1.0], [1.0, -1.0, 0.5], [-1.0, 0.0, 2.0]]])
-    const = np.zeros((1, 3))
+_ROWS = np.array([[[0.0, 1.0, -1.0], [1.0, -1.0, 0.5], [-1.0, 0.0, 2.0]]])
+
+
+def _lines_bound(lo, hi, upper_pass):
+    """The lines over ranges [lo, -2, 0.5] to [hi, 1, 2], and _ROWS's bound through them."""
+    r = relu_relaxation(np.array([[lo, -2.0, 0.5]]), np.array([[hi, 1.0, 2.0]]))
+    lines = r.slope_lo, r.slope_up, r.icpt_up
     x_lo, x_hi = np.array([[-1.0, 0.5, -2.0]]), np.array([[1.0, 1.5, -1.0]])
-    lines_in = kernels.relu_backward(A, const, *lines, upper_pass)
-    bound = kernels.concretize(*lines_in, x_lo, x_hi, upper_pass)
+    lines_in = kernels.relu_backward(_ROWS, np.zeros((1, 3)), *lines, upper_pass)
+    return lines, kernels.concretize(*lines_in, x_lo, x_hi, upper_pass)
+
+
+@pytest.mark.parametrize("upper_pass", [False, True])
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf)])
+def test_a_nan_line_proves_nothing(lo, hi, upper_pass):
+    # a range with both ends infinite gives NaN lines; every row that meets
+    # one, with a zero coefficient too, must concretize to -inf below and
+    # +inf above
+    lines, bound = _lines_bound(lo, hi, upper_pass)
+    assert np.isnan(np.concatenate(lines)).any()
     assert (bound == (np.inf if upper_pass else -np.inf)).all(), bound
+
+
+@pytest.mark.parametrize("upper_pass", [False, True])
+@pytest.mark.parametrize("lo, hi", [(-1.0, np.inf), (-np.inf, 1.0)])
+def test_a_half_infinite_range_takes_finite_lines(lo, hi, upper_pass):
+    # the limiting lines: upper slope 1 and intercept -lo as hi -> +inf, with
+    # lower slope 1; upper slope 0 and intercept hi as lo -> -inf, with lower
+    # slope 0. They are finite, so the rows that meet them stay finite too
+    lines, bound = _lines_bound(lo, hi, upper_pass)
+    assert np.isfinite(np.concatenate(lines)).all()
+    want = (1.0, 1.0, 1.0) if hi == np.inf else (0.0, 0.0, 1.0)
+    assert tuple(float(line[0, 0]) for line in lines) == want
+    assert np.isfinite(bound).all(), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(end=st.floats(1e-300, 1e300), t=st.floats(0.0, 1e308), hi_inf=st.booleans())
+def test_half_infinite_lines_bound_relu(end, t, hi_inf):
+    # z is a point of [-end, +inf) or (-inf, end], up to 1e308 from its end
+    lo, hi, z = (-end, np.inf, t - end) if hi_inf else (-np.inf, end, end - t)
+    r = relu_relaxation(np.array([[lo]]), np.array([[hi]]))
+    assert r.slope_lo[0, 0] * z <= max(z, 0.0) <= r.slope_up[0, 0] * z + r.icpt_up[0, 0]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

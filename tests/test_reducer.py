@@ -229,7 +229,6 @@ def test_reduce_keeps_small_activated_sets():
     assert rep.max_abs_diff <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("method", ["interval", "crown"])
 def test_a_merge_that_overflows_stays_unmerged(method):
     # the three activated neurons would merge into one row whose bound over
@@ -243,6 +242,21 @@ def test_a_merge_that_overflows_stays_unmerged(method):
     assert report.relu_after == 3
     x = box.lower[None]
     assert forward_batch(reduced, x) == forward_batch(net, x) == 1e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["interval", "crown"])
+def test_a_merge_whose_weights_overflow_stays_unmerged_without_a_warning(method):
+    # the merged weights 1e200 * 1e200 overflow to inf, so the three activated
+    # neurons stay unmerged, and numpy's overflow warning stays inside the
+    # merge; on the box's one point the net computes 3e100
+    net = from_sequential([(1e200 * np.eye(3), np.zeros(3)), ([[1e200, 1e200, 1e200]], [0.0])], 3)
+    box = Box(np.full(3, 1e-300), np.full(3, 1e-300))
+    reduced, report = reduce_network(net, box, method=method)
+    row = report.rows[0]
+    assert row["n_activated"] == 3 and not row["merged"]
+    x = box.lower[None]
+    assert forward_batch(reduced, x) == forward_batch(net, x)
 
 
 def test_reduce_idempotent(fig1_net, unit_box):

@@ -10,13 +10,16 @@ linger in the docs. So must every --flag on a `redkit <subcommand>` line of
 README.md, against that subcommand's parser, and README's subcommand table
 must list exactly the parser's subcommands. scripts/bench_pairs.py
 summarizes paired runs; its direction-aware win count is checked on fixed
-records. scripts/equivalence_digest.py runs on one job of one workload, and
-its --max-splits replaces the split budget.
+records, and it runs both sides from fresh copies of their checkouts.
+scripts/equivalence_digest.py runs on one job of one workload, and its
+--max-splits replaces the split budget.
 """
 import argparse
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import subprocess
@@ -138,6 +141,59 @@ def test_bench_pairs_summary_counts_wins_in_each_direction():
     assert out["counts_match"] and out["jobs_match"] and out["all_correct"]
     runs["change"][1] = run(2.5, 1.0, counts="other")
     assert not bp.summarize(runs, {})["counts_match"]
+
+
+# a stand-in perfbench/run.py: it logs its working directory and the files
+# under it, then prints the one-line summary that run_once reads
+_FAKE_RUN = """\
+import hashlib, json, os
+from pathlib import Path
+files = {str(p.relative_to(".")): hashlib.sha256(p.read_bytes()).hexdigest()
+         for p in sorted(Path(".").rglob("*")) if p.is_file()}
+with open(LOG, "a") as f:
+    f.write(json.dumps({"cwd": os.getcwd(), "files": files}) + "\\n")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"verdict_s_p50": {"value": 1.0}}}))
+"""
+
+
+def test_bench_pairs_runs_both_sides_from_fresh_copies(tmp_path):
+    bp = _bench_pairs()
+    log = tmp_path / "log.jsonl"
+    sides = {}
+    for side in bp.SIDES:
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(f"LOG = {str(log)!r}\n" + _FAKE_RUN)
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "mod.py").write_text(f"SIDE = {side!r}\n")
+        for skipped in (".git", ".bench_out", "__pycache__", "src/pkg/__pycache__"):
+            (root / skipped).mkdir()
+            (root / skipped / "junk").write_text("left behind")
+        sides[side] = root
+    (sides["change"] / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "verdict_s_p50", "better": "lower"}]}')
+    out = tmp_path / "out.json"
+    assert bp.main(["--base", str(sides["base"]), "--change", str(sides["change"]),
+                    "--workload", "w", "--seeds", "1", "--pairs", "2", "--out", str(out)]) == 0
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(runs) == 4
+    where = {}
+    for run in runs:
+        cwd = Path(run["cwd"])
+        side = next(s for s in bp.SIDES if (run["files"]["src/pkg/mod.py"] ==
+                                            hashlib.sha256(f"SIDE = {s!r}\n".encode()).hexdigest()))
+        where.setdefault(side, set()).add(cwd)
+        src = sides[side]
+        assert cwd != src and not cwd.is_relative_to(src)
+        want = {str(p.relative_to(src)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(src.rglob("*")) if p.is_file() and "junk" != p.name}
+        assert run["files"] == want
+    (base,), (change,) = where["base"], where["change"]
+    assert base.parent == change.parent and len(str(base)) == len(str(change))
+    assert not base.parent.exists()  # the copies are removed afterwards
+    summary = json.loads(out.read_text())["workloads"]["w"]["seeds"]["1"]["summary"]
+    assert summary["all_correct"] and summary["verdict_s_p50"]["pairs"] == 2
 
 
 def test_equivalence_digest_prints_every_output_of_a_job():
