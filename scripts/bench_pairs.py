@@ -8,7 +8,8 @@
 Both checkouts are first copied, the same way, into fresh sibling
 directories of equal name length under one temporary parent (without
 .git, .bench_out and __pycache__), and every run starts from those copies,
-which are removed at the end. So neither side runs in a working tree that
+which are removed at the end, also when the script is stopped by SIGTERM
+(then it exits 143). So neither side runs in a working tree that
 earlier builds and runs have shaped, and the two directory paths differ in
 one name only: perfbench timings have moved by up to 10 %, and peak
 memory by up to 25 MB, with the checkout's layout alone.
@@ -35,6 +36,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -151,12 +153,21 @@ def main(argv=None) -> int:
                             "python": platform.python_version()})
     doc.setdefault("workloads", {})
     entry = doc["workloads"].setdefault(args.workload, {"seeds": {}})
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        copies = fresh_copies(checkouts, Path(tmp))
-        for seed in args.seeds:
-            entry["seeds"][str(seed)] = _pairs(args, seed, copies, better)
-            args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+            copies = fresh_copies(checkouts, Path(tmp))
+            for seed in args.seeds:
+                entry["seeds"][str(seed)] = _pairs(args, seed, copies, better)
+                args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _exit_on_signal(signum, frame):
+    """SIGTERM as SystemExit, so the running perfbench child is killed and the copies removed."""
+    raise SystemExit(128 + signum)
 
 
 def _pairs(args, seed: int, copies: dict, better: dict) -> dict:

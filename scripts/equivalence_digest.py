@@ -20,6 +20,9 @@ perfbench/pipeline.py prepares them) it prints one line per output:
   network with no verify_incomplete before it, which bounds its own root,
   so each run shows whether a root taken over and a fresh one give the
   same verdict byte for byte;
+- `grid`: sha256 of the bytes of find_grid_counterexample's witness on
+  the path's network at the workload's falsify_budget (default seed), or
+  `none`, so a change to the falsifier shows in the same diff;
 - `onnx` (reduced path only): sha256 of the exported reduced model;
 - `verdict`: both verdicts' status, splits and note, and the path's ReLU
   count (`relu_after`), with no float in it.
@@ -111,6 +114,8 @@ def job_lines(rk, pipeline, job, workload, max_splits) -> list[tuple[str, str, s
             fresh = pipeline._chain(fresh, spec.box)
         alone = rk.bab_verify(fresh, spec, timeout=workload.timeout_s, max_splits=max_splits)
         out.append((path, "bab_alone", _verdict(alone)))
+        witness = rk.find_grid_counterexample(net, spec, budget=workload.falsify_budget)
+        out.append((path, "grid", "none" if witness is None else _sha(witness.tobytes())))
         if path == pipeline.REDUCED:
             out.append((path, "onnx", _sha(model)))
         out.append((path, "verdict",

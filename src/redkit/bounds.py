@@ -148,8 +148,9 @@ def relu_relaxation(lo: np.ndarray, hi: np.ndarray) -> _ReluRelaxation:
     intercept -lo (and the lower slope is 1), as lo -> -inf to slope 0 and
     intercept hi (and the lower slope is 0). A finite range whose product
     -lo * hi overflows takes the intercept -lo * slope, the same up to
-    rounding. With both ends infinite, or hi - lo overflowing, the lines are
-    NaN, and every bound they meet widens to +-inf (see kernels).
+    rounding; when its width hi - lo overflows too, the slope comes from the
+    halved ends, (hi / 2) / (hi / 2 - lo / 2). With both ends infinite the
+    lines are NaN, and every bound they meet widens to +-inf (see kernels).
     """
     live = hi > 0.0
     act = live & (lo >= 0.0)
@@ -162,7 +163,10 @@ def relu_relaxation(lo: np.ndarray, hi: np.ndarray) -> _ReluRelaxation:
     if not np.isfinite(icpt_up).all():
         hi_inf, lo_inf = hi == np.inf, lo == -np.inf
         slope_up = np.where(unstable & hi_inf & ~lo_inf, 1.0, slope_up)
-        limit = unstable & ~np.isfinite(icpt_up) & (np.isfinite(denom) | (hi_inf ^ lo_inf))
+        wide = unstable & (denom == np.inf) & ~(hi_inf | lo_inf)
+        half_hi = 0.5 * hi
+        slope_up = np.where(wide, half_hi / (half_hi - 0.5 * lo), slope_up)
+        limit = unstable & ~np.isfinite(icpt_up) & (np.isfinite(denom) | wide | (hi_inf ^ lo_inf))
         icpt_up = np.where(limit, np.where(lo_inf, hi, neg_lo * slope_up), icpt_up)
     return _ReluRelaxation(slope_lo, slope_up, icpt_up)
 

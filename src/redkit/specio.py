@@ -8,6 +8,7 @@ means C @ f(x) + d >= 0 for every x in the box.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +161,7 @@ def _as_term(e):
         value = float(tok)
     except ValueError:
         raise ParseError(f"line {ln}: expected a variable or a number, got {tok!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"line {ln}: {tok!r} is not a finite number")
     return "c", value
 
@@ -278,8 +279,8 @@ def _build_box(declared: set, atoms: list) -> Box:
     if declared != set(range(n)):
         missing = sorted(set(range(n)) - declared)
         raise ParseError(f"X variables are not dense: missing indices {missing}")
-    lower = np.full(n, np.nan)
-    upper = np.full(n, np.nan)
+    lower: list = [None] * n  # None: no bound asserted yet
+    upper: list = [None] * n
     for a in atoms:
         if a.lhs[0] != "x" or a.rhs[0] != "c":
             raise ParseError(f"line {a.line}: input atoms must compare one X with a constant")
@@ -287,10 +288,10 @@ def _build_box(declared: set, atoms: list) -> Box:
         if i >= n:
             raise ParseError(f"line {a.line}: X_{i} was never declared")
         if a.op == "<=":
-            upper[i] = c if np.isnan(upper[i]) else min(upper[i], c)
+            upper[i] = c if upper[i] is None else min(upper[i], c)
         else:
-            lower[i] = c if np.isnan(lower[i]) else max(lower[i], c)
-    missing = [f"X_{i}" for i in range(n) if np.isnan(lower[i]) or np.isnan(upper[i])]
+            lower[i] = c if lower[i] is None else max(lower[i], c)
+    missing = [f"X_{i}" for i in range(n) if lower[i] is None or upper[i] is None]
     if missing:
         raise ParseError(f"inputs missing a lower or upper bound: {', '.join(missing)}")
     return Box(lower, upper)

@@ -339,6 +339,7 @@ def verify_incomplete(net: Network, spec: PropertySpec) -> Verdict:
     return Verdict(status, bound, 0, time.monotonic() - t0)
 
 
+@np.errstate(over="ignore")  # a width that overflows is inf, the widest
 def _widest_unstable(lower, upper):
     """Per leaf, the unstable neuron with the widest pre-activation interval.
 
@@ -490,6 +491,10 @@ def bab_verify(
         batch, margins, members = _bound_step(chain, box, items, A, const)
 
 
+# Most points find_grid_counterexample forwards in one call.
+_FORWARD_ROWS = 8192
+
+
 def find_grid_counterexample(
     net: Network, spec: PropertySpec, budget: int = 4096, seed: int = 0
 ) -> np.ndarray | None:
@@ -497,6 +502,15 @@ def find_grid_counterexample(
 
     Returns the first input that spec.counterexamples flags (a strictly
     negative margin, any-mode: some row; all-mode: every row), or None.
+    The points, in order, are the box centre, the g**d grid (the largest g
+    with g**d <= budget, none when g < 2) and random samples from seed's
+    stream up to budget points. The fixed points (the centre and the grid)
+    are evaluated first, and the random samples are drawn and evaluated only
+    when none of them is a hit. Each forward call takes at most _FORWARD_ROWS
+    points, and the search stops at the first call with a hit. So the result
+    is the first point in order that breaks spec; numpy may round a row
+    differently with the number of rows in a call, so only a margin within
+    rounding of zero can be judged apart from one batch of every point.
     Absence of a hit proves nothing. budget must be a positive integer and
     seed a nonnegative one; a bool is neither.
     """
@@ -506,7 +520,6 @@ def find_grid_counterexample(
         raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
     box = spec.box
     d = box.dim
-    rng = np.random.default_rng(seed)
     chunks = [box.lower[None, :] + box.widths[None, :] * 0.5]
     g = max(int(budget ** (1.0 / d)), 1)
     while g > 1 and g**d > budget:
@@ -515,14 +528,18 @@ def find_grid_counterexample(
         axes = [np.linspace(box.lower[i], box.upper[i], g) for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         chunks.append(np.stack([m.ravel() for m in mesh], axis=1))
-    used = sum(len(c) for c in chunks)
-    if used < budget:
-        chunks.append(box.sample(budget - used, rng))
-    xs = np.vstack(chunks)
-    for start in range(0, len(xs), 8192):
-        batch = xs[start : start + 8192]
+    fixed = np.vstack(chunks)
+    x = _first_hit(net, spec, fixed)
+    if x is None and len(fixed) < budget:
+        x = _first_hit(net, spec, box.sample(budget - len(fixed), np.random.default_rng(seed)))
+    return x
+
+
+def _first_hit(net: Network, spec: PropertySpec, xs: np.ndarray) -> np.ndarray | None:
+    """The first row of xs that breaks spec on net, forwarded _FORWARD_ROWS at a time; or None."""
+    for start in range(0, len(xs), _FORWARD_ROWS):
+        batch = xs[start : start + _FORWARD_ROWS]
         hits = np.nonzero(spec.counterexamples(forward_batch(net, batch)))[0]
         if len(hits):
             return batch[hits[0]].copy()
     return None
-

@@ -157,6 +157,26 @@ def test_half_infinite_lines_bound_relu(end, t, hi_inf):
     assert r.slope_lo[0, 0] * z <= max(z, 0.0) <= r.slope_up[0, 0] * z + r.icpt_up[0, 0]
 
 
+def test_a_range_whose_width_overflows_takes_finite_lines():
+    # hi - lo is inf on [-1e308, 1e308]; the lines used to be slope 0 and a
+    # NaN intercept, and every row that met them widened to +-inf
+    r = relu_relaxation(np.array([[-1e308]]), np.array([[1e308]]))
+    assert (r.slope_lo[0, 0], r.slope_up[0, 0], r.icpt_up[0, 0]) == (1.0, 0.5, 5e307)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e300, 1.79e308), b=st.floats(1e300, 1.79e308), t=st.floats(0.0, 1.0))
+def test_lines_bound_relu_on_a_range_whose_width_may_overflow(a, b, t):
+    lo, hi = -a, b
+    z = (1.0 - t) * lo + t * hi  # a point of [lo, hi], large values included
+    r = relu_relaxation(np.array([[lo]]), np.array([[hi]]))
+    lines = [float(line[0, 0]) for line in (r.slope_lo, r.slope_up, r.icpt_up)]
+    assert np.isfinite(lines).all(), lines
+    slope_lo, slope_up, icpt_up = lines
+    slack = 1e-12 * max(a, b)  # the lines' rounding
+    assert slope_lo * z <= max(z, 0.0) <= slope_up * z + icpt_up + slack
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_overflowing_bound_widens_to_infinity():
     # products of finite numbers overflow to +-inf, and inf - inf is NaN; at

@@ -10,7 +10,8 @@ linger in the docs. So must every --flag on a `redkit <subcommand>` line of
 README.md, against that subcommand's parser, and README's subcommand table
 must list exactly the parser's subcommands. scripts/bench_pairs.py
 summarizes paired runs; its direction-aware win count is checked on fixed
-records, and it runs both sides from fresh copies of their checkouts.
+records, it runs both sides from fresh copies of their checkouts, and it
+removes them when stopped by SIGTERM.
 scripts/equivalence_digest.py runs on one job of one workload, and its
 --max-splits replaces the split budget.
 """
@@ -20,10 +21,13 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import redkit
@@ -196,6 +200,37 @@ def test_bench_pairs_runs_both_sides_from_fresh_copies(tmp_path):
     assert summary["all_correct"] and summary["verdict_s_p50"]["pairs"] == 2
 
 
+def test_bench_pairs_removes_its_copies_when_stopped_by_sigterm(tmp_path):
+    # before: TemporaryDirectory's cleanup did not run on SIGTERM, and the
+    # bench_pairs_* directory stayed under the temporary root
+    started = tmp_path / "started"
+    for side in ("base", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            f"import time\nopen({str(started)!r}, 'a').close()\ntime.sleep(60)\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    cmd = [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--base", str(tmp_path / "base"),
+           "--change", str(tmp_path / "change"), "--workload", "w", "--seeds", "1",
+           "--out", str(tmp_path / "out.json")]
+    proc = subprocess.Popen(cmd, env={**os.environ, "TMPDIR": str(tmp)},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert started.exists(), "the stand-in run never started"
+        assert [p.name[:12] for p in tmp.iterdir()] == ["bench_pairs_"]
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert code != 0
+    assert list(tmp.iterdir()) == []
+
+
 def test_equivalence_digest_prints_every_output_of_a_job():
     # large_models job 3 is a residual graph, so the run goes through simplify
     before = sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*"))
@@ -205,8 +240,8 @@ def test_equivalence_digest_prints_every_output_of_a_job():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 6) for line in proc.stdout.splitlines()]
     assert [r[:5] for r in rows] == [["large_models", "1001", "job", "3", path]
-                                     for path in ["original"] * 7 + ["reduced"] * 7]
-    outputs = ["interval", "crown", "incomplete", "bab", "bab_alone"]
+                                     for path in ["original"] * 8 + ["reduced"] * 8]
+    outputs = ["interval", "crown", "incomplete", "bab", "bab_alone", "grid"]
     assert [r[5] for r in rows] == ["chain"] + outputs + ["verdict"] + outputs + ["onnx", "verdict"]
     verdicts, bab = {}, {}
     for _, _, _, _, path, output, digest in rows:
@@ -223,6 +258,8 @@ def test_equivalence_digest_prints_every_output_of_a_job():
             # both verdicts without their bounds, then the path's ReLU count
             head, relu_after = digest.rsplit(" relu_after ", 1)
             assert head == " ".join(verdicts[path]) and int(relu_after) > 0
+        elif output == "grid":
+            assert digest == "none" or re.fullmatch(r"[0-9a-f]{64}", digest)
         else:
             assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*")) == before

@@ -777,6 +777,20 @@ def _half_infinite_case():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("composed", [False, True])
+def test_a_range_whose_width_overflows_keeps_the_bound_finite(monkeypatch, composed):
+    # y = relu(1e308 x) on [-1, 1]: the hidden range [-1e308, 1e308] has an
+    # infinite width, whose NaN upper intercept used to widen the bound to
+    # -inf; its lines are finite now, and y >= 1 (false at x = 0) stays open
+    if composed:
+        monkeypatch.setattr(bounds_mod, "COMPACT_MIN_ENTRIES", 1)
+    net = from_sequential([([[1e308]], [0.0]), ([[1.0]], [0.0])], 1)
+    spec = PropertySpec(Box(-np.ones(1), np.ones(1)), np.ones((1, 1)), np.array([-1.0]))
+    _proves_nothing_false(net, spec, np.zeros((1, 1)))
+    assert np.isfinite(verify_incomplete(net, spec).bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("composed", [False, True])
 def test_a_bound_that_overflows_raises_no_runtime_warning(monkeypatch, composed):
     # the widening to +-inf is how an overflow is handled, so numpy's
     # overflow and invalid-value warnings stay inside the bound computation
@@ -1004,6 +1018,105 @@ def test_grid_counterexample_is_deterministic(fig1_net, unit_box):
     a = find_grid_counterexample(fig1_net, spec, budget=5000, seed=3)
     b = find_grid_counterexample(fig1_net, spec, budget=5000, seed=3)
     assert np.array_equal(a, b)
+
+
+def _grid_points_in_order(box, budget, seed):
+    """Every point the falsifier may evaluate, in order: centre, grid, random samples."""
+    d = box.dim
+    chunks = [box.lower[None, :] + box.widths[None, :] * 0.5]
+    g = max(int(budget ** (1.0 / d)), 1)
+    while g > 1 and g**d > budget:
+        g -= 1
+    if g >= 2:
+        mesh = np.meshgrid(*[np.linspace(box.lower[i], box.upper[i], g) for i in range(d)],
+                           indexing="ij")
+        chunks.append(np.stack([m.ravel() for m in mesh], axis=1))
+    used = sum(len(c) for c in chunks)
+    if used < budget:
+        chunks.append(box.sample(budget - used, np.random.default_rng(seed)))
+    return np.vstack(chunks)
+
+
+# (input width, budget): g >= 2 with random samples after the grid, a grid
+# that fills the budget, g = 1 (centre and samples only), and more fixed
+# points than one forward call takes
+_GRID_CASES = [(3, 60), (2, 49), (5, 30), (2, 9000), (3, 20000)]
+
+
+@pytest.mark.parametrize("mode", [MODE_ANY, MODE_ALL])
+@pytest.mark.parametrize("d,budget", _GRID_CASES)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), q=st.sampled_from([None, 0.0, 0.002, 0.05, 0.5]))
+def test_grid_matches_one_batch_evaluation_of_the_same_points(d, budget, mode, seed, q):
+    rng = np.random.default_rng(seed)
+    widths = [d, int(rng.integers(2, 6)), int(rng.integers(2, 6)), 3]
+    wb = [(rng.normal(size=(o, i)), rng.normal(scale=0.5, size=o))
+          for i, o in zip(widths[:-1], widths[1:])]
+    net = from_sequential(wb, d)
+    lo = rng.uniform(-1.0, 0.0, size=d)
+    box = Box(lo, lo + rng.uniform(0.1, 2.0, size=d))
+    rows = rng.normal(size=(2, 3))
+    # offsets at a low quantile of sampled margins make hits rare; None gives none
+    margins = forward_batch(net, box.sample(300, rng)) @ rows.T
+    offsets = np.full(2, 1e9) if q is None else -np.quantile(margins, q, axis=0)
+    spec = PropertySpec(box, rows, offsets, mode=mode)
+    xs = _grid_points_in_order(box, budget, seed % 7)
+    ys = forward_batch(net, xs)
+    got = find_grid_counterexample(net, spec, budget=budget, seed=seed % 7)
+    # numpy's matrix product may round a row differently with the number of
+    # rows in the call, so a margin within rounding of zero may flip sign
+    # between batchings; only such a borderline point may be judged apart.
+    # With none, the witness is the batch's first hit, to the bit
+    tol = 1e-9 * (1.0 + np.abs(ys @ rows.T).max() + np.abs(offsets).max())
+    sure = PropertySpec(box, rows, offsets + tol, mode=mode).counterexamples(ys)
+    maybe = PropertySpec(box, rows, offsets - tol, mode=mode).counterexamples(ys)
+    if got is None:
+        assert not sure.any()
+    else:
+        i = next(k for k in range(len(xs)) if xs[k].tobytes() == got.tobytes())
+        assert maybe[i] and not sure[:i].any()
+
+
+def _count_forwarded_rows(monkeypatch):
+    calls = []
+    real = verify_mod.forward_batch
+
+    def counting(net, xs):
+        calls.append(len(xs))
+        return real(net, xs)
+
+    monkeypatch.setattr(verify_mod, "forward_batch", counting)
+    return calls
+
+
+def test_a_hit_among_the_fixed_points_forwards_no_random_row(fig1_net, unit_box, monkeypatch):
+    # y0 >= 2 is false at the centre, where y0 = 1; budget 1000 is the
+    # centre, a 31 x 31 grid and 38 random samples, which are never drawn
+    calls = _count_forwarded_rows(monkeypatch)
+    spec = _spec(unit_box, [[1.0, 0.0]], [-2.0])
+    assert spec.is_counterexample(forward(fig1_net, np.zeros(2)))
+    draws = []
+    monkeypatch.setattr(Box, "sample", lambda self, n, rng: draws.append(n))
+    x = find_grid_counterexample(fig1_net, spec, budget=1000, seed=0)
+    assert x is not None and spec.is_counterexample(forward(fig1_net, x))
+    assert calls == [1 + 31**2]
+    assert draws == []
+
+
+@pytest.mark.parametrize("budget,calls_want", [
+    (1000, [962, 38]),  # centre and 31 x 31 grid, then 38 random samples
+    (961, [962]),  # the grid fills the budget; the centre is extra
+    (3, [1, 2]),  # g = 1: the centre, then 2 random samples
+    (10_000, [8192, 1809]),  # a 100 x 100 grid that fills the budget, in calls of 8192
+    (20_000, [8192, 8192, 3498, 118]),  # 141 x 141 grid, then 118 random samples
+])
+def test_a_search_with_no_hit_forwards_its_budget(fig1_net, unit_box, monkeypatch, budget, calls_want):
+    calls = _count_forwarded_rows(monkeypatch)
+    spec = _spec(unit_box, [[1.0, 0.0]], [3.0])  # true: y0 >= -3
+    assert find_grid_counterexample(fig1_net, spec, budget=budget, seed=0) is None
+    assert calls == calls_want
+    grid_fills = int(round(budget**0.5)) ** 2 == budget
+    assert sum(calls) == budget + grid_fills
 
 
 # --- the root that verify_incomplete hands to bab_verify ---
